@@ -1,11 +1,14 @@
 """Gon, hole, and disjointness semantics evaluated on a Signotope alone.
 
-Mirrors the coordinate-based predicates of :mod:`holesat.holes`, but every
-decision is made from triple orientations, so the predicates apply to
-satisfying assignments of the CNF encodings even when no realizing point
-set is known. Disjointness is decided through separator pairs instead of
-polygon intersection, which keeps the two modules independent oracles; the
-test suite cross-checks them on signotopes derived from actual point sets.
+Every decision is made from triple orientations, so the predicates apply
+to satisfying assignments of the CNF encodings even when no realizing point
+set is known. The predicates that only read orientations (``in_triangle``,
+``is_gon``, the gon table and enumeration, the tuple search) are shared
+with :mod:`holesat.holes` and re-exported here. Disjointness is decided
+through separator pairs instead of polygon intersection, which keeps the
+two modules independent oracles; nothing of the coordinate side's hull or
+disjointness code is imported here. The test suite cross-checks the two on
+signotopes derived from actual point sets.
 
 Precondition throughout: ``sig`` satisfies the signotope axioms
 (``check_signotope(sig) == []``). Under the axioms a label contained in a
@@ -20,38 +23,20 @@ import itertools
 from typing import Iterable, Sequence
 
 from .geometry import NEGATIVE, POSITIVE, Signotope
-from .holes import DisjointMode, Hole, search_disjoint_tuple
-
-
-def _normalize(sig: Signotope, x: Iterable[int]) -> tuple[int, ...]:
-    xs = tuple(sorted(x))
-    if len(set(xs)) != len(xs):
-        raise ValueError(f"duplicate indices in {xs}")
-    if xs and (xs[0] < 0 or xs[-1] >= sig.n):
-        raise IndexError(f"index out of range in {xs}")
-    return xs
-
-
-def in_triangle(sig: Signotope, i: int, a: int, b: int, c: int) -> bool:
-    """True iff label i lies inside triangle (a, b, c) of the signotope."""
-    return (
-        sig.chi(a, b, i) == sig.chi(a, b, c)
-        and sig.chi(b, c, i) == sig.chi(b, c, a)
-        and sig.chi(c, a, i) == sig.chi(c, a, b)
-    )
-
-
-def is_gon(sig: Signotope, x: Iterable[int]) -> bool:
-    """True iff the label set is in convex position."""
-    xs = _normalize(sig, x)
-    if len(xs) < 3:
-        raise ValueError("a gon needs at least 3 points")
-    for i in xs:
-        others = [j for j in xs if j != i]
-        for a, b, c in itertools.combinations(others, 3):
-            if in_triangle(sig, i, a, b, c):
-                return False
-    return True
+# orientation-only predicates shared with the coordinate oracle; the gon
+# table and enumeration are re-exported for callers of this module
+from .holes import (
+    DisjointMode,
+    Hole,
+    _normalize,
+    enumerate_from_table,
+    enumerate_gons,
+    four_gon_table,
+    in_triangle,
+    is_gon,
+    search_disjoint_tuple,
+    tuple_search_input,
+)
 
 
 def is_hole(sig: Signotope, x: Iterable[int]) -> bool:
@@ -87,54 +72,13 @@ def three_hole_table(sig: Signotope) -> frozenset[tuple[int, int, int]]:
     return frozenset(empty)
 
 
-def four_gon_table(sig: Signotope) -> frozenset[tuple[int, int, int, int]]:
-    """All label 4-tuples in convex position."""
-    return frozenset(
-        q
-        for q in itertools.combinations(range(sig.n), 4)
-        if is_gon(sig, q)
-    )
-
-
 def enumerate_holes(sig: Signotope, k: int) -> list[Hole]:
     """All k-holes of the signotope in lexicographic index order.
 
     For k >= 4 a subset is a hole iff every 3-subset is a 3-hole, the same
     characterization the coordinate-based enumerator uses.
     """
-    if not 2 <= k <= sig.n:
-        raise ValueError(f"hole size {k} out of range for n={sig.n}")
-    idx = range(sig.n)
-    if k == 2:
-        return [Hole(t) for t in itertools.combinations(idx, 2)]
-    table = three_hole_table(sig)
-    if k == 3:
-        return [Hole(t) for t in sorted(table)]
-    holes = []
-    for xs in itertools.combinations(idx, k):
-        if all(t in table for t in itertools.combinations(xs, 3)):
-            holes.append(Hole(xs))
-    return holes
-
-
-def enumerate_gons(sig: Signotope, k: int) -> list[Hole]:
-    """All k-gons of the signotope in lexicographic index order.
-
-    For k >= 5 a subset is in convex position iff every 4-subset is.
-    """
-    if not 3 <= k <= sig.n:
-        raise ValueError(f"gon size {k} out of range for n={sig.n}")
-    idx = range(sig.n)
-    if k == 3:
-        return [Hole(t, kind="gon") for t in itertools.combinations(idx, 3)]
-    table = four_gon_table(sig)
-    if k == 4:
-        return [Hole(t, kind="gon") for t in sorted(table)]
-    gons = []
-    for xs in itertools.combinations(idx, k):
-        if all(q in table for q in itertools.combinations(xs, 4)):
-            gons.append(Hole(xs, kind="gon"))
-    return gons
+    return enumerate_from_table(sig, k, "hole", three_hole_table)
 
 
 def holes_disjoint(sig: Signotope, x1: Iterable[int], x2: Iterable[int]) -> bool:
@@ -224,16 +168,7 @@ def find_disjoint_tuple(
     Same exhaustive search as the coordinate-based version, driven by the
     orientation-only predicates of this module.
     """
-    if not sizes:
-        raise ValueError("need at least one size")
-    minimum = 3 if mode == "interior-disjoint" else 2
-    if any(k < minimum for k in sizes):
-        raise ValueError(f"sizes must be >= {minimum} in {mode} mode")
-    if mode == "disjoint":
-        compatible = lambda xa, xb: holes_disjoint(sig, xa, xb)
-    elif mode == "interior-disjoint":
-        compatible = lambda xa, xb: holes_interior_disjoint(sig, xa, xb)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    by_size = {k: enumerate_holes(sig, k) for k in sorted(set(sizes))}
+    by_size, compatible = tuple_search_input(
+        sig, sizes, mode, enumerate_holes, holes_disjoint, holes_interior_disjoint
+    )
     return search_disjoint_tuple(by_size, sizes, compatible)

@@ -28,7 +28,7 @@ from .encoder import MODES, HoleProblem, build_instance
 from .geometry import read_points, write_points
 from .holes import enumerate_holes, find_disjoint_tuple
 from .recipes import RECIPE_NAMES, run_recipe
-from .search import SearchObjective, count_gons, search_witness
+from .search import OBJECTIVE_MODES, SearchObjective, count_gons, search_witness
 from .solver import (
     SolverError,
     default_timeout,
@@ -39,13 +39,6 @@ from .solver import (
 )
 
 PASS, FAIL, ERROR = 0, 1, 2
-
-_OBJECTIVE_MODES = (
-    "two-disjoint-holes",
-    "two-interior-disjoint-holes",
-    "forbid-hole",
-    "forbid-gon",
-)
 
 
 def _sizes_arg(text: str) -> tuple[int, ...]:
@@ -77,9 +70,22 @@ def _seeds_arg(text: str) -> list[int]:
 def _add_problem_flags(p: argparse.ArgumentParser, modes=MODES) -> None:
     p.add_argument("--n", type=int, required=True, help="number of points")
     p.add_argument("--mode", choices=modes, required=True)
+    _add_size_flags(p)
+    p.add_argument("--threshold", type=int, default=0, help="count-holes threshold")
+
+
+def _add_size_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sizes", type=_sizes_arg, help="hole sizes, e.g. 5,5")
     p.add_argument("--k", type=int, help="shorthand for --sizes K")
-    p.add_argument("--threshold", type=int, default=0, help="count-holes threshold")
+
+
+def _sizes_from_args(args) -> tuple[int, ...]:
+    if args.sizes and args.k is not None:
+        raise ValueError("pass --sizes or --k, not both")
+    sizes = args.sizes or ((args.k,) if args.k is not None else None)
+    if sizes is None:
+        raise ValueError("one of --sizes or --k is required")
+    return sizes
 
 
 def _add_variant_flags(p: argparse.ArgumentParser) -> None:
@@ -103,12 +109,9 @@ def _add_variant_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _problem_from_args(args) -> HoleProblem:
-    if args.sizes and args.k is not None:
-        raise ValueError("pass --sizes or --k, not both")
-    sizes = args.sizes or ((args.k,) if args.k is not None else None)
-    if sizes is None:
-        raise ValueError("one of --sizes or --k is required")
-    kwargs = dict(n=args.n, mode=args.mode, sizes=sizes, threshold=args.threshold)
+    kwargs = dict(
+        n=args.n, mode=args.mode, sizes=_sizes_from_args(args), threshold=args.threshold
+    )
     if hasattr(args, "orient_vars"):
         kwargs.update(
             orient_vars=args.orient_vars,
@@ -145,14 +148,18 @@ def cmd_solve(args) -> int:
     # resolve the checker eagerly when asked for so a missing binary is a
     # clear error, not a silently skipped verification
     checker = discover_checker(args.checker) if args.check else None
-    workdir = args.workdir or tempfile.mkdtemp(prefix="holesat-")
     timeout = args.timeout if args.timeout is not None else default_timeout()
-    report = solve_instance(
-        inst, solver, checker, timeout=timeout, workdir=workdir, want_proof=want_proof
-    )
-    if args.proof and report.certificate_path:
-        shutil.copyfile(report.certificate_path, args.proof)
-        report.certificate_path = args.proof
+    # a temporary directory unless --workdir names one to keep
+    with tempfile.TemporaryDirectory(prefix="holesat-") as own_dir:
+        report = solve_instance(
+            inst, solver, checker, timeout=timeout,
+            workdir=args.workdir or own_dir, want_proof=want_proof,
+        )
+        if args.proof and report.certificate_path:
+            shutil.copyfile(report.certificate_path, args.proof)
+            report.certificate_path = args.proof
+        elif not args.workdir:
+            report.certificate_path = None
     print(report.to_text())
     if args.summary:
         report.write_summary(args.summary)
@@ -242,12 +249,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.sizes and args.k is not None:
-        raise ValueError("pass --sizes or --k, not both")
-    sizes = args.sizes or ((args.k,) if args.k is not None else None)
-    if sizes is None:
-        raise ValueError("one of --sizes or --k is required")
-    obj = SearchObjective(args.mode, sizes)
+    obj = SearchObjective(args.mode, _sizes_from_args(args))
     workers = args.workers if args.workers is not None else default_workers()
     result = search_witness(
         args.n, obj, seeds=args.seeds, budget=args.budget, box=args.box, workers=workers
@@ -378,9 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="anneal for a witness with zero forbidden structures")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=_OBJECTIVE_MODES, required=True)
-    p.add_argument("--sizes", type=_sizes_arg)
-    p.add_argument("--k", type=int, help="shorthand for --sizes K")
+    p.add_argument("--mode", choices=OBJECTIVE_MODES, required=True)
+    _add_size_flags(p)
     p.add_argument("--seeds", type=_seeds_arg, default=list(range(8)), metavar="SPEC",
                    help="restart seeds, e.g. '0-7' or '3,5'")
     p.add_argument("--budget", type=int, default=20000, help="proposals per restart")

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence, get_args
 
 from .geometry import _sort_triple
 
@@ -43,14 +43,13 @@ Mode = Literal[
     "count-holes",
 ]
 
-MODES = (
-    "two-disjoint-holes",
-    "two-interior-disjoint-holes",
-    "forbid-hole",
-    "forbid-gon",
-    "count-holes",
-)
-DISJOINT_MODES = ("two-disjoint-holes", "two-interior-disjoint-holes")
+MODES: tuple[str, ...] = get_args(Mode)
+# the kind of pairwise disjointness each disjoint-hole mode asks for
+DISJOINT_FLAVOR = {
+    "two-disjoint-holes": "disjoint",
+    "two-interior-disjoint-holes": "interior-disjoint",
+}
+DISJOINT_MODES = tuple(DISJOINT_FLAVOR)
 
 # per-triple variable orderings in explicit mode: the three cyclic
 # (positive) images first, then the three transpositions

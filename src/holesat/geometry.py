@@ -70,13 +70,15 @@ class PointSet:
     additionally validate the canonical-form invariants.
     """
 
-    __slots__ = ("points", "_chi_cache")
+    __slots__ = ("points", "n", "_chi_cache")
 
     def __init__(self, points: Iterable[Sequence[Coord]], canonical: bool = False):
         pts = tuple(Point(_check_coord(p[0]), _check_coord(p[1])) for p in points)
         if len(set(pts)) != len(pts):
             raise ValueError("duplicate points")
         self.points: tuple[Point, ...] = pts
+        # a plain slot, not a property: hot predicates read it per call
+        self.n = len(pts)
         self._chi_cache: dict[tuple[int, int, int], int] | None = None
         bad = self._first_collinear_triple()
         if bad is not None:
@@ -90,10 +92,6 @@ class PointSet:
             if orient(pts[a], pts[b], pts[c]) == ZERO:
                 return (a, b, c)
         return None
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
 
     def __len__(self) -> int:
         return len(self.points)

@@ -1,9 +1,14 @@
 """Detection and enumeration of k-gons, k-holes, and disjoint hole tuples.
 
-All predicates work on exact coordinates through :meth:`PointSet.chi`;
-nothing here assumes a canonical labeling. A *k-gon* is a subset in convex
-position; a *k-hole* is a k-gon whose hull contains no other point of the
-set. A 2-subset is always a (degenerate) hole under general position.
+All predicates work through ``s.chi`` and ``s.n``; nothing here assumes a
+canonical labeling. A *k-gon* is a subset in convex position; a *k-hole* is
+a k-gon whose hull contains no other point of the set. A 2-subset is always
+a (degenerate) hole under general position.
+
+The orientation-only predicates and the tuple search also serve the
+Signotope oracle of :mod:`holesat.abstract`; the hull and disjointness code
+here is never shared with it, so the two oracles decide disjointness
+independently.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .geometry import POSITIVE, PointSet
 
@@ -36,17 +41,25 @@ def _normalize(s: PointSet, x: Iterable[int]) -> tuple[int, ...]:
     xs = tuple(sorted(x))
     if len(set(xs)) != len(xs):
         raise ValueError(f"duplicate indices in {xs}")
-    if xs and (xs[0] < 0 or xs[-1] >= len(s)):
+    if xs and (xs[0] < 0 or xs[-1] >= s.n):
         raise IndexError(f"index out of range in {xs}")
     return xs
 
 
 def in_triangle(s: PointSet, i: int, a: int, b: int, c: int) -> bool:
-    """True iff point i lies strictly inside triangle (a, b, c)."""
+    """True iff point (label) i lies strictly inside triangle (a, b, c)."""
     return (
         s.chi(a, b, i) == s.chi(a, b, c)
         and s.chi(b, c, i) == s.chi(b, c, a)
         and s.chi(c, a, i) == s.chi(c, a, b)
+    )
+
+
+def _inside_others(s: PointSet, i: int, xs: Sequence[int]) -> bool:
+    """True iff i lies strictly inside a triangle of the other members of xs."""
+    others = [j for j in xs if j != i]
+    return any(
+        in_triangle(s, i, a, b, c) for a, b, c in itertools.combinations(others, 3)
     )
 
 
@@ -55,12 +68,7 @@ def is_gon(s: PointSet, x: Iterable[int]) -> bool:
     xs = _normalize(s, x)
     if len(xs) < 3:
         raise ValueError("a gon needs at least 3 points")
-    for i in xs:
-        others = [j for j in xs if j != i]
-        for a, b, c in itertools.combinations(others, 3):
-            if in_triangle(s, i, a, b, c):
-                return False
-    return True
+    return not any(_inside_others(s, i, xs) for i in xs)
 
 
 def hull_order(s: PointSet, x: Iterable[int]) -> list[int]:
@@ -72,14 +80,7 @@ def hull_order(s: PointSet, x: Iterable[int]) -> list[int]:
     xs = _normalize(s, x)
     if len(xs) <= 2:
         return list(xs)
-    vertices = [
-        i
-        for i in xs
-        if not any(
-            in_triangle(s, i, a, b, c)
-            for a, b, c in itertools.combinations([j for j in xs if j != i], 3)
-        )
-    ]
+    vertices = [i for i in xs if not _inside_others(s, i, xs)]
     anchor = min(vertices, key=lambda i: s.points[i])
     rest = [i for i in vertices if i != anchor]
     rest.sort(
@@ -145,6 +146,39 @@ def three_hole_table(s: PointSet) -> frozenset[tuple[int, int, int]]:
     return frozenset(empty)
 
 
+def four_gon_table(s: PointSet) -> frozenset[tuple[int, int, int, int]]:
+    """All 4-subsets in convex position."""
+    return frozenset(
+        q for q in itertools.combinations(range(s.n), 4) if is_gon(s, q)
+    )
+
+
+def enumerate_from_table(
+    s: PointSet, k: int, kind: str, table_of: Callable[[PointSet], frozenset]
+) -> list[Hole]:
+    """All k-holes (kind "hole") or k-gons (kind "gon"), lexicographically.
+
+    Every 2-subset is a hole and every 3-subset a gon. Above that, a subset
+    is a hole iff every 3-subset is a 3-hole, and a gon iff every 4-subset
+    is a 4-gon, so ``table_of(s)`` (the 3-holes or the 4-gons) decides all
+    larger sizes. Each oracle passes its own 3-hole table.
+    """
+    least = 2 if kind == "hole" else 3
+    if not least <= k <= s.n:
+        raise ValueError(f"{kind} size {k} out of range for n={s.n}")
+    idx = range(s.n)
+    if k == least:
+        return [Hole(t, kind) for t in itertools.combinations(idx, k)]
+    table = table_of(s)
+    if k == least + 1:
+        return [Hole(t, kind) for t in sorted(table)]
+    return [
+        Hole(xs, kind)
+        for xs in itertools.combinations(idx, k)
+        if all(t in table for t in itertools.combinations(xs, least + 1))
+    ]
+
+
 def enumerate_holes(s: PointSet, k: int) -> list[Hole]:
     """All k-holes in lexicographic index order.
 
@@ -152,19 +186,15 @@ def enumerate_holes(s: PointSet, k: int) -> list[Hole]:
     hole iff every 3-subset is a 3-hole), which agrees with :func:`is_hole`;
     the test suite cross-checks the two paths.
     """
-    if not 2 <= k <= len(s):
-        raise ValueError(f"hole size {k} out of range for n={len(s)}")
-    idx = range(len(s))
-    if k == 2:
-        return [Hole(t) for t in itertools.combinations(idx, 2)]
-    table = three_hole_table(s)
-    if k == 3:
-        return [Hole(t) for t in sorted(table)]
-    holes = []
-    for xs in itertools.combinations(idx, k):
-        if all(t in table for t in itertools.combinations(xs, 3)):
-            holes.append(Hole(xs))
-    return holes
+    return enumerate_from_table(s, k, "hole", three_hole_table)
+
+
+def enumerate_gons(s: PointSet, k: int) -> list[Hole]:
+    """All k-gons in lexicographic index order.
+
+    For k >= 5 a subset is in convex position iff every 4-subset is.
+    """
+    return enumerate_from_table(s, k, "gon", four_gon_table)
 
 
 def hulls_disjoint(s: PointSet, x1: Iterable[int], x2: Iterable[int]) -> bool:
@@ -276,19 +306,35 @@ def find_disjoint_tuple(
     to skip symmetric duplicates). A None result is therefore a proof of
     absence, usable as a lower-bound witness.
     """
+    by_size, compatible = tuple_search_input(
+        s, sizes, mode, enumerate_holes, hulls_disjoint, hulls_interior_disjoint
+    )
+    return search_disjoint_tuple(by_size, sizes, compatible)
+
+
+def tuple_search_input(
+    s, sizes: Sequence[int], mode: DisjointMode,
+    enumerate_holes, disjoint, interior_disjoint,
+):
+    """(holes by size, compatibility test) for a tuple search on one oracle.
+
+    Validates ``sizes`` against ``mode`` and binds the oracle's own hole
+    enumeration and disjointness deciders, so each oracle decides with its
+    own predicates.
+    """
     if not sizes:
         raise ValueError("need at least one size")
     minimum = 3 if mode == "interior-disjoint" else 2
     if any(k < minimum for k in sizes):
         raise ValueError(f"sizes must be >= {minimum} in {mode} mode")
     if mode == "disjoint":
-        compatible = lambda xa, xb: hulls_disjoint(s, xa, xb)
+        decide = disjoint
     elif mode == "interior-disjoint":
-        compatible = lambda xa, xb: hulls_interior_disjoint(s, xa, xb)
+        decide = interior_disjoint
     else:
         raise ValueError(f"unknown mode {mode!r}")
     by_size = {k: enumerate_holes(s, k) for k in sorted(set(sizes))}
-    return search_disjoint_tuple(by_size, sizes, compatible)
+    return by_size, lambda xa, xb: decide(s, xa, xb)
 
 
 def search_disjoint_tuple(
@@ -296,15 +342,41 @@ def search_disjoint_tuple(
     sizes: Sequence[int],
     compatible,
 ) -> list[Hole] | None:
-    """Exhaustive tuple search over precomputed hole classes.
+    """First compatible tuple over precomputed hole classes, or None.
 
     ``compatible(xa, xb)`` decides whether two index tuples may coexist in
-    the result; it is assumed symmetric. Shared by the coordinate-based and
-    the orientation-based searches.
+    the result; it is assumed symmetric.
+    """
+    found = next(_last_slot_masks(by_size, sizes, compatible), None)
+    if found is None:
+        return None
+    chosen, last = found
+    picks = chosen + [(last & -last).bit_length() - 1]
+    return [by_size[k][u] for k, u in zip(sizes, picks)]
+
+
+def count_disjoint_tuples(
+    by_size: dict[int, list[Hole]], sizes: Sequence[int], compatible
+) -> int:
+    """Number of compatible tuples (equal-size slots counted once per set)."""
+    return sum(
+        last.bit_count() for _, last in _last_slot_masks(by_size, sizes, compatible)
+    )
+
+
+def _last_slot_masks(
+    by_size: dict[int, list[Hole]], sizes: Sequence[int], compatible
+) -> Iterator[tuple[list[int], int]]:
+    """Depth-first tuple search, stopped one slot early.
+
+    Yields, in search order, each compatible choice for all slots but the
+    last (hole positions within their size class, a list reused between
+    yields) with the nonzero bitmask of the last slot's candidates. Equal
+    sizes are constrained to increasing position to skip symmetric
+    duplicates.
     """
     if any(not by_size[k] for k in sizes):
-        return None
-    class_of = [by_size[k] for k in sizes]
+        return
 
     # compat[(i, j)][u] = bitmask over class j of holes compatible with
     # hole u of class i; computed once per unordered size pair.
@@ -322,9 +394,7 @@ def search_disjoint_tuple(
                         row |= 1 << idx
                 rows.append(row)
             mask_cache[key] = rows
-            if key[0] == key[1]:
-                mask_cache[(key[1], key[0])] = rows
-            else:
+            if key[0] != key[1]:
                 transposed = [0] * len(cj)
                 for u, row in enumerate(rows):
                     while row:
@@ -334,33 +404,29 @@ def search_disjoint_tuple(
                 mask_cache[(key[1], key[0])] = transposed
         return mask_cache[(sizes[i], sizes[j])]
 
+    last = len(sizes) - 1
     chosen: list[int] = []
 
-    def dfs(pos: int, candidates: list[int]) -> list[Hole] | None:
-        if pos == len(sizes):
-            return [class_of[i][chosen[i]] for i in range(len(sizes))]
+    def dfs(pos: int, candidates: list[int]):
+        if pos == last:
+            yield chosen, candidates[pos]
+            return
         mask = candidates[pos]
         while mask:
             low = mask & -mask
             u = low.bit_length() - 1
             mask ^= low
-            chosen.append(u)
             nxt = list(candidates)
-            ok = True
             for j in range(pos + 1, len(sizes)):
                 nxt[j] &= cross_masks(pos, j)[u]
                 if sizes[j] == sizes[pos]:
                     # skip symmetric permutations of equal-size slots
                     nxt[j] &= ~((1 << (u + 1)) - 1)
                 if nxt[j] == 0:
-                    ok = False
                     break
-            if ok:
-                found = dfs(pos + 1, nxt)
-                if found is not None:
-                    return found
-            chosen.pop()
-        return None
+            else:
+                chosen.append(u)
+                yield from dfs(pos + 1, nxt)
+                chosen.pop()
 
-    full = [(1 << len(c)) - 1 for c in class_of]
-    return dfs(0, full)
+    yield from dfs(0, [(1 << len(by_size[k])) - 1 for k in sizes])

@@ -101,12 +101,22 @@ def recipe_steps(name: str) -> list[RecipeStep]:
         return _pair("forbid-gon", (6,), 17)
     if name == "interior-55":
         return _pair("two-interior-disjoint-holes", (5, 5), 15)
+    if name == "count-16":
+        # every 16-point set has at least 11 5-holes, and 11 are attainable
+        return [
+            RecipeStep(
+                f"count-holes (5) n=16 t={t}",
+                HoleProblem(n=16, mode="count-holes", sizes=(5,), threshold=t),
+                expect,
+            )
+            for t, expect in ((12, "SAT"), (11, "UNSAT"))
+        ]
     raise ValueError(
         f"unknown recipe {name!r}; available: {', '.join(RECIPE_NAMES)}"
     )
 
 
-RECIPE_NAMES = ("h55-small-table", "h55-full", "g6", "interior-55")
+RECIPE_NAMES = ("h55-small-table", "h55-full", "g6", "interior-55", "count-16")
 
 
 def run_recipe(

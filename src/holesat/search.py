@@ -11,31 +11,28 @@ before being handed back.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import multiprocessing
 import random
 from dataclasses import dataclass
 
+from .encoder import DISJOINT_FLAVOR, DISJOINT_MODES
 from .geometry import Point, PointSet, orient
 from .holes import (
+    count_disjoint_tuples,
+    enumerate_gons,
     enumerate_holes,
     hulls_disjoint,
     hulls_interior_disjoint,
-    is_gon,
+    tuple_search_input,
 )
 
 log = logging.getLogger("holesat.search")
 
 DEFAULT_BOX = 10**6
 
-_OBJECTIVE_MODES = (
-    "two-disjoint-holes",
-    "two-interior-disjoint-holes",
-    "forbid-hole",
-    "forbid-gon",
-)
+OBJECTIVE_MODES = DISJOINT_MODES + ("forbid-hole", "forbid-gon")
 
 
 @dataclass(frozen=True)
@@ -51,19 +48,14 @@ class SearchObjective:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sizes", tuple(self.sizes))
-        if self.mode not in _OBJECTIVE_MODES:
+        if self.mode not in OBJECTIVE_MODES:
             raise ValueError(f"unknown objective mode {self.mode!r}")
         if self.mode in ("forbid-hole", "forbid-gon"):
             if len(self.sizes) != 1:
                 raise ValueError(f"{self.mode} takes a single size")
         elif len(self.sizes) < 2:
             raise ValueError(f"{self.mode} needs at least two sizes")
-        minimum = {
-            "two-disjoint-holes": 2,
-            "two-interior-disjoint-holes": 3,
-            "forbid-hole": 3,
-            "forbid-gon": 3,
-        }[self.mode]
+        minimum = 2 if self.mode == "two-disjoint-holes" else 3
         if any(k < minimum for k in self.sizes):
             raise ValueError(f"sizes {self.sizes} below minimum {minimum}")
 
@@ -72,81 +64,13 @@ class SearchObjective:
             return f"{self.sizes[0]}-holes"
         if self.mode == "forbid-gon":
             return f"{self.sizes[0]}-gons"
-        flavor = "disjoint" if self.mode == "two-disjoint-holes" else "interior-disjoint"
-        return f"{flavor} {'/'.join(map(str, self.sizes))}-hole tuples"
+        tag = "/".join(map(str, self.sizes))
+        return f"{DISJOINT_FLAVOR[self.mode]} {tag}-hole tuples"
 
 
 def count_gons(s: PointSet, k: int) -> int:
-    n = len(s)
-    if k == 3:
-        return math.comb(n, 3)
-    table = {
-        q for q in itertools.combinations(range(n), 4) if is_gon(s, q)
-    }
-    if k == 4:
-        return len(table)
-    return sum(
-        1
-        for xs in itertools.combinations(range(n), k)
-        if all(q in table for q in itertools.combinations(xs, 4))
-    )
-
-
-def _count_disjoint_tuples(s: PointSet, sizes, compatible) -> int:
-    by_size = {k: enumerate_holes(s, k) for k in sorted(set(sizes))}
-    if any(not by_size[k] for k in sizes):
-        return 0
-    classes = [by_size[k] for k in sizes]
-    masks: dict[tuple[int, int], list[int]] = {}
-
-    def cross(i: int, j: int) -> list[int]:
-        key = (sizes[i], sizes[j])
-        if key not in masks:
-            rows = []
-            cj = by_size[sizes[j]]
-            for hu in by_size[sizes[i]]:
-                row = 0
-                for idx, hv in enumerate(cj):
-                    if compatible(hu.indices, hv.indices):
-                        row |= 1 << idx
-                rows.append(row)
-            masks[key] = rows
-            if key[0] != key[1]:
-                transposed = [0] * len(cj)
-                for u, row in enumerate(rows):
-                    while row:
-                        low = row & -row
-                        transposed[low.bit_length() - 1] |= 1 << u
-                        row ^= low
-                masks[(key[1], key[0])] = transposed
-        return masks[(sizes[i], sizes[j])]
-
-    total = 0
-
-    def dfs(pos: int, candidates: list[int]) -> None:
-        nonlocal total
-        if pos == len(sizes) - 1:
-            total += candidates[pos].bit_count()
-            return
-        mask = candidates[pos]
-        while mask:
-            low = mask & -mask
-            u = low.bit_length() - 1
-            mask ^= low
-            nxt = list(candidates)
-            dead = False
-            for j in range(pos + 1, len(sizes)):
-                nxt[j] &= cross(pos, j)[u]
-                if sizes[j] == sizes[pos]:
-                    nxt[j] &= ~((1 << (u + 1)) - 1)
-                if nxt[j] == 0:
-                    dead = True
-                    break
-            if not dead:
-                dfs(pos + 1, nxt)
-
-    dfs(0, [(1 << len(c)) - 1 for c in classes])
-    return total
+    """Number of k-gons in the point set; 0 when k exceeds its size."""
+    return len(enumerate_gons(s, k)) if k <= s.n else 0
 
 
 def objective_count(s: PointSet, obj: SearchObjective) -> int:
@@ -155,11 +79,11 @@ def objective_count(s: PointSet, obj: SearchObjective) -> int:
         return len(enumerate_holes(s, obj.sizes[0]))
     if obj.mode == "forbid-gon":
         return count_gons(s, obj.sizes[0])
-    if obj.mode == "two-disjoint-holes":
-        compatible = lambda xa, xb: hulls_disjoint(s, xa, xb)
-    else:
-        compatible = lambda xa, xb: hulls_interior_disjoint(s, xa, xb)
-    return _count_disjoint_tuples(s, obj.sizes, compatible)
+    by_size, compatible = tuple_search_input(
+        s, obj.sizes, DISJOINT_FLAVOR[obj.mode],
+        enumerate_holes, hulls_disjoint, hulls_interior_disjoint,
+    )
+    return count_disjoint_tuples(by_size, obj.sizes, compatible)
 
 
 def _general_position_ok(points: list[Point], moved: int) -> bool:

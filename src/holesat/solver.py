@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Literal, Mapping, Sequence
 
 from . import abstract
-from .encoder import DISJOINT_MODES, CnfInstance, HoleProblem, VarRegistry
+from .encoder import DISJOINT_FLAVOR, CnfInstance, HoleProblem, VarRegistry
 from .geometry import Signotope, check_signotope
 
 DEFAULT_TIMEOUT = 600.0
@@ -138,49 +138,37 @@ def _resolve_tool(spec, known: dict[str, dict], cls, kind: str):
     return cls(path=path, name=base, **preset)
 
 
-def discover_solver(
-    spec=None, config: dict | None = None
-) -> SolverConfig:
-    """Solver from explicit spec, environment, config file, or PATH scan."""
+def _discover(
+    spec, config: dict | None, kind: str, known: dict[str, dict], cls, what: str
+):
+    """A tool from explicit spec, environment, config file, or PATH scan."""
+    env = f"HOLESAT_{kind.upper()}"
+    if spec is None:
+        spec = os.environ.get(env) or None
+    if spec is None:
+        cfg = config if config is not None else load_config()
+        spec = cfg.get(kind)
     if spec is not None:
-        return _resolve_tool(spec, KNOWN_SOLVERS, SolverConfig, "solver")
-    env = os.environ.get("HOLESAT_SOLVER")
-    if env:
-        return _resolve_tool(env, KNOWN_SOLVERS, SolverConfig, "solver")
-    cfg = config if config is not None else load_config()
-    if "solver" in cfg:
-        return _resolve_tool(cfg["solver"], KNOWN_SOLVERS, SolverConfig, "solver")
-    for name in KNOWN_SOLVERS:
+        return _resolve_tool(spec, known, cls, kind)
+    for name in known:
         path = shutil.which(name)
         if path:
-            return SolverConfig(path=path, name=name, **KNOWN_SOLVERS[name])
+            return cls(path=path, name=name, **known[name])
     raise SolverError(
-        "no SAT solver found: set HOLESAT_SOLVER, add a 'solver' entry to "
-        "holesat.json, or install one of " + ", ".join(KNOWN_SOLVERS)
+        f"no {what} found: set {env}, add a '{kind}' entry to holesat.json, "
+        "or install one of " + ", ".join(known)
     )
 
 
-def discover_checker(
-    spec=None, config: dict | None = None
-) -> CheckerConfig:
+def discover_solver(spec=None, config: dict | None = None) -> SolverConfig:
+    """Solver from explicit spec, environment, config file, or PATH scan."""
+    return _discover(spec, config, "solver", KNOWN_SOLVERS, SolverConfig, "SAT solver")
+
+
+def discover_checker(spec=None, config: dict | None = None) -> CheckerConfig:
     """Proof checker from explicit spec, environment, config, or PATH."""
-    if spec is not None:
-        return _resolve_tool(spec, KNOWN_CHECKERS, CheckerConfig, "checker")
-    env = os.environ.get("HOLESAT_CHECKER")
-    if env:
-        return _resolve_tool(env, KNOWN_CHECKERS, CheckerConfig, "checker")
-    cfg = config if config is not None else load_config()
-    if "checker" in cfg:
-        return _resolve_tool(
-            cfg["checker"], KNOWN_CHECKERS, CheckerConfig, "checker"
-        )
-    for name in KNOWN_CHECKERS:
-        path = shutil.which(name)
-        if path:
-            return CheckerConfig(path=path, name=name, **KNOWN_CHECKERS[name])
-    raise SolverError(
-        "no proof checker found: set HOLESAT_CHECKER, add a 'checker' entry "
-        "to holesat.json, or install one of " + ", ".join(KNOWN_CHECKERS)
+    return _discover(
+        spec, config, "checker", KNOWN_CHECKERS, CheckerConfig, "proof checker"
     )
 
 
@@ -354,7 +342,10 @@ def run_proof_check(
     checker: CheckerConfig | None = None,
     timeout: float | None = None,
 ) -> tuple[bool, str]:
-    """(passed, detail) from the configured proof checker."""
+    """(passed, detail) from the configured proof checker.
+
+    Passes only on exit code 0 together with an ``s VERIFIED`` line.
+    """
     cfg = checker or discover_checker()
     limit = timeout if timeout is not None else default_timeout()
     cert = normalize_certificate(certificate_path)
@@ -368,7 +359,10 @@ def run_proof_check(
     except OSError as exc:
         raise SolverError(f"failed to launch {argv[0]}: {exc}") from exc
     out = proc.stdout + proc.stderr
-    ok = proc.returncode == 0 and "NOT VERIFIED" not in out
+    # success must be stated, not inferred from silence: drat-trim, rate
+    # and gratgen all print this line when the proof checks
+    verified = any(line.strip() == "s VERIFIED" for line in out.splitlines())
+    ok = proc.returncode == 0 and verified
     if ok:
         return True, ""
     tail = " | ".join(out.strip().splitlines()[-3:])
@@ -433,12 +427,8 @@ def verify_model(sig: Signotope, problem: HoleProblem) -> VerifyResult:
         )
     if any(sig.chi(0, a, b) != 1 for a in range(1, sig.n) for b in range(a + 1, sig.n)):
         return VerifyResult(False, None, "not sorted around first point")
-    if problem.mode in DISJOINT_MODES:
-        mode = (
-            "disjoint"
-            if problem.mode == "two-disjoint-holes"
-            else "interior-disjoint"
-        )
+    if problem.mode in DISJOINT_FLAVOR:
+        mode = DISJOINT_FLAVOR[problem.mode]
         found = abstract.find_disjoint_tuple(sig, problem.sizes, mode)
         if found is not None:
             return VerifyResult(
@@ -479,12 +469,20 @@ def solve_instance(
     """Write, solve, and verify one instance end to end.
 
     SAT models are decoded and checked semantically (verification field
-    ``passed``/``failed``); UNSAT certificates are checked when requested
-    and a checker is available, otherwise verification is ``skipped``.
+    ``passed``/``failed``; a model that does not decode fails); UNSAT
+    certificates are checked when requested and a checker is available,
+    otherwise verification is ``skipped``. Without ``workdir`` the files
+    go to a temporary directory that is removed before returning, and the
+    report names no certificate.
     """
     cfg = solver or discover_solver()
-    own_dir = workdir is None
-    base = Path(tempfile.mkdtemp(prefix="holesat-")) if own_dir else Path(workdir)
+    if workdir is None:
+        # files live only as long as the call; the certificate goes with them
+        with tempfile.TemporaryDirectory(prefix="holesat-") as own:
+            report = solve_instance(instance, cfg, checker, timeout, own, want_proof)
+        report.certificate_path = None
+        return report
+    base = Path(workdir)
     base.mkdir(parents=True, exist_ok=True)
     key = instance.problem.key()
     cnf = base / f"{key}.cnf"
@@ -494,7 +492,12 @@ def solve_instance(
     report = run_solver(cnf, cfg, timeout=timeout, proof_path=proof)
     report.instance = key
     if report.verdict == "SAT":
-        sig = decode_model(report.model, instance.registry)
+        try:
+            sig = decode_model(report.model, instance.registry)
+        except ValueError as exc:
+            report.verification = "failed"
+            report.detail = f"model decoding failed: {exc}"
+            return report
         result = verify_model(sig, instance.problem)
         report.verification = "passed" if result.passed else "failed"
         if not result.passed:

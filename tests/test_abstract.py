@@ -6,8 +6,10 @@ point sets it must reproduce the coordinate-based results exactly.
 
 from __future__ import annotations
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,3 +124,27 @@ def test_find_disjoint_tuple_matches_geometry(seed, mode):
             else abstract.holes_interior_disjoint
         )
         assert check(sig, h1.indices, h2.indices)
+
+
+def test_disjointness_deciders_stay_independent():
+    # the orientation oracle must decide disjointness with its own code,
+    # never with the coordinate oracle's hull geometry
+    banned = {
+        "hulls_disjoint",
+        "hulls_interior_disjoint",
+        "_separates",
+        "_proper_cross",
+        "hull_order",
+        "strictly_inside_hull",
+    }
+    tree = ast.parse(Path(abstract.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {alias.name for alias in node.names}
+            # the module itself would expose every name
+            assert not {"holes", "holesat.holes"} & names
+            if getattr(node, "module", None) in ("holes", "holesat.holes"):
+                imported |= names
+    assert imported, "expected the shared predicates to come from holes"
+    assert not imported & (banned | {"*"})

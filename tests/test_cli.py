@@ -9,6 +9,7 @@ import pytest
 from holesat import cli
 from holesat.constructions import witness
 from holesat.geometry import write_points
+from holesat.recipes import RECIPE_NAMES, recipe_steps
 
 from conftest import requires_solver
 
@@ -229,6 +230,15 @@ def test_solve_missing_solver_is_infrastructure_error(tmp_path, capsys):
     ])
     assert code == cli.ERROR
     assert "no-such-binary" in capsys.readouterr().err
+
+
+def test_recipe_count_16_steps():
+    assert "count-16" in RECIPE_NAMES
+    steps = recipe_steps("count-16")
+    assert [(s.problem.key(), s.expect) for s in steps] == [
+        ("count-holes-k5-n16-t12-compact", "SAT"),
+        ("count-holes-k5-n16-t11-compact", "UNSAT"),
+    ]
 
 
 @requires_solver

@@ -6,9 +6,11 @@ import json
 import os
 import random
 import stat
+import tempfile
 
 import pytest
 
+from holesat.cli import main as cli_main
 from holesat.encoder import HoleProblem, assignment_from_chirotope, build_instance
 from holesat.geometry import canonicalize, chirotope
 from holesat.holes import enumerate_holes
@@ -27,6 +29,7 @@ from holesat.solver import (
     normalize_certificate,
     parse_solver_output,
     run_batch,
+    run_proof_check,
     run_solver,
     solve_instance,
     verify_model,
@@ -167,6 +170,62 @@ def test_normalize_certificate_strips_percent_header(tmp_path):
     cleaned = normalize_certificate(decorated)
     assert cleaned.endswith(".clean")
     assert open(cleaned).read() == "1 2 0\n"
+
+
+def test_proof_check_needs_positive_verdict(tmp_path):
+    cnf = _tiny_cnf(tmp_path)
+    cert = tmp_path / "tiny.drat"
+    cert.write_text("0\n")
+    silent = CheckerConfig(path=_stub(tmp_path, "silent", "exit 0"), name="silent")
+    ok, detail = run_proof_check(cnf, cert, silent, timeout=5)
+    assert not ok and "exit 0" in detail
+    confirming = CheckerConfig(
+        path=_stub(tmp_path, "confirming", "echo c checking; echo s VERIFIED"),
+        name="confirming",
+    )
+    assert run_proof_check(cnf, cert, confirming, timeout=5) == (True, "")
+
+
+# --- temporary files and malformed models ---------------------------------
+
+def test_solve_leaves_no_temporary_directories(tmp_path, monkeypatch):
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    bindir = tmp_path / "bin"
+    bindir.mkdir()
+    # named after a preset so it gets proof arguments: picosat -R PROOF CNF
+    unsat = _stub(bindir, "picosat", 'echo "0" > "$2"; echo s UNSATISFIABLE')
+    p = HoleProblem(n=6, mode="two-disjoint-holes", sizes=(3, 3))
+
+    rep = solve_instance(build_instance(p), discover_solver(unsat), want_proof=True)
+    assert rep.verdict == "UNSAT" and rep.certificate_path is None
+
+    proof = tmp_path / "kept.drat"
+    code = cli_main([
+        "solve", "--n", "6", "--mode", "two-disjoint-holes", "--sizes", "3,3",
+        "--solver", unsat, "--proof", str(proof),
+    ])
+    assert code == 0 and proof.read_text() == "0\n"
+    assert not list(tmp.glob("holesat-*"))
+
+    # a directory the user names is kept
+    keep = tmp_path / "keep"
+    cli_main([
+        "solve", "--n", "6", "--mode", "two-disjoint-holes", "--sizes", "3,3",
+        "--solver", unsat, "--workdir", str(keep),
+    ])
+    assert (keep / f"{p.key()}.cnf").is_file()
+
+
+def test_corrupt_model_fails_verification(tmp_path):
+    sat = SolverConfig(
+        path=_stub(tmp_path, "partial", "echo s SATISFIABLE; echo v 1 0"), name="partial"
+    )
+    p = HoleProblem(n=6, mode="forbid-hole", sizes=(5,))
+    rep = solve_instance(build_instance(p), sat, workdir=tmp_path)
+    assert rep.verdict == "SAT" and rep.verification == "failed"
+    assert "does not cover orientation variable" in rep.detail
 
 
 # --- decoding and model verification --------------------------------------
