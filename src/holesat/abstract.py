@@ -168,7 +168,7 @@ def find_disjoint_tuple(
     Same exhaustive search as the coordinate-based version, driven by the
     orientation-only predicates of this module.
     """
-    by_size, compatible = tuple_search_input(
+    by_size, rows = tuple_search_input(
         sig, sizes, mode, enumerate_holes, holes_disjoint, holes_interior_disjoint
     )
-    return search_disjoint_tuple(by_size, sizes, compatible)
+    return search_disjoint_tuple(by_size, sizes, rows)

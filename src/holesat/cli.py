@@ -30,6 +30,7 @@ from .holes import enumerate_holes, find_disjoint_tuple
 from .recipes import RECIPE_NAMES, run_recipe
 from .search import OBJECTIVE_MODES, SearchObjective, count_gons, search_witness
 from .solver import (
+    MODEL_DECODING_FAILED,
     SolverError,
     default_timeout,
     default_workers,
@@ -163,7 +164,7 @@ def cmd_solve(args) -> int:
     print(report.to_text())
     if args.summary:
         report.write_summary(args.summary)
-    if report.verdict == "UNKNOWN":
+    if report.verdict == "UNKNOWN" or report.detail.startswith(MODEL_DECODING_FAILED):
         print(f"error: {report.detail}", file=sys.stderr)
         return ERROR
     if report.verification == "failed":

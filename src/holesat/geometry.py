@@ -2,7 +2,9 @@
 
 Everything here is computed with arbitrary-precision integers (or
 `fractions.Fraction` after projective normalization); no floating point
-enters any predicate.
+enters any predicate. A :class:`PointSet` evaluates every orientation once,
+on construction, into a table of bitmasks that ``chi`` and the hole
+predicates read; nothing is computed lazily.
 
 Conventions used throughout the package:
 
@@ -67,10 +69,12 @@ class PointSet:
     """An ordered list of points in general position (no three collinear).
 
     General position is checked on construction; pass ``canonical=True`` to
-    additionally validate the canonical-form invariants.
+    additionally validate the canonical-form invariants. The same pass over
+    all triples fills the orientation table ``left``: ``left[a][b]`` is the
+    bitmask of the indices strictly left of the directed line a->b.
     """
 
-    __slots__ = ("points", "n", "_chi_cache")
+    __slots__ = ("points", "n", "left")
 
     def __init__(self, points: Iterable[Sequence[Coord]], canonical: bool = False):
         pts = tuple(Point(_check_coord(p[0]), _check_coord(p[1])) for p in points)
@@ -78,20 +82,22 @@ class PointSet:
             raise ValueError("duplicate points")
         self.points: tuple[Point, ...] = pts
         # a plain slot, not a property: hot predicates read it per call
-        self.n = len(pts)
-        self._chi_cache: dict[tuple[int, int, int], int] | None = None
-        bad = self._first_collinear_triple()
-        if bad is not None:
-            raise ValueError(f"points {bad} are collinear")
+        self.n = n = len(pts)
+        left = [[0] * n for _ in range(n)]
+        for a, b, c in itertools.combinations(range(n), 3):
+            sign = orient(pts[a], pts[b], pts[c])
+            if sign == ZERO:
+                raise ValueError(f"points {(a, b, c)} are collinear")
+            if sign == NEGATIVE:
+                a, b = b, a
+            # (a, b, c) is now counterclockwise: each point is left of the
+            # edge opposite it
+            left[a][b] |= 1 << c
+            left[b][c] |= 1 << a
+            left[c][a] |= 1 << b
+        self.left: tuple[tuple[int, ...], ...] = tuple(map(tuple, left))
         if canonical and not self.is_canonical():
             raise ValueError("point set does not satisfy the canonical-form invariants")
-
-    def _first_collinear_triple(self) -> tuple[int, int, int] | None:
-        pts = self.points
-        for a, b, c in itertools.combinations(range(len(pts)), 3):
-            if orient(pts[a], pts[b], pts[c]) == ZERO:
-                return (a, b, c)
-        return None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -112,16 +118,12 @@ class PointSet:
         return f"PointSet({list(self.points)!r})"
 
     def chi(self, a: int, b: int, c: int) -> int:
-        """Orientation of the indexed triple, cached over sorted triples."""
-        if self._chi_cache is None:
-            self._chi_cache = {}
-        key, parity = _sort_triple(a, b, c)
-        sign = self._chi_cache.get(key)
-        if sign is None:
-            i, j, k = key
-            sign = orient(self.points[i], self.points[j], self.points[k])
-            self._chi_cache[key] = sign
-        return sign * parity
+        """Orientation of the indexed triple, read from the table."""
+        if a == b or a == c or b == c:
+            raise ValueError(f"indices must be distinct, got {(a, b, c)}")
+        if not 0 <= c < self.n:
+            raise IndexError(f"index {c} out of range for n={self.n}")
+        return POSITIVE if self.left[a][b] >> c & 1 else NEGATIVE
 
     def is_canonical(self) -> bool:
         pts = self.points

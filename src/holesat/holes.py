@@ -1,9 +1,12 @@
 """Detection and enumeration of k-gons, k-holes, and disjoint hole tuples.
 
-All predicates work through ``s.chi`` and ``s.n``; nothing here assumes a
-canonical labeling. A *k-gon* is a subset in convex position; a *k-hole* is
-a k-gon whose hull contains no other point of the set. A 2-subset is always
-a (degenerate) hole under general position.
+Predicates read ``s.n`` and the set's orientation table: ``s.chi`` one
+sign at a time, or, in code only the coordinate oracle runs
+(``three_hole_table``, ``hulls_disjoint``), the bitmasks ``s.left`` that
+:class:`PointSet` computes once on construction. Nothing here assumes a
+canonical labeling. A *k-gon* is a subset in convex position; a *k-hole*
+is a k-gon whose hull contains no other point of the set. A 2-subset is
+always a (degenerate) hole under general position.
 
 The orientation-only predicates and the tuple search also serve the
 Signotope oracle of :mod:`holesat.abstract`; the hull and disjointness code
@@ -127,21 +130,20 @@ def is_hole(s: PointSet, x: Iterable[int]) -> bool:
 
 
 def three_hole_table(s: PointSet) -> frozenset[tuple[int, int, int]]:
-    """All 3-subsets whose triangle is empty (the 3-holes)."""
+    """All 3-subsets whose triangle is empty (the 3-holes).
+
+    The open triangle is the AND of the three half-planes that hold the
+    opposite vertex, each a mask of the orientation table.
+    """
+    left = s.left
     empty = []
-    for t in itertools.combinations(range(len(s)), 3):
+    for t in itertools.combinations(range(s.n), 3):
         a, b, c = t
-        xlo = min(s.points[i].x for i in t)
-        xhi = max(s.points[i].x for i in t)
-        for i in range(len(s)):
-            if i in t:
-                continue
-            p = s.points[i]
-            if p.x < xlo or p.x > xhi:
-                continue
-            if in_triangle(s, i, a, b, c):
-                break
+        if left[a][b] >> c & 1:
+            inside = left[a][b] & left[b][c] & left[c][a]
         else:
+            inside = left[b][a] & left[c][b] & left[a][c]
+        if not inside:
             empty.append(t)
     return frozenset(empty)
 
@@ -166,17 +168,36 @@ def enumerate_from_table(
     least = 2 if kind == "hole" else 3
     if not least <= k <= s.n:
         raise ValueError(f"{kind} size {k} out of range for n={s.n}")
-    idx = range(s.n)
     if k == least:
-        return [Hole(t, kind) for t in itertools.combinations(idx, k)]
+        return [Hole(t, kind) for t in itertools.combinations(range(s.n), k)]
     table = table_of(s)
     if k == least + 1:
         return [Hole(t, kind) for t in sorted(table)]
-    return [
-        Hole(xs, kind)
-        for xs in itertools.combinations(idx, k)
-        if all(t in table for t in itertools.combinations(xs, least + 1))
-    ]
+    # ext[u]: bitmask of the points c such that u + (c,) is in the table
+    ext: dict[tuple[int, ...], int] = {}
+    for t in table:
+        ext[t[:-1]] = ext.get(t[:-1], 0) | 1 << t[-1]
+    found = []
+
+    def grow(xs: tuple[int, ...], candidates: int) -> None:
+        # depth-first in lexicographic order; candidates are the points c
+        # after xs[-1] for which every subset of xs + (c,) of the table's
+        # size that contains c is in the table
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            j = low.bit_length() - 1
+            if len(xs) == k - 1:
+                found.append(Hole(xs + (j,), kind))
+                continue
+            nxt = candidates
+            for u in itertools.combinations(xs, least - 1):
+                nxt &= ext.get(u + (j,), 0)
+            if nxt.bit_count() >= k - 1 - len(xs):
+                grow(xs + (j,), nxt)
+
+    grow((), (1 << s.n) - 1)
+    return found
 
 
 def enumerate_holes(s: PointSet, k: int) -> list[Hole]:
@@ -208,40 +229,25 @@ def hulls_disjoint(s: PointSet, x1: Iterable[int], x2: Iterable[int]) -> bool:
     a2 = _normalize(s, x2)
     if not a1 or not a2:
         raise ValueError("subsets must be nonempty")
-    if set(a1) & set(a2):
-        return False
-    # Quick accept: disjoint coordinate ranges give an axis-parallel separator.
-    for axis in (0, 1):
-        if max(s.points[i][axis] for i in a1) < min(s.points[i][axis] for i in a2):
-            return True
-        if max(s.points[i][axis] for i in a2) < min(s.points[i][axis] for i in a1):
-            return True
+    m1 = m2 = 0
     for a in a1:
+        m1 |= 1 << a
+    for b in a2:
+        m2 |= 1 << b
+    if m1 & m2:
+        return False
+    left = s.left
+    for a in a1:
+        rest1 = m1 ^ (1 << a)
+        row = left[a]
         for b in a2:
-            if _separates(s, a, b, a1, a2):
+            rest2 = m2 ^ (1 << b)
+            on_left = row[b]
+            # general position: every point off the line is left or right
+            in1, in2 = rest1 & on_left, rest2 & on_left
+            if (in1 == rest1 and not in2) or (not in1 and in2 == rest2):
                 return True
     return False
-
-
-def _separates(s: PointSet, a: int, b: int, x1: Sequence[int], x2: Sequence[int]) -> bool:
-    side = 0
-    for x in x1:
-        if x == a:
-            continue
-        c = s.chi(a, b, x)
-        if side == 0:
-            side = c
-        elif c != side:
-            return False
-    for y in x2:
-        if y == b:
-            continue
-        c = s.chi(a, b, y)
-        if side == 0:
-            side = -c
-        elif c == side:
-            return False
-    return True
 
 
 def hulls_interior_disjoint(s: PointSet, x1: Iterable[int], x2: Iterable[int]) -> bool:
@@ -306,21 +312,24 @@ def find_disjoint_tuple(
     to skip symmetric duplicates). A None result is therefore a proof of
     absence, usable as a lower-bound witness.
     """
-    by_size, compatible = tuple_search_input(
+    by_size, rows = tuple_search_input(
         s, sizes, mode, enumerate_holes, hulls_disjoint, hulls_interior_disjoint
     )
-    return search_disjoint_tuple(by_size, sizes, compatible)
+    return search_disjoint_tuple(by_size, sizes, rows)
 
 
 def tuple_search_input(
     s, sizes: Sequence[int], mode: DisjointMode,
     enumerate_holes, disjoint, interior_disjoint,
 ):
-    """(holes by size, compatibility test) for a tuple search on one oracle.
+    """(holes by size, compatibility rows) for a tuple search on one oracle.
 
     Validates ``sizes`` against ``mode`` and binds the oracle's own hole
     enumeration and disjointness deciders, so each oracle decides with its
-    own predicates.
+    own predicates. ``rows(ci, cj)[u]`` is the bitmask over the hole list
+    ``cj`` of the holes compatible with ``ci[u]`` (when ``ci is cj``, of
+    those after it). In disjoint mode a pair sharing a vertex is rejected
+    without calling the decider.
     """
     if not sizes:
         raise ValueError("need at least one size")
@@ -334,20 +343,46 @@ def tuple_search_input(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     by_size = {k: enumerate_holes(s, k) for k in sorted(set(sizes))}
-    return by_size, lambda xa, xb: decide(s, xa, xb)
+
+    def rows(ci: list[Hole], cj: list[Hole]) -> list[int]:
+        # touching[p]: the holes of cj with vertex p, in disjoint mode only
+        touching = [0] * s.n
+        if mode == "disjoint":
+            for v, hv in enumerate(cj):
+                for p in hv.indices:
+                    touching[p] |= 1 << v
+        everything = (1 << len(cj)) - 1
+        out = []
+        for u, hu in enumerate(ci):
+            # equal-size slots take increasing positions, so within one
+            # class only the holes after u are ever read
+            candidates = everything & -(2 << u) if ci is cj else everything
+            for p in hu.indices:
+                candidates &= ~touching[p]
+            row = 0
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                if decide(s, hu.indices, cj[low.bit_length() - 1].indices):
+                    row |= low
+            out.append(row)
+        return out
+
+    return by_size, rows
 
 
 def search_disjoint_tuple(
     by_size: dict[int, list[Hole]],
     sizes: Sequence[int],
-    compatible,
+    rows,
 ) -> list[Hole] | None:
     """First compatible tuple over precomputed hole classes, or None.
 
-    ``compatible(xa, xb)`` decides whether two index tuples may coexist in
-    the result; it is assumed symmetric.
+    ``rows`` builds compatibility masks between two hole lists, as
+    :func:`tuple_search_input` returns it; compatibility is assumed
+    symmetric.
     """
-    found = next(_last_slot_masks(by_size, sizes, compatible), None)
+    found = next(_last_slot_masks(by_size, sizes, rows), None)
     if found is None:
         return None
     chosen, last = found
@@ -356,16 +391,16 @@ def search_disjoint_tuple(
 
 
 def count_disjoint_tuples(
-    by_size: dict[int, list[Hole]], sizes: Sequence[int], compatible
+    by_size: dict[int, list[Hole]], sizes: Sequence[int], rows
 ) -> int:
     """Number of compatible tuples (equal-size slots counted once per set)."""
     return sum(
-        last.bit_count() for _, last in _last_slot_masks(by_size, sizes, compatible)
+        last.bit_count() for _, last in _last_slot_masks(by_size, sizes, rows)
     )
 
 
 def _last_slot_masks(
-    by_size: dict[int, list[Hole]], sizes: Sequence[int], compatible
+    by_size: dict[int, list[Hole]], sizes: Sequence[int], rows
 ) -> Iterator[tuple[list[int], int]]:
     """Depth-first tuple search, stopped one slot early.
 
@@ -385,18 +420,11 @@ def _last_slot_masks(
     def cross_masks(i: int, j: int) -> list[int]:
         key = (sizes[i], sizes[j])
         if key not in mask_cache:
-            rows = []
             cj = by_size[sizes[j]]
-            for hu in by_size[sizes[i]]:
-                row = 0
-                for idx, hv in enumerate(cj):
-                    if compatible(hu.indices, hv.indices):
-                        row |= 1 << idx
-                rows.append(row)
-            mask_cache[key] = rows
+            mask_cache[key] = rows(by_size[sizes[i]], cj)
             if key[0] != key[1]:
                 transposed = [0] * len(cj)
-                for u, row in enumerate(rows):
+                for u, row in enumerate(mask_cache[key]):
                     while row:
                         low = row & -row
                         transposed[low.bit_length() - 1] |= 1 << u

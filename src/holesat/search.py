@@ -79,11 +79,11 @@ def objective_count(s: PointSet, obj: SearchObjective) -> int:
         return len(enumerate_holes(s, obj.sizes[0]))
     if obj.mode == "forbid-gon":
         return count_gons(s, obj.sizes[0])
-    by_size, compatible = tuple_search_input(
+    by_size, rows = tuple_search_input(
         s, obj.sizes, DISJOINT_FLAVOR[obj.mode],
         enumerate_holes, hulls_disjoint, hulls_interior_disjoint,
     )
-    return count_disjoint_tuples(by_size, obj.sizes, compatible)
+    return count_disjoint_tuples(by_size, obj.sizes, rows)
 
 
 def _general_position_ok(points: list[Point], moved: int) -> bool:

@@ -39,6 +39,8 @@ from .geometry import Signotope, check_signotope
 
 DEFAULT_TIMEOUT = 600.0
 DEFAULT_WORKERS = 4
+# detail prefix of a SAT report whose model does not decode (malformed output)
+MODEL_DECODING_FAILED = "model decoding failed"
 
 Verdict = Literal["SAT", "UNSAT", "UNKNOWN"]
 
@@ -496,7 +498,7 @@ def solve_instance(
             sig = decode_model(report.model, instance.registry)
         except ValueError as exc:
             report.verification = "failed"
-            report.detail = f"model decoding failed: {exc}"
+            report.detail = f"{MODEL_DECODING_FAILED}: {exc}"
             return report
         result = verify_model(sig, instance.problem)
         report.verification = "passed" if result.passed else "failed"
@@ -529,7 +531,8 @@ def run_batch(
     workdir=None,
     want_proof: bool = False,
 ) -> dict[str, SolveReport]:
-    """Concurrent solves, merged by instance key."""
+    """Concurrent solves, merged by instance key; a solve that raises gives
+    its key alone an UNKNOWN report that carries the error."""
     cfg = solver or discover_solver()
     count = workers if workers is not None else default_workers()
     reports: dict[str, SolveReport] = {}
@@ -547,5 +550,10 @@ def run_batch(
             for instance in instances
         }
         for key, fut in futures.items():
-            reports[key] = fut.result()
+            try:
+                reports[key] = fut.result()
+            except (SolverError, OSError) as exc:
+                reports[key] = SolveReport(
+                    verdict="UNKNOWN", solver=cfg.identity(), detail=str(exc), instance=key
+                )
     return reports

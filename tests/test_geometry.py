@@ -72,6 +72,20 @@ def test_chi_matches_orient_under_permutation(seed):
     assert s.chi(a, b, c) == base
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_orientation_table_matches_orient(seed):
+    s = random_point_set(9, random.Random(seed))
+    c = canonicalize(s)
+    # canonicalizing a random set takes the projective step to rationals
+    assert any(isinstance(p.x, Fraction) for p in c.points)
+    for ps in (s, c):
+        for a, b, cc in itertools.permutations(range(9), 3):
+            assert ps.chi(a, b, cc) == orient(ps[a], ps[b], ps[cc])
+        for bad in ((0, 0, 1), (2, 1, 2), (3, 4, 4)):
+            with pytest.raises(ValueError, match="distinct"):
+                ps.chi(*bad)
+
+
 @given(st.integers(0, 10**6), st.integers(min_value=4, max_value=9))
 @settings(max_examples=40, deadline=None)
 def test_chirotope_of_canonical_set_satisfies_axioms(seed, n):

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holesat.geometry import Point, PointSet, orient
+from holesat import abstract
+from holesat.geometry import Point, PointSet, canonicalize, chirotope, orient
 from holesat.holes import (
     Hole,
+    count_disjoint_tuples,
     enumerate_holes,
     find_disjoint_tuple,
     hull_order,
@@ -21,8 +23,10 @@ from holesat.holes import (
     in_triangle,
     is_gon,
     is_hole,
+    search_disjoint_tuple,
     strictly_inside_hull,
     three_hole_table,
+    tuple_search_input,
 )
 
 from conftest import random_point_set
@@ -301,3 +305,80 @@ def test_two_hole_pair_semantics():
 def test_hull_vertices_whole_set():
     s = PointSet([(0, 0), (10, 0), (0, 10), (3, 3)])
     assert sorted(hull_vertices(s)) == [0, 1, 2]
+
+
+# --- tuple search: vertex pre-filter and table bitmasks --------------------
+
+def _brute_tuples(by_size, sizes, decide):
+    """Compatible position tuples in search order, every pair decided."""
+    neighbours = {}
+    slot_pairs = itertools.combinations(range(len(sizes)), 2)
+    for ka, kb in {(sizes[i], sizes[j]) for i, j in slot_pairs}:
+        # equal sizes take increasing positions, so only later holes matter
+        neighbours[ka, kb] = [
+            {
+                v for v, hv in enumerate(by_size[kb])
+                if (ka != kb or v > u) and decide(hu.indices, hv.indices)
+            }
+            for u, hu in enumerate(by_size[ka])
+        ]
+
+    def extend(prefix):
+        pos = len(prefix)
+        if pos == len(sizes):
+            yield prefix
+            return
+        candidates = set(range(len(by_size[sizes[pos]])))
+        for i, u in enumerate(prefix):
+            candidates &= neighbours[sizes[i], sizes[pos]][u]
+        for v in sorted(candidates):
+            yield from extend(prefix + [v])
+
+    return extend([])
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_prefiltered_tuple_search_matches_unfiltered_pairs(n):
+    # the search skips vertex-sharing pairs in disjoint mode; a brute force
+    # that asks the decider about every pair must agree, on both oracles
+    s = canonicalize(random_point_set(n, random.Random(100 + n)))
+    sig = chirotope(s)
+    oracles = (
+        (s, enumerate_holes, hulls_disjoint, hulls_interior_disjoint),
+        (sig, abstract.enumerate_holes, abstract.holes_disjoint,
+         abstract.holes_interior_disjoint),
+    )
+    for sizes in ((4, 5), (5, 5), (2, 5), (3, 3, 3)):
+        for mode in ("disjoint", "interior-disjoint"):
+            if mode == "interior-disjoint" and min(sizes) < 3:
+                continue
+            for target, enum, disjoint, interior in oracles:
+                decider = disjoint if mode == "disjoint" else interior
+                asked = []
+
+                def recording(target, xa, xb, decider=decider):
+                    asked.append((xa, xb))
+                    return decider(target, xa, xb)
+
+                by_size, rows = tuple_search_input(
+                    target, sizes, mode, enum, recording, recording
+                )
+                brute = list(_brute_tuples(
+                    by_size, sizes, lambda xa, xb: decider(target, xa, xb)
+                ))
+                assert count_disjoint_tuples(by_size, sizes, rows) == len(brute)
+                first = search_disjoint_tuple(by_size, sizes, rows)
+                expected = (
+                    [by_size[k][u] for k, u in zip(sizes, brute[0])] if brute else None
+                )
+                assert first == expected, (sizes, mode)
+                if mode == "disjoint":
+                    assert not any(set(xa) & set(xb) for xa, xb in asked)
+    # the bitmask decider against hull intersection from coordinates,
+    # vertex-sharing pairs included
+    four, five = enumerate_holes(s, 4), enumerate_holes(s, 5)
+    for h4 in four[:: max(1, len(four) // 12)]:
+        for h5 in five:
+            assert hulls_disjoint(s, h4.indices, h5.indices) == oracle_hulls_disjoint(
+                s, h4.indices, h5.indices
+            )

@@ -228,6 +228,34 @@ def test_corrupt_model_fails_verification(tmp_path):
     assert "does not cover orientation variable" in rep.detail
 
 
+def test_undecodable_model_is_infrastructure_error(tmp_path, capsys):
+    partial = _stub(tmp_path, "partial", "echo s SATISFIABLE; echo v 1 0")
+    code = cli_main([
+        "solve", "--n", "6", "--mode", "forbid-hole", "--k", "5", "--solver", partial,
+    ])
+    assert code == 2
+    out = capsys.readouterr()
+    assert "verification: failed" in out.out and "model decoding failed" in out.err
+
+
+def test_run_batch_keeps_reports_when_one_solve_raises(tmp_path):
+    # the stub deletes itself, so the second launch fails
+    once = SolverConfig(
+        path=_stub(tmp_path, "once", 'rm -f -- "$0"; echo s UNSATISFIABLE'), name="once"
+    )
+    problems = [
+        HoleProblem(n=5, mode="forbid-hole", sizes=(4,)),
+        HoleProblem(n=6, mode="forbid-gon", sizes=(4,)),
+    ]
+    reports = run_batch(
+        [build_instance(p) for p in problems], solver=once, workers=1, workdir=tmp_path
+    )
+    first, second = (reports[p.key()] for p in problems)
+    assert first.verdict == "UNSAT"
+    assert second.verdict == "UNKNOWN" and "failed to launch" in second.detail
+    assert second.instance == problems[1].key()
+
+
 # --- decoding and model verification --------------------------------------
 
 def _canonical(seed: int, n: int):
