@@ -2,13 +2,16 @@
 
 Every decision is made from triple orientations, so the predicates apply
 to satisfying assignments of the CNF encodings even when no realizing point
-set is known. The predicates that only read orientations (``in_triangle``,
-``is_gon``, the gon table and enumeration, the tuple search) are shared
-with :mod:`holesat.holes` and re-exported here. Disjointness is decided
-through separator pairs instead of polygon intersection, which keeps the
-two modules independent oracles; nothing of the coordinate side's hull or
-disjointness code is imported here. The test suite cross-checks the two on
-signotopes derived from actual point sets.
+set is known. A :class:`Signotope` carries the same orientation table as a
+point set, so ``sig.chi`` is one table read; the deciders here read only
+``chi``, never the bitmasks the coordinate side tests. The predicates that
+only read orientations (``in_triangle``, ``is_gon``, the gon table and
+enumeration, the tuple search) are shared with :mod:`holesat.holes` and
+re-exported here. Disjointness is decided through separator pairs instead
+of polygon intersection, which keeps the two modules independent oracles;
+nothing of the coordinate side's hull or disjointness code is imported
+here. The test suite cross-checks the two on signotopes derived from
+actual point sets.
 
 Precondition throughout: ``sig`` satisfies the signotope axioms
 (``check_signotope(sig) == []``). Under the axioms a label contained in a

@@ -33,6 +33,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Literal, Sequence, get_args
 
+from .abstract import (
+    enumerate_gons,
+    enumerate_holes,
+    in_triangle,
+    is_gon,
+    three_hole_table,
+)
 from .geometry import _sort_triple
 
 Mode = Literal[
@@ -187,9 +194,6 @@ class VarRegistry:
 
     def var(self, *tag) -> int:
         return self._ids[tag]
-
-    def tag_of(self, var: int) -> tuple:
-        return self._tags[var - 1]
 
     def olit(self, a: int, b: int, c: int) -> int:
         """Signed literal asserting that (a,b,c) is positively oriented."""
@@ -577,95 +581,66 @@ def build_instance(problem: HoleProblem) -> CnfInstance:
 def assignment_from_chirotope(sig, problem: HoleProblem) -> dict[int, bool]:
     """Full variable assignment induced by a canonical signotope.
 
-    O variables follow the signotope, every auxiliary follows its defining
-    formula, and L/R follow their existential reading over the mode's
-    subset schema; the result satisfies the orientation and definition
-    groups outright, and the disjointness group exactly when the signotope
-    has no forbidden pair. Used by tests and model verification.
+    Every variable gets the meaning the module docstring gives its tag,
+    evaluated on the signotope by the orientation-only predicates of
+    :mod:`holesat.abstract`, never by the clause generators: the result is
+    an independent reference for the clauses. L/R(k, a, b) holds iff some
+    k-hole of the mode's subset schema lies strictly on that side of a->b,
+    apart from the labels the schema skips: the default schema takes the
+    holes through the side's anchor (a for L, b for R) and not through the
+    other endpoint, ``relaxed_lr`` any hole avoiding the other endpoint,
+    and interior-disjoint mode any hole, skipping both endpoints. The result
+    satisfies the orientation and definition groups outright, and the
+    disjointness group exactly when the signotope has no forbidden pair.
+    Used by tests and by the benchmark's replayed models.
     """
     if sig.n != problem.n:
         raise ValueError(f"signotope has n={sig.n}, problem n={problem.n}")
+    n, left, chi = problem.n, sig.left, sig.chi
     reg = VarRegistry(problem)
+    gon_mode = problem.mode == "forbid-gon"
+    three = frozenset() if gon_mode else three_hole_table(sig)
+    # the k-subsets the H, L/R and C families count (gons in forbid-gon mode)
+    family = enumerate_gons if gon_mode else enumerate_holes
+    holes = {k: {h.indices for h in family(sig, k)} for k in set(problem.sizes)}
+    masks = {k: [sum(1 << i for i in x) for x in xs] for k, xs in holes.items()}
+    interior = problem.mode == "two-interior-disjoint-holes"
+    through_anchor = not (interior or problem.relaxed_lr)
+
+    def side(k: int, fam: str, a: int, b: int) -> bool:
+        anchor, other = (a, b) if fam == "L" else (b, a)
+        allowed = left[anchor][other] | 1 << anchor
+        if interior:
+            allowed |= 1 << other
+        need = 1 << anchor if through_anchor else 0
+        return any(h & need == need and not h & ~allowed for h in masks[k])
+
+    if problem.mode == "count-holes":
+        k = problem.sizes[0]
+        # running[i]: holes among the first i k-subsets, lexicographically
+        running = list(itertools.accumulate(
+            (x in holes[k] for x in itertools.combinations(range(n), k)), initial=0
+        ))
     val: dict[int, bool] = {}
-
-    def pos(a, b, c):
-        return sig.chi(a, b, c) > 0
-
     for ident, tag in reg.items():
         kind = tag[0]
         if kind == "O":
-            val[ident] = pos(tag[1], tag[2], tag[3])
+            val[ident] = chi(*tag[1:]) > 0
         elif kind == "E":
             _, p, q, r, s = tag
-            val[ident] = pos(p, q, r) == pos(p, q, s)
-    for ident, tag in reg.items():
-        kind = tag[0]
-        if kind == "G4":
-            _, a, b, c, d = tag
-            val[ident] = (
-                val[reg.var("E", a, b, c, d)] and val[reg.var("E", c, d, a, b)]
-            )
+            val[ident] = chi(p, q, r) == chi(p, q, s)
+        elif kind == "G4":
+            val[ident] = is_gon(sig, tag[1:])
         elif kind == "I":
-            _, i, x, y, z = tag
-            quad = tuple(sorted((i, x, y, z)))
-            a_, b_, c_, d_ = quad
-            e1 = val[reg.var("E", a_, b_, c_, d_)]
-            e2 = val[reg.var("E", c_, d_, a_, b_)]
-            val[ident] = (not e1 and e2) if i == b_ else (e1 and not e2)
-    for ident, tag in reg.items():
-        if tag[0] == "H3":
-            _, a, b, c = tag
-            val[ident] = all(
-                not val[reg.var("I", i, a, b, c)]
-                for i in range(a + 1, c)
-                if i != b
-            )
-    for k in problem.hole_sizes:
-        for x in itertools.combinations(range(problem.n), k):
-            ident = reg.var("H", k, *x)
-            if problem.mode == "forbid-gon":
-                ok = all(
-                    val[reg.var("G4", *q)]
-                    for q in itertools.combinations(x, 4)
-                )
-            else:
-                ok = all(
-                    val[reg.var("H3", *t)]
-                    for t in itertools.combinations(x, 3)
-                )
-                if k == 5 and not problem.simplified_h5:
-                    ok = ok and all(
-                        val[reg.var("G4", *q)]
-                        for q in itertools.combinations(x, 4)
-                    )
-            val[ident] = ok
-    if problem.mode in DISJOINT_MODES:
-        for k in sorted(set(problem.sizes)):
-            for fam in ("L", "R"):
-                for a in range(problem.n):
-                    for b in range(problem.n):
-                        if a == b:
-                            continue
-                        exists = False
-                        for cl in _side_clauses(problem, reg, k, a, b, fam):
-                            # clause (side, -hole, body...) fires iff some
-                            # subset witnesses the side condition
-                            if all(val[abs(l)] != (l > 0) for l in cl[1:]):
-                                exists = True
-                                break
-                        val[reg.var(fam, k, a, b)] = exists
-    if problem.mode == "count-holes" and problem.threshold >= 2:
-        k = problem.sizes[0]
-        xs = [
-            val[reg.hole_lit(k, x)]
-            for x in itertools.combinations(range(problem.n), k)
-        ]
-        r = problem.threshold - 1
-        running = 0
-        for i in range(1, len(xs)):
-            running += xs[i - 1]
-            for j in range(1, r + 1):
-                val[reg.var("C", i, j)] = running >= j
+            val[ident] = in_triangle(sig, *tag[1:])
+        elif kind == "H3":
+            val[ident] = tag[1:] in three
+        elif kind == "H":
+            val[ident] = tag[2:] in holes[tag[1]]
+        elif kind in ("L", "R"):
+            val[ident] = side(tag[1], kind, tag[2], tag[3])
+        else:  # C i j: at least j of the first i hole variables hold
+            val[ident] = running[tag[1]] >= tag[2]
     return val
 
 

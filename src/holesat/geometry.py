@@ -2,9 +2,10 @@
 
 Everything here is computed with arbitrary-precision integers (or
 `fractions.Fraction` after projective normalization); no floating point
-enters any predicate. A :class:`PointSet` evaluates every orientation once,
-on construction, into a table of bitmasks that ``chi`` and the hole
-predicates read; nothing is computed lazily.
+enters any predicate. Both orientation maps, a :class:`PointSet` and a
+:class:`Signotope`, fill the same table of bitmasks on construction
+(``left[a][b]``, the indices strictly left of a->b), and one ``chi`` reads
+it for both; nothing is computed lazily.
 
 Conventions used throughout the package:
 
@@ -65,7 +66,28 @@ def _check_coord(value: Coord) -> Coord:
     return value
 
 
-class PointSet:
+class OrientationTable:
+    """The orientation table shared by point sets and signotopes.
+
+    Subclasses set ``n`` and ``left``: ``left[a][b]`` is the bitmask of the
+    indices c with (a, b, c) positively oriented, i.e. strictly left of the
+    directed line a->b.
+    """
+
+    __slots__ = ()
+    n: int
+    left: tuple[tuple[int, ...], ...]
+
+    def chi(self, a: int, b: int, c: int) -> int:
+        """Orientation of the indexed triple, read from the table."""
+        if a == b or a == c or b == c:
+            raise ValueError(f"indices must be distinct, got {(a, b, c)}")
+        if not 0 <= c < self.n:
+            raise IndexError(f"index {c} out of range for n={self.n}")
+        return POSITIVE if self.left[a][b] >> c & 1 else NEGATIVE
+
+
+class PointSet(OrientationTable):
     """An ordered list of points in general position (no three collinear).
 
     General position is checked on construction; pass ``canonical=True`` to
@@ -117,14 +139,6 @@ class PointSet:
     def __repr__(self) -> str:
         return f"PointSet({list(self.points)!r})"
 
-    def chi(self, a: int, b: int, c: int) -> int:
-        """Orientation of the indexed triple, read from the table."""
-        if a == b or a == c or b == c:
-            raise ValueError(f"indices must be distinct, got {(a, b, c)}")
-        if not 0 <= c < self.n:
-            raise IndexError(f"index {c} out of range for n={self.n}")
-        return POSITIVE if self.left[a][b] >> c & 1 else NEGATIVE
-
     def is_canonical(self) -> bool:
         pts = self.points
         if any(pts[i].x >= pts[i + 1].x for i in range(len(pts) - 1)):
@@ -153,13 +167,13 @@ def _sort_triple(a: int, b: int, c: int) -> tuple[tuple[int, int, int], int]:
 
 
 @dataclass(frozen=True)
-class Signotope:
+class Signotope(OrientationTable):
     """A total orientation map on sorted index triples of ``0..n-1``.
 
-    ``signs`` maps every sorted triple to +1 or -1; other argument orders are
-    derived by antisymmetry via :meth:`chi`. Whether the map satisfies the
-    monotone sign-change axioms is checked separately by
-    :func:`check_signotope`.
+    ``signs`` maps every sorted triple to +1 or -1; construction fills the
+    orientation table ``left`` from it, and :meth:`chi` reads every argument
+    order from the table. Whether the map satisfies the monotone sign-change
+    axioms is checked separately by :func:`check_signotope`.
     """
 
     n: int
@@ -171,20 +185,17 @@ class Signotope:
             raise ValueError("signs must cover exactly the sorted triples of 0..n-1")
         if any(s not in (POSITIVE, NEGATIVE) for s in self.signs.values()):
             raise ValueError("signs must be +1 or -1")
-
-    def chi(self, a: int, b: int, c: int) -> int:
-        key, parity = _sort_triple(a, b, c)
-        return self.signs[key] * parity
+        left = [[0] * self.n for _ in range(self.n)]
+        for (a, b, c), sign in self.signs.items():
+            if sign == NEGATIVE:
+                a, b = b, a
+            left[a][b] |= 1 << c
+            left[b][c] |= 1 << a
+            left[c][a] |= 1 << b
+        object.__setattr__(self, "left", tuple(map(tuple, left)))
 
     def triples(self) -> Iterator[tuple[int, int, int]]:
         return itertools.combinations(range(self.n), 3)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Signotope)
-            and self.n == other.n
-            and self.signs == other.signs
-        )
 
 
 def chirotope(s: PointSet) -> Signotope:
@@ -197,11 +208,12 @@ def chirotope(s: PointSet) -> Signotope:
     pts = s.points
     if any(pts[i].x >= pts[i + 1].x for i in range(len(pts) - 1)):
         raise ValueError("chirotope requires strictly increasing x-coordinates")
+    left = s.left
     signs = {
-        (a, b, c): orient(pts[a], pts[b], pts[c])
-        for a, b, c in itertools.combinations(range(len(pts)), 3)
+        (a, b, c): POSITIVE if left[a][b] >> c & 1 else NEGATIVE
+        for a, b, c in itertools.combinations(range(s.n), 3)
     }
-    return Signotope(len(pts), signs)
+    return Signotope(s.n, signs)
 
 
 def check_signotope(sig: Signotope) -> list[tuple[int, int, int, int]]:

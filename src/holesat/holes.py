@@ -1,9 +1,9 @@
 """Detection and enumeration of k-gons, k-holes, and disjoint hole tuples.
 
-Predicates read ``s.n`` and the set's orientation table: ``s.chi`` one
-sign at a time, or, in code only the coordinate oracle runs
-(``three_hole_table``, ``hulls_disjoint``), the bitmasks ``s.left`` that
-:class:`PointSet` computes once on construction. Nothing here assumes a
+Predicates read ``s.n`` and the orientation table that point sets and
+signotopes alike fill on construction: ``s.chi`` one sign at a time, or,
+in code only the coordinate oracle runs (``three_hole_table`` and the
+disjointness deciders), the bitmasks ``s.left``. Nothing here assumes a
 canonical labeling. A *k-gon* is a subset in convex position; a *k-hole*
 is a k-gon whose hull contains no other point of the set. A 2-subset is
 always a (degenerate) hole under general position.
@@ -254,10 +254,10 @@ def hulls_interior_disjoint(s: PointSet, x1: Iterable[int], x2: Iterable[int]) -
     """True iff the open interiors of conv(x1) and conv(x2) are disjoint.
 
     Shared vertices (up to two) and shared edges are allowed. Decided by
-    exact open-polygon intersection: three or more shared vertices, a vertex
-    of one hull strictly inside the other, or a proper edge crossing all
-    witness overlapping interiors; under general position nothing else can.
-    Subsets with fewer than 3 points have empty planar interior.
+    exact open-polygon intersection: three or more shared vertices, a member
+    of one set strictly inside the other hull, or a proper crossing of hull
+    edges all witness overlapping interiors; under general position nothing
+    else can. Subsets with fewer than 3 points have empty planar interior.
     """
     a1 = _normalize(s, x1)
     a2 = _normalize(s, x2)
@@ -265,32 +265,51 @@ def hulls_interior_disjoint(s: PointSet, x1: Iterable[int], x2: Iterable[int]) -
         raise ValueError("subsets must be nonempty")
     if len(a1) < 3 or len(a2) < 3:
         return True
-    if len(set(a1) & set(a2)) >= 3:
+    m1 = sum(1 << i for i in a1)
+    m2 = sum(1 << i for i in a2)
+    if (m1 & m2).bit_count() >= 3:
         return False
-    h1 = hull_order(s, a1)
-    h2 = hull_order(s, a2)
-    if any(strictly_inside_hull(s, h2, i) for i in h1):
+    left = s.left
+    if m1 & _hull_interior(left, a2) or m2 & _hull_interior(left, a1):
         return False
-    if any(strictly_inside_hull(s, h1, i) for i in h2):
-        return False
-    m1, m2 = len(h1), len(h2)
-    for i in range(m1):
-        p, q = h1[i], h1[(i + 1) % m1]
-        for j in range(m2):
-            u, v = h2[j], h2[(j + 1) % m2]
-            if _proper_cross(s, p, q, u, v):
+    edges2 = _hull_edges(left, a2, m2)
+    for p, q in _hull_edges(left, a1, m1):
+        row = left[p][q]
+        for u, v in edges2:
+            # a proper crossing: four distinct endpoints, each edge's
+            # endpoints on opposite sides of the other edge's line
+            if (
+                p != u and p != v and q != u and q != v
+                and (row >> u ^ row >> v) & 1
+                and (left[u][v] >> p ^ left[u][v] >> q) & 1
+            ):
                 return False
     return True
 
 
-def _proper_cross(s: PointSet, p: int, q: int, u: int, v: int) -> bool:
-    """True iff segments pq and uv cross at interior points of both."""
-    if len({p, q, u, v}) < 4:
-        return False
-    return (
-        s.chi(p, q, u) != s.chi(p, q, v)
-        and s.chi(u, v, p) != s.chi(u, v, q)
-    )
+def _hull_interior(left, xs: Sequence[int]) -> int:
+    """Bitmask of the points strictly inside conv(xs).
+
+    Under general position that is the union of the open triangles of xs,
+    each the AND of three half-plane masks.
+    """
+    inside = 0
+    for a, b, c in itertools.combinations(xs, 3):
+        if left[a][b] >> c & 1:
+            inside |= left[a][b] & left[b][c] & left[c][a]
+        else:
+            inside |= left[b][a] & left[c][b] & left[a][c]
+    return inside
+
+
+def _hull_edges(left, xs: Sequence[int], members: int) -> list[tuple[int, int]]:
+    """Counterclockwise hull edges u->v of xs: every other member strictly left."""
+    return [
+        (u, v)
+        for u in xs
+        for v in xs
+        if u != v and members & ~left[u][v] == 1 << u | 1 << v
+    ]
 
 
 def hull_vertices(s: PointSet, x: Iterable[int] | None = None) -> list[int]:

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .encoder import DISJOINT_FLAVOR, DISJOINT_MODES
-from .geometry import Point, PointSet, orient
+from .geometry import Point, PointSet
 from .holes import (
     count_disjoint_tuples,
     enumerate_gons,
@@ -31,6 +31,9 @@ from .holes import (
 log = logging.getLogger("holesat.search")
 
 DEFAULT_BOX = 10**6
+# proposals per cooling step, and the start temperature per initial count
+EPOCH = 250
+T_FACTOR = 0.5
 
 OBJECTIVE_MODES = DISJOINT_MODES + ("forbid-hole", "forbid-gon")
 
@@ -86,30 +89,16 @@ def objective_count(s: PointSet, obj: SearchObjective) -> int:
     return count_disjoint_tuples(by_size, obj.sizes, rows)
 
 
-def _general_position_ok(points: list[Point], moved: int) -> bool:
-    p = points[moved]
-    for i, a in enumerate(points):
-        if i == moved:
-            continue
-        if a == p:
-            return False
-        for b in points[i + 1 :]:
-            if b is p:
-                continue
-            if orient(a, b, p) == 0:
-                return False
-    return True
-
-
 def _random_general_position(
     n: int, rng: random.Random, box: int
 ) -> list[Point]:
     span = min(box, 4 * n * n)
     points: list[Point] = []
     while len(points) < n:
-        cand = Point(rng.randint(-span, span), rng.randint(-span, span))
-        points.append(cand)
-        if not _general_position_ok(points, len(points) - 1):
+        points.append(Point(rng.randint(-span, span), rng.randint(-span, span)))
+        try:
+            PointSet(points)
+        except ValueError:  # a duplicate or a collinear triple
             points.pop()
     return points
 
@@ -120,13 +109,11 @@ def local_search(
     seed: int = 0,
     budget: int = 20000,
     box: int = DEFAULT_BOX,
-    epoch: int = 250,
-    t_factor: float = 0.5,
 ) -> PointSet | None:
     """Anneal an n-point set until the objective hits zero, or give up.
 
     ``budget`` bounds the number of proposed moves. The temperature starts
-    at ``t_factor`` times the initial objective; temperature and step size
+    at ``T_FACTOR`` times the initial objective; temperature and step size
     decay geometrically per epoch, scaled so the cooldown spans the whole
     budget. Moves breaking general position are rejected outright.
     Deterministic for fixed arguments.
@@ -142,20 +129,20 @@ def local_search(
     best = current
     best_points = list(points)
     last_improvement = 0
-    start_temp = temperature = max(1.0, t_factor * current)
+    start_temp = temperature = max(1.0, T_FACTOR * current)
     start_step = step = max(4, span // 2)
-    epochs = max(1, budget // epoch)
+    epochs = max(1, budget // EPOCH)
     t_decay = (0.05 / temperature) ** (1.0 / epochs)
     step_decay = (2.0 / step) ** (1.0 / epochs)
     for proposal in range(budget):
-        if proposal and proposal % epoch == 0:
+        if proposal and proposal % EPOCH == 0:
             temperature = max(0.05, temperature * t_decay)
             step = max(2, int(step * step_decay))
             log.info(
                 "seed=%d epoch=%d T=%.2f step=%d current=%d best=%d",
-                seed, proposal // epoch, temperature, step, current, best,
+                seed, proposal // EPOCH, temperature, step, current, best,
             )
-        if proposal - last_improvement >= 8 * epoch:
+        if proposal - last_improvement >= 8 * EPOCH:
             # stagnant: back to the best configuration seen, reheat
             points = list(best_points)
             current = best
@@ -173,10 +160,12 @@ def local_search(
         if (nx, ny) == (old.x, old.y):
             continue
         points[idx] = Point(nx, ny)
-        if not _general_position_ok(points, idx):
+        try:
+            moved = PointSet(points)
+        except ValueError:  # the move broke general position
             points[idx] = old
             continue
-        value = objective_count(PointSet(points), obj)
+        value = objective_count(moved, obj)
         delta = value - current
         if delta <= 0 or rng.random() < math.exp(-delta / temperature):
             current = value

@@ -1,19 +1,18 @@
 """Subprocess harness: run SAT solvers and proof checkers, verify models.
 
-Solvers are pluggable through :class:`SolverConfig` (binary path, argument
-template with ``{cnf}``/``{proof}`` placeholders, output dialect). Two
-dialects ship: ``"competition"`` for solvers emitting standard
-``s SATISFIABLE`` / ``v ...`` output with DRAT certificates, and
-``"picosat-RUP"`` for solvers whose certificates are RUP files that may
-start with a ``%`` comment line (stripped before checking). The parser is
-lenient about decorations such as ``s SATISFIABLE: file.cnf``.
+Solvers are pluggable through :class:`SolverConfig` (binary path and
+argument templates with ``{cnf}``/``{proof}`` placeholders). Every solver
+is read as printing ``s SATISFIABLE`` / ``v ...`` lines; the parser is
+lenient about decorations such as ``s SATISFIABLE: file.cnf``, and a
+certificate's leading ``%`` comment line is stripped before checking.
 
 Configuration precedence for solver/checker/timeout/workers: explicit
 argument, then environment (``HOLESAT_SOLVER``, ``HOLESAT_CHECKER``,
 ``HOLESAT_TIMEOUT``, ``HOLESAT_WORKERS``), then a JSON config file
 (``HOLESAT_CONFIG`` or ``./holesat.json``), then a PATH scan over known
 solvers. Values may name a known tool ("varisat", "splr", "rate",
-"drat-trim") or give a binary path.
+"drat-trim"), give a binary path, or, in the config file, give a mapping
+of the config's fields (``path`` required).
 
 SAT models are decoded to a :class:`~holesat.geometry.Signotope` and
 verified semantically against the problem by the orientation-only
@@ -22,6 +21,7 @@ predicates of :mod:`holesat.abstract` — no clause information is reused.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -35,7 +35,7 @@ from typing import Literal, Mapping, Sequence
 
 from . import abstract
 from .encoder import DISJOINT_FLAVOR, CnfInstance, HoleProblem, VarRegistry
-from .geometry import Signotope, check_signotope
+from .geometry import Signotope, _sort_triple, check_signotope
 
 DEFAULT_TIMEOUT = 600.0
 DEFAULT_WORKERS = 4
@@ -54,7 +54,6 @@ class SolverConfig:
     path: str
     args: tuple[str, ...] = ("{cnf}",)
     proof_args: tuple[str, ...] = ()
-    dialect: str = "competition"
     name: str = ""
 
     def identity(self) -> str:
@@ -89,17 +88,14 @@ KNOWN_SOLVERS: dict[str, dict] = {
     "varisat": dict(
         args=("{cnf}",),
         proof_args=("--proof", "{proof}", "--proof-format", "drat"),
-        dialect="competition",
     ),
     "splr": dict(
         args=("-q", "-C", "-r", "-", "{cnf}"),
         proof_args=("-c", "-p", "{proof}"),
-        dialect="competition",
     ),
     "picosat": dict(
         args=("{cnf}",),
         proof_args=("-R", "{proof}"),
-        dialect="picosat-RUP",
     ),
 }
 
@@ -127,6 +123,13 @@ def _resolve_tool(spec, known: dict[str, dict], cls, kind: str):
     if isinstance(spec, cls):
         return spec
     if isinstance(spec, Mapping):
+        known_keys = [f.name for f in dataclasses.fields(cls)]
+        unknown = [key for key in spec if key not in known_keys]
+        if unknown or "path" not in spec:
+            problem = f"unknown key {unknown[0]!r}" if unknown else "no 'path' key"
+            raise SolverError(
+                f"{kind} entry has {problem}; expected {', '.join(known_keys)}"
+            )
         return cls(**spec)
     if not isinstance(spec, str) or not spec:
         raise SolverError(f"cannot interpret {kind} spec {spec!r}")
@@ -231,13 +234,11 @@ class SolveReport:
             f.write("\n")
 
 
-def parse_solver_output(text: str, dialect: str = "competition"):
+def parse_solver_output(text: str):
     """(verdict or None, model literals) from solver stdout.
 
     Tolerates trailing decorations on the status line (splr appends the
-    file name) and models split across multiple ``v`` lines. Both shipped
-    dialects use the same status/model syntax and differ only in
-    certificate format.
+    file name) and models split across multiple ``v`` lines.
     """
     verdict: Verdict | None = None
     lits: list[int] = []
@@ -293,7 +294,7 @@ def run_solver(
     except OSError as exc:
         raise SolverError(f"failed to launch {argv[0]}: {exc}") from exc
     wall = time.monotonic() - start
-    verdict, lits = parse_solver_output(proc.stdout, cfg.dialect)
+    verdict, lits = parse_solver_output(proc.stdout)
     if verdict is None:
         tail = (proc.stdout + proc.stderr).strip().splitlines()[-3:]
         kind = (
@@ -390,14 +391,8 @@ def decode_model(
         n = max(n, a + 1, b + 1, c + 1)
         if ident not in model:
             raise ValueError(f"model does not cover orientation variable {tag}")
-        value = 1 if model[ident] else -1
-        key = tuple(sorted((a, b, c)))
-        parity = 1 if (a, b, c) in (
-            (key[0], key[1], key[2]),
-            (key[1], key[2], key[0]),
-            (key[2], key[0], key[1]),
-        ) else -1
-        resolved = value * parity
+        key, parity = _sort_triple(a, b, c)
+        resolved = parity if model[ident] else -parity
         if key in signs and signs[key] != resolved:
             raise ValueError(
                 f"inconsistent orientation variables for triple {key}"

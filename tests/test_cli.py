@@ -232,6 +232,23 @@ def test_solve_missing_solver_is_infrastructure_error(tmp_path, capsys):
     assert "no-such-binary" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, named", [
+    ({"path": "/bin/true", "flavour": "x"}, "flavour"),
+    ({"path": "/bin/true", "dialect": "competition"}, "dialect"),
+    ({"args": ["{cnf}"]}, "path"),
+])
+def test_solve_malformed_config_entry_is_infrastructure_error(
+    tmp_path, monkeypatch, capsys, entry, named
+):
+    cfg = tmp_path / "holesat.json"
+    cfg.write_text(json.dumps({"solver": entry}))
+    monkeypatch.setenv("HOLESAT_CONFIG", str(cfg))
+    monkeypatch.delenv("HOLESAT_SOLVER", raising=False)
+    code = run(["solve", "--n", "5", "--mode", "forbid-hole", "--k", "4"])
+    assert code == cli.ERROR
+    assert named in capsys.readouterr().err
+
+
 def test_recipe_count_16_steps():
     assert "count-16" in RECIPE_NAMES
     steps = recipe_steps("count-16")

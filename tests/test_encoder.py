@@ -27,8 +27,16 @@ from holesat.encoder import (
     load_registry,
     violated_clauses,
 )
-from holesat.geometry import canonicalize, chirotope
-from holesat.holes import enumerate_holes, find_disjoint_tuple, is_gon
+from holesat.geometry import NEGATIVE, POSITIVE, canonicalize, chirotope, orient
+from holesat.holes import (
+    enumerate_gons,
+    enumerate_holes,
+    find_disjoint_tuple,
+    hull_order,
+    is_gon,
+    strictly_inside_hull,
+    three_hole_table,
+)
 
 from conftest import random_point_set
 
@@ -315,3 +323,79 @@ def test_hints_and_relaxed_lr_stay_satisfied(seed):
         labels = {label for label, _ in bad}
         present = find_disjoint_tuple(s, (5, 5), "disjoint") is not None
         assert labels == ({"disjointness"} if present else set())
+
+
+# --- the assignment's auxiliaries against coordinates ----------------------
+
+def _coordinate_side(s, holes_k, fam, a, b, schema):
+    """L/R(k, a, b) by brute force over the coordinate k-holes."""
+    sign = POSITIVE if fam == "L" else NEGATIVE
+    anchor, other = (a, b) if fam == "L" else (b, a)
+    skip = {a, b} if schema == "interior" else {anchor}
+    for x in holes_k:
+        if schema != "interior" and other in x:
+            continue
+        if schema == "default" and anchor not in x:
+            continue
+        if all(orient(s[a], s[b], s[c]) == sign for c in x if c not in skip):
+            return True
+    return False
+
+
+AUXILIARY_PROBLEMS = [
+    dict(mode="two-disjoint-holes", sizes=(3, 5)),
+    dict(mode="two-disjoint-holes", sizes=(2, 4), relaxed_lr=True),
+    dict(mode="two-disjoint-holes", sizes=(4, 4), orient_vars="explicit"),
+    dict(mode="two-interior-disjoint-holes", sizes=(3, 4)),
+    dict(mode="forbid-gon", sizes=(5,)),
+    dict(mode="count-holes", sizes=(4,), threshold=3),
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize(
+    "flags", AUXILIARY_PROBLEMS, ids=lambda f: "-".join(map(str, f.values()))
+)
+def test_assignment_auxiliaries_match_coordinates(flags, seed):
+    n = 6 + seed
+    p = HoleProblem(n=n, **flags)
+    s = canonicalize(random_point_set(n, random.Random(700 + seed)))
+    val = assignment_from_chirotope(chirotope(s), p)
+    enumerate_family = enumerate_gons if p.mode == "forbid-gon" else enumerate_holes
+    found = {k: {h.indices for h in enumerate_family(s, k)} for k in set(p.sizes)}
+    three = three_hole_table(s)
+    schema = (
+        "interior" if p.mode == "two-interior-disjoint-holes"
+        else "relaxed" if p.relaxed_lr else "default"
+    )
+    seen = set()
+    for ident, tag in VarRegistry(p).items():
+        kind, args = tag[0], tag[1:]
+        seen.add(kind)
+        if kind == "O":
+            expected = orient(*(s[i] for i in args)) == POSITIVE
+        elif kind == "E":
+            q, r, t, u = (s[i] for i in args)
+            expected = orient(q, r, t) == orient(q, r, u)
+        elif kind == "G4":
+            expected = is_gon(s, args)
+        elif kind == "I":
+            i, a, b, c = args
+            expected = strictly_inside_hull(s, hull_order(s, (a, b, c)), i)
+        elif kind == "H3":
+            expected = args in three
+        elif kind == "H":
+            expected = args[1:] in found[args[0]]
+        elif kind in ("L", "R"):
+            k, a, b = args
+            expected = _coordinate_side(s, found[k], kind, a, b, schema)
+        else:  # C i j: at least j holes among the first i k-subsets
+            i, j = args
+            first = itertools.islice(itertools.combinations(range(n), p.sizes[0]), i)
+            expected = sum(x in found[p.sizes[0]] for x in first) >= j
+        assert val[ident] == expected, (tag, val[ident])
+    kinds = {"O", "E", "G4", "H"}
+    kinds |= {"I", "H3"} if p.mode != "forbid-gon" else set()
+    kinds |= {"L", "R"} if p.mode in DISJOINT_MODES else set()
+    kinds |= {"C"} if p.mode == "count-holes" else set()
+    assert kinds <= seen

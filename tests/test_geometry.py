@@ -97,6 +97,23 @@ def test_chirotope_of_canonical_set_satisfies_axioms(seed, n):
         assert sig.chi(b, a, c) == -sig.chi(a, b, c)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_signotope_table_matches_signs(seed):
+    n = 5 + 2 * seed
+    s = canonicalize(random_point_set(n, random.Random(300 + seed)))
+    sig = chirotope(s)
+    assert sig.left == s.left
+    for t in itertools.permutations(range(n), 3):
+        key = tuple(sorted(t))
+        inversions = sum(t[i] > t[j] for i, j in ((0, 1), (0, 2), (1, 2)))
+        assert sig.chi(*t) == sig.signs[key] * (-1) ** inversions
+    for bad in ((0, 0, 1), (2, 1, 2), (3, 4, 4)):
+        with pytest.raises(ValueError, match="distinct"):
+            sig.chi(*bad)
+    with pytest.raises(IndexError):
+        sig.chi(0, 1, n)
+
+
 def test_chirotope_requires_sorted_x():
     s = PointSet([(3, 0), (0, 1), (1, 5)])
     with pytest.raises(ValueError, match="increasing x"):
