@@ -24,7 +24,10 @@ set (x-sorted, sorted around point 0), so all triples (0,a,b) with a < b
 are asserted positive. With ``orient_vars="explicit"`` all six O variables
 per triple exist and are chained by equality clauses; the default
 ``"compact"`` mode keeps one variable per sorted triple and resolves other
-orderings to possibly negated literals.
+orderings to possibly negated literals. Either way the registry holds one
+table of O literals by ordered triple, ``lit[a][b][c]``, and clause
+emission reads it (and per-pair rows of it) instead of resolving each
+literal per clause.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .abstract import (
     is_gon,
     three_hole_table,
 )
-from .geometry import _sort_triple
 
 Mode = Literal[
     "two-disjoint-holes",
@@ -57,11 +59,6 @@ DISJOINT_FLAVOR = {
     "two-interior-disjoint-holes": "interior-disjoint",
 }
 DISJOINT_MODES = tuple(DISJOINT_FLAVOR)
-
-# per-triple variable orderings in explicit mode: the three cyclic
-# (positive) images first, then the three transpositions
-_PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0))
-
 
 @dataclass(frozen=True)
 class HoleProblem:
@@ -138,7 +135,12 @@ class HoleProblem:
 
 
 class VarRegistry:
-    """Deterministic bijection between variable tags and DIMACS ids."""
+    """Deterministic bijection between variable tags and DIMACS ids.
+
+    ``lit[a][b][c]`` is the signed O literal asserting that (a, b, c) is
+    positively oriented, for every ordered triple of distinct indices, and
+    0 where indices repeat.
+    """
 
     def __init__(self, problem: HoleProblem):
         self.problem = problem
@@ -148,13 +150,19 @@ class VarRegistry:
         n = problem.n
         triples = list(itertools.combinations(range(n), 3))
         quads = list(itertools.combinations(range(n), 4))
-        if problem.orient_vars == "explicit":
-            for t in triples:
-                for p in _PERMS:
-                    self._add(("O", t[p[0]], t[p[1]], t[p[2]]), "O")
-        else:
-            for t in triples:
-                self._add(("O", *t), "O")
+        explicit = problem.orient_vars == "explicit"
+        lit = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for a, b, c in triples:
+            if explicit:  # the cyclic (positive) images first, then the transpositions
+                for p, q, r in (
+                    (a, b, c), (b, c, a), (c, a, b), (b, a, c), (a, c, b), (c, b, a)
+                ):
+                    lit[p][q][r] = self._add(("O", p, q, r), "O")
+            else:
+                v = self._add(("O", a, b, c), "O")
+                lit[a][b][c] = lit[b][c][a] = lit[c][a][b] = v
+                lit[b][a][c] = lit[a][c][b] = lit[c][b][a] = -v
+        self.lit: list[list[list[int]]] = lit
         if n >= 4:
             for a, b, c, d in quads:
                 self._add(("E", a, b, c, d), "E")
@@ -184,10 +192,11 @@ class VarRegistry:
                 for j in range(1, problem.threshold):
                     self._add(("C", i, j), "C")
 
-    def _add(self, tag: tuple, family: str) -> None:
-        self._ids[tag] = len(self._tags) + 1
+    def _add(self, tag: tuple, family: str) -> int:
+        self._ids[tag] = ident = len(self._tags) + 1
         self._tags.append(tag)
         self.family_counts[family] = self.family_counts.get(family, 0) + 1
+        return ident
 
     def __len__(self) -> int:
         return len(self._tags)
@@ -196,11 +205,11 @@ class VarRegistry:
         return self._ids[tag]
 
     def olit(self, a: int, b: int, c: int) -> int:
-        """Signed literal asserting that (a,b,c) is positively oriented."""
-        if self.problem.orient_vars == "explicit":
-            return self._ids[("O", a, b, c)]
-        t, parity = _sort_triple(a, b, c)
-        return parity * self._ids[("O", *t)]
+        """Signed literal asserting that (a,b,c) is positively oriented, from ``lit``."""
+        lit = self.lit[a][b][c] if min(a, b, c) >= 0 else 0
+        if not lit:
+            raise ValueError(f"indices must be distinct and >= 0, got {(a, b, c)}")
+        return lit
 
     def hole_lit(self, k: int, x: Sequence[int]) -> int | None:
         """Variable standing for 'x is a k-hole', or None for k=2."""
@@ -233,9 +242,8 @@ class CnfInstance:
         return len(self.clauses)
 
     def add_group(self, label: str, clauses: list[tuple[int, ...]]) -> None:
-        for cl in clauses:
-            if not cl:
-                raise ValueError(f"empty clause in group {label}")
+        if not all(clauses):
+            raise ValueError(f"empty clause in group {label}")
         self.clauses.extend(clauses)
         self.groups.append((label, len(clauses)))
 
@@ -257,13 +265,12 @@ class CnfInstance:
             for label, count in self.groups:
                 f.write(f"c group {label} {count}\n")
             f.write(f"p cnf {self.num_vars} {self.num_clauses}\n")
-            out = []
-            for cl in self.clauses:
-                out.append(" ".join(map(str, cl)) + " 0\n")
-                if len(out) >= 65536:
-                    f.write("".join(out))
-                    out = []
-            f.write("".join(out))
+            clauses = self.clauses
+            # one "%d %d ... 0" line format per clause length
+            longest = max(map(len, clauses), default=0)
+            fmt = ["%d " * m + "0\n" for m in range(longest + 1)]
+            for i in range(0, len(clauses), 65536):
+                f.write("".join([fmt[len(cl)] % cl for cl in clauses[i : i + 65536]]))
 
     def write_registry(self, path) -> None:
         with open(path, "w") as f:
@@ -327,14 +334,10 @@ def emit_orientation_axioms(
             alt += _neq_clauses(pos[0], neg[0])
         groups.append(("alternating", alt))
     # at most one sign change along (abc, abd, acd, bcd) per sorted 4-tuple
+    lit = reg.lit
     sig: list[tuple[int, ...]] = []
     for a, b, c, d in itertools.combinations(range(n), 4):
-        s = (
-            reg.olit(a, b, c),
-            reg.olit(a, b, d),
-            reg.olit(a, c, d),
-            reg.olit(b, c, d),
-        )
+        s = (lit[a][b][c], lit[a][b][d], lit[a][c][d], lit[b][c][d])
         for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
             sig.append((s[i], -s[j], s[k]))
             sig.append((-s[i], s[j], -s[k]))
@@ -360,8 +363,7 @@ def emit_hole_definitions(
         for a, b, c, d in itertools.combinations(range(n), 4):
             for (p, q, r, s) in ((a, b, c, d), (c, d, a, b)):
                 e = reg.var("E", p, q, r, s)
-                u = reg.olit(p, q, r)
-                v = reg.olit(p, q, s)
+                u, v = reg.lit[p][q][r], reg.lit[p][q][s]
                 bounding += [(-e, u, -v), (-e, -u, v), (e, u, v), (e, -u, -v)]
             e1 = reg.var("E", a, b, c, d)
             e2 = reg.var("E", c, d, a, b)
@@ -418,62 +420,48 @@ def emit_hole_definitions(
     return groups
 
 
-def _side_clauses(
-    problem: HoleProblem, reg: VarRegistry, k: int, a: int, b: int, fam: str
-) -> Iterator[tuple[int, ...]]:
-    """Defining clauses for L/R(k, a, b) per the mode's subset schema."""
-    n = problem.n
-    sign = 1 if fam == "L" else -1
-    anchor = a if fam == "L" else b
-    other = b if fam == "L" else a
-    side_var = reg.var(fam, k, a, b)
-    interior = problem.mode == "two-interior-disjoint-holes"
-    if interior:
-        pool = [i for i in range(n)]
-        subsets = itertools.combinations(pool, k)
-    elif problem.relaxed_lr:
-        pool = [i for i in range(n) if i != other]
-        subsets = itertools.combinations(pool, k)
-    else:
-        rest = [i for i in range(n) if i not in (a, b)]
-        subsets = (
-            tuple(sorted((anchor, *s)))
-            for s in itertools.combinations(rest, k - 1)
-        )
-    skip = {a, b} if interior else {anchor}
-    for x in subsets:
-        hole = reg.hole_lit(k, x)
-        body = tuple(-sign * reg.olit(a, b, c) for c in x if c not in skip)
-        if hole is None:
-            yield (side_var, *body)
-        else:
-            yield (side_var, -hole, *body)
-
-
 def emit_disjointness(
     problem: HoleProblem, reg: VarRegistry
 ) -> list[tuple[str, list[tuple[int, ...]]]]:
-    """Family (8): side-existence variables and their mutual exclusion."""
+    """Family (8): side-existence variables and their mutual exclusion.
+
+    L(k, a, b) (R(k, a, b)) is implied by each k-hole x of the mode's schema
+    with its labels, bar the skipped ones, strictly left (right) of a->b:
+    default = subsets through the anchor (a for L, b for R) avoiding the
+    other endpoint, ``relaxed_lr`` = subsets avoiding the other endpoint,
+    both skipping the anchor; interior = every subset, skipping a and b.
+    """
     if problem.mode not in DISJOINT_MODES:
         raise ValueError(f"no disjointness constraints in mode {problem.mode}")
     n = problem.n
     k1, k2 = problem.sizes
+    interior = problem.mode == "two-interior-disjoint-holes"
+    pairs = list(itertools.permutations(range(n), 2))
     clauses: list[tuple[int, ...]] = []
     for k in sorted(set(problem.sizes)):
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                clauses.extend(_side_clauses(problem, reg, k, a, b, "L"))
-                clauses.extend(_side_clauses(problem, reg, k, a, b, "R"))
-    pairings = {(k1, k2), (k2, k1)}
-    for ka, kb in sorted(pairings):
-        for a in range(n):
-            for b in range(n):
-                if a != b:
-                    clauses.append(
-                        (-reg.var("L", ka, a, b), -reg.var("R", kb, a, b))
-                    )
+        # each k-subset once, with its negated hole literal (none for k = 2)
+        subsets = [
+            (x, () if k == 2 else (-reg.hole_lit(k, x),))
+            for x in itertools.combinations(range(n), k)
+        ]
+        through = [[(x, h) for x, h in subsets if p in x] for p in range(n)]
+        for a, b in pairs:
+            # body rows, "c is not left (right) of a->b", are 0 at a and b:
+            # the endpoints a subset of the schema may hold are the skipped
+            # ones, so the nonzero entries over x are the body
+            row_r = reg.lit[a][b]
+            row_l = [-l for l in row_r]
+            for fam, row, anchor, other in (("L", row_l, a, b), ("R", row_r, b, a)):
+                side = reg.var(fam, k, a, b)
+                get = row.__getitem__
+                pool = subsets if interior or problem.relaxed_lr else through[anchor]
+                clauses += [
+                    (side, *h, *filter(None, map(get, x)))
+                    for x, h in pool
+                    if interior or other not in x
+                ]
+    for ka, kb in sorted({(k1, k2), (k2, k1)}):
+        clauses += [(-reg.var("L", ka, a, b), -reg.var("R", kb, a, b)) for a, b in pairs]
     return [("disjointness", clauses)]
 
 
@@ -559,21 +547,17 @@ def build_instance(problem: HoleProblem) -> CnfInstance:
     """Compile the problem; deterministic for identical problems."""
     reg = VarRegistry(problem)
     inst = CnfInstance(problem, reg)
-    for label, clauses in emit_orientation_axioms(problem, reg):
-        inst.add_group(label, clauses)
-    for label, clauses in emit_hole_definitions(problem, reg):
-        inst.add_group(label, clauses)
+    emitters = [emit_orientation_axioms, emit_hole_definitions]
     if problem.mode in DISJOINT_MODES:
-        for label, clauses in emit_disjointness(problem, reg):
-            inst.add_group(label, clauses)
+        emitters.append(emit_disjointness)
         if problem.hints:
-            for label, clauses in emit_hints(problem, reg):
-                inst.add_group(label, clauses)
+            emitters.append(emit_hints)
     elif problem.mode in ("forbid-hole", "forbid-gon"):
-        for label, clauses in emit_forbid(problem, reg):
-            inst.add_group(label, clauses)
-    elif problem.mode == "count-holes":
-        for label, clauses in emit_cardinality(problem, reg):
+        emitters.append(emit_forbid)
+    else:
+        emitters.append(emit_cardinality)
+    for emit in emitters:
+        for label, clauses in emit(problem, reg):
             inst.add_group(label, clauses)
     return inst
 

@@ -130,7 +130,19 @@ def _resolve_tool(spec, known: dict[str, dict], cls, kind: str):
             raise SolverError(
                 f"{kind} entry has {problem}; expected {', '.join(known_keys)}"
             )
-        return cls(**spec)
+        for key, value in spec.items():
+            many = key.endswith("args")  # args and proof_args
+            if many:
+                ok = isinstance(value, (list, tuple)) and all(
+                    isinstance(a, str) for a in value
+                )
+                want = "a list of strings"
+            else:
+                ok = isinstance(value, str) and (value or key != "path")
+                want = "a non-empty string" if key == "path" else "a string"
+            if not ok:
+                raise SolverError(f"{kind} entry {key!r} must be {want}, got {value!r}")
+        return cls(**{k: tuple(v) if k.endswith("args") else v for k, v in spec.items()})
     if not isinstance(spec, str) or not spec:
         raise SolverError(f"cannot interpret {kind} spec {spec!r}")
     base = os.path.basename(spec)

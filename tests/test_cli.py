@@ -249,6 +249,25 @@ def test_solve_malformed_config_entry_is_infrastructure_error(
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, named", [
+    ({"path": 5}, "'path' must be a non-empty string"),
+    ({"path": ""}, "'path' must be a non-empty string"),
+    ({"path": "/bin/true", "args": "{cnf}"}, "'args' must be a list of strings"),
+    ({"path": "/bin/true", "proof_args": ["-p", 1]}, "'proof_args' must be a list"),
+    ({"path": "/bin/true", "name": ["x"]}, "'name' must be a string"),
+])
+def test_solve_malformed_config_value_is_infrastructure_error(
+    tmp_path, monkeypatch, capsys, entry, named
+):
+    cfg = tmp_path / "holesat.json"
+    cfg.write_text(json.dumps({"solver": entry}))
+    monkeypatch.setenv("HOLESAT_CONFIG", str(cfg))
+    monkeypatch.delenv("HOLESAT_SOLVER", raising=False)
+    code = run(["solve", "--n", "5", "--mode", "forbid-hole", "--k", "4"])
+    assert code == cli.ERROR
+    assert named in capsys.readouterr().err
+
+
 def test_recipe_count_16_steps():
     assert "count-16" in RECIPE_NAMES
     steps = recipe_steps("count-16")

@@ -8,6 +8,8 @@ geometric truth.
 
 from __future__ import annotations
 
+import collections
+import hashlib
 import itertools
 import math
 import random
@@ -23,6 +25,7 @@ from holesat.encoder import (
     VarRegistry,
     assignment_from_chirotope,
     build_instance,
+    emit_disjointness,
     emit_hints,
     load_registry,
     violated_clauses,
@@ -214,6 +217,64 @@ def test_side_definition_count_per_pair():
     assert C(p.n - 2, 4) == 1365
 
 
+SCHEMA_PROBLEMS = [
+    HoleProblem(n=9, mode="two-disjoint-holes", sizes=(4, 5)),
+    HoleProblem(n=10, mode="two-disjoint-holes", sizes=(2, 3)),
+    HoleProblem(n=10, mode="two-disjoint-holes", sizes=(3, 3), relaxed_lr=True),
+    HoleProblem(n=9, mode="two-interior-disjoint-holes", sizes=(3, 5)),
+]
+
+
+@pytest.mark.parametrize("p", SCHEMA_PROBLEMS, ids=lambda p: p.key())
+def test_side_schema_clause_counts(p):
+    # every L/R variable heads exactly one clause per subset of its schema;
+    # the remaining clauses are the L(ka) and R(kb) exclusions per ordered pair
+    n = p.n
+    if p.mode == "two-interior-disjoint-holes":
+        per_side = lambda k: C(n, k)
+    elif p.relaxed_lr:
+        per_side = lambda k: C(n - 1, k)
+    else:
+        per_side = lambda k: C(n - 2, k - 1)
+    reg = VarRegistry(p)
+    [(_, clauses)] = emit_disjointness(p, reg)
+    first = collections.Counter(cl[0] for cl in clauses)
+    for k in sorted(set(p.sizes)):
+        for fam in ("L", "R"):
+            for a, b in itertools.permutations(range(n), 2):
+                assert first[reg.var(fam, k, a, b)] == per_side(k), (fam, k, a, b)
+    pairings = sorted({tuple(p.sizes), tuple(reversed(p.sizes))})
+    exclusions = [cl for cl in clauses if cl[0] < 0]
+    assert exclusions == [
+        (-reg.var("L", ka, a, b), -reg.var("R", kb, a, b))
+        for ka, kb in pairings
+        for a, b in itertools.permutations(range(n), 2)
+    ]
+    assert len(exclusions) == n * (n - 1) * len(pairings)
+
+
+# --- the orientation-literal table ------------------------------------------
+
+@pytest.mark.parametrize("orient_vars", ["compact", "explicit"])
+def test_olit_reads_table(orient_vars):
+    n = 7
+    reg = VarRegistry(HoleProblem(n=n, mode="forbid-hole", sizes=(4,), orient_vars=orient_vars))
+    for a, b, c in itertools.permutations(range(n), 3):
+        if orient_vars == "explicit":
+            expected = reg.var("O", a, b, c)
+        else:
+            t = tuple(sorted((a, b, c)))
+            inversions = sum(x > y for x, y in itertools.combinations((a, b, c), 2))
+            expected = (-1) ** inversions * reg.var("O", *t)
+        assert reg.olit(a, b, c) == expected
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if len({a, b, c}) < 3:
+            with pytest.raises(ValueError):
+                reg.olit(a, b, c)
+    with pytest.raises(ValueError):  # never a wrapped-around row
+        reg.olit(-1, 0, 1)
+
+
 # --- output files ---------------------------------------------------------
 
 def test_dimacs_deterministic_and_well_formed(tmp_path):
@@ -245,6 +306,77 @@ def test_registry_roundtrip(tmp_path):
     for var, tag in inst.registry.items():
         name, *rest = tag
         assert loaded[var] == (name, *rest)
+
+
+# Digests of write_dimacs / write_registry output, fixed when the encoder
+# built each clause through per-call literal lookups; emission may change
+# how it builds clauses, never what it writes.
+PINNED = [
+    (dict(n=9, mode="forbid-hole", sizes=(5,)),
+     "c7417ec3bb1744293a8d5fdeeab1d0ec0b54f66ae1db9b3497162b5aa842a485",
+     "716b091bd10a8d62a526b37a6335c42f47c42362b48a0c24f9b82ad9f94a91f6"),
+    (dict(n=8, mode="forbid-hole", sizes=(4,), orient_vars="explicit"),
+     "4fc597dc2a4aa0b096f241443a3b12fef97033b8c76e007f96623b128f5f7a72",
+     "217ed3f04f744c8e6f29a304c89dfed0e0f047ac9f67a1f97cc2deaa5a78c996"),
+    (dict(n=9, mode="forbid-hole", sizes=(5,), simplified_h5=True),
+     "f7778f93147a6c67d5f6bd7c1b1a9a4d714eb05dd4425ad0bb5e0a2c4650e775",
+     "d7db7a490057fa60f2e2c5e51979032560b7d1abcddff0a907e79556979acc10"),
+    (dict(n=9, mode="forbid-hole", sizes=(5,), directional_defs=True),
+     "dd627b770943bc4e557e83af05a7751102154ac49a64da55574dec342673851f",
+     "3cf82fb9bbdc9226b735b05fc94abb429f984b32c86aa321ee03acbcef5d6277"),
+    (dict(n=9, mode="forbid-gon", sizes=(5,)),
+     "02dcdff52ddd788407392e4b25144578964d580521873c3cad8ab3bc7f6a356c",
+     "55b8f3904cecc055d4e374e8ea95a63b9265ca639adddb3771419b06c6e2455d"),
+    (dict(n=8, mode="forbid-gon", sizes=(4,), directional_defs=True),
+     "6b3de8ead585a8bc4ab3e593a437ba47830ee618d77aab5621ec45fff910ade3",
+     "79a2c237354795773e1b8ad5bdedc02f2e88bb867f7f386c8988bdb8308f6f63"),
+    (dict(n=11, mode="two-disjoint-holes", sizes=(5, 5), hints=True),
+     "f2cc37f3e43f0088626eb58a05fe41946308a214f04ca1d7141735a4d8f34236",
+     "1dbab3e12f7bc39b4671abe20fb56c519aaac8c17fdc69fc8df2fc843b02eaf6"),
+    (dict(n=10, mode="two-disjoint-holes", sizes=(4, 5), relaxed_lr=True),
+     "abd3bc0369c19fb4d099a05b13a530ee488c2c869c7d14274a649d6fafcd3659",
+     "f3b5524742edabaf8d384d7275dd3d13aedf8ad796502d999b3c99cc0dd80f8e"),
+    (dict(n=9, mode="two-disjoint-holes", sizes=(2, 5)),
+     "a598faafa62071e7c4b6c0cb31c8161bd1d46e913503ae27ab334cc015fd2fd2",
+     "67e851c11bbfa951599e795c62412e4289204d4ab2381b07bf0041515a7d2116"),
+    (dict(n=9, mode="two-disjoint-holes", sizes=(3, 4), orient_vars="explicit"),
+     "f06ba44e81816e58f0061cb7038f52a710a375071b2a9ffeab91ac7e48ce1892",
+     "8ea7684d36bbdd52f5ef4594588d1a506f6b2c05575cdd19dcd9bee56d4f2463"),
+    (dict(n=10, mode="two-interior-disjoint-holes", sizes=(3, 5), directional_defs=True),
+     "fb4978c8af51e35cb04a01f6882a31da8b021a3f331180ab6e8bd108f046d721",
+     "7ff27db8d70a9107bc7e8fb79ae430f618e82ea29dbcf7389e7cefc7b858527c"),
+    (dict(n=8, mode="two-interior-disjoint-holes", sizes=(3, 3), orient_vars="explicit"),
+     "d3804c969400adfa75be7b94876b8980c306a479a61e5d6813eb6311f39f589e",
+     "67b768f03e061fc60ffed6c15de318f1eb25447adc7335c37c80bd8b606f397e"),
+    (dict(n=9, mode="count-holes", sizes=(4,), threshold=3),
+     "393791dde35cfef9f0bce4e98b3c63328646a8dcf861af76855a3eee87b3b7bf",
+     "a65dc57353d8e2c3d28831af6da0384fb65f713d9489a1488d500b864c8dd1f9"),
+    (dict(n=8, mode="count-holes", sizes=(3,), threshold=1),
+     "1aa8ae4ebd51cb13c0c5c1787fe2dd2a3c92d8617c411a0b667b24454eec0bc4",
+     "a40e2e58ffb2ed8865992dbbdcad4dc35ababb16bd7fc7e53f97724d210c0cd8"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, cnf_digest, vars_digest", PINNED,
+    ids=[HoleProblem(**flags).key() for flags, _, _ in PINNED],
+)
+def test_output_bytes_pinned(tmp_path, flags, cnf_digest, vars_digest):
+    inst = build_instance(HoleProblem(**flags))
+    inst.write_dimacs(tmp_path / "a.cnf")
+    inst.write_registry(tmp_path / "a.vars")
+    digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert (digest("a.cnf"), digest("a.vars")) == (cnf_digest, vars_digest)
+
+
+def test_n17_hints_pinned():
+    # the end exclusions only exist at n=17; a registry there is cheap
+    p = HoleProblem(n=17, mode="two-disjoint-holes", sizes=(5, 5), hints=True)
+    [(_, clauses)] = emit_hints(p, VarRegistry(p))
+    text = "".join(" ".join(map(str, cl)) + " 0\n" for cl in clauses)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "192876697e6021362dff27a19f12394992454c6e53dfef29240884fe2cfa1596"
+    )
 
 
 def test_empty_clause_rejected():
