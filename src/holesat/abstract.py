@@ -3,21 +3,22 @@
 Every decision is made from triple orientations, so the predicates apply
 to satisfying assignments of the CNF encodings even when no realizing point
 set is known. A :class:`Signotope` carries the same orientation table as a
-point set, so ``sig.chi`` is one table read; the deciders here read only
-``chi``, never the bitmasks the coordinate side tests. The predicates that
-only read orientations (``in_triangle``, ``is_gon``, the gon table and
-enumeration, the tuple search) are shared with :mod:`holesat.holes` and
-re-exported here. Disjointness is decided through separator pairs instead
-of polygon intersection, which keeps the two modules independent oracles;
-nothing of the coordinate side's hull or disjointness code is imported
-here. The test suite cross-checks the two on signotopes derived from
-actual point sets.
+point set, so the predicates that only read orientations (``in_triangle``,
+``is_gon``, the 3-hole and 4-gon tables, hole and gon enumeration, the
+tuple search) are shared with :mod:`holesat.holes` and re-exported here;
+enumeration reads the shared bitmask table. The deciders here read only
+``sig.chi``: ``is_hole`` checks the definition directly, and disjointness
+is decided through separator pairs instead of polygon intersection, which
+keeps the two modules independent oracles; nothing of the coordinate
+side's hull or disjointness code is imported here. The test suite
+cross-checks the two on signotopes derived from actual point sets and on
+random signotopes.
 
 Precondition throughout: ``sig`` satisfies the signotope axioms
 (``check_signotope(sig) == []``). Under the axioms a label contained in a
 triangle lies strictly between the triangle's least and greatest label
-(any other position forces two sign changes in some 4-tuple), which the
-table builders exploit.
+(any other position forces two sign changes in some 4-tuple), which
+:func:`is_hole` exploits.
 """
 
 from __future__ import annotations
@@ -26,18 +27,18 @@ import itertools
 from typing import Iterable, Sequence
 
 from .geometry import NEGATIVE, POSITIVE, Signotope
-# orientation-only predicates shared with the coordinate oracle; the gon
-# table and enumeration are re-exported for callers of this module
+# orientation-only predicates shared with the coordinate oracle; the tables
+# and enumerations are re-exported for callers of this module
 from .holes import (
     DisjointMode,
-    Hole,
     _normalize,
-    enumerate_from_table,
     enumerate_gons,
+    enumerate_holes,
     four_gon_table,
     in_triangle,
     is_gon,
     search_disjoint_tuple,
+    three_hole_table,
     tuple_search_input,
 )
 
@@ -46,8 +47,8 @@ def is_hole(sig: Signotope, x: Iterable[int]) -> bool:
     """True iff x is a gon and no other label lies inside a triangle of x.
 
     Direct definition (convex position plus triangle emptiness over all
-    members); :func:`enumerate_holes` takes the triple-table path instead,
-    and the two are cross-checked in the test suite.
+    members); :func:`enumerate_holes` takes the shared triple-table path
+    instead, and the two are cross-checked in the test suite.
     """
     xs = _normalize(sig, x)
     if len(xs) < 2:
@@ -62,26 +63,6 @@ def is_hole(sig: Signotope, x: Iterable[int]) -> bool:
             if i not in members and in_triangle(sig, i, a, b, c):
                 return False
     return True
-
-
-def three_hole_table(sig: Signotope) -> frozenset[tuple[int, int, int]]:
-    """All label triples whose triangle contains no further label."""
-    empty = []
-    for a, b, c in itertools.combinations(range(sig.n), 3):
-        if not any(
-            in_triangle(sig, i, a, b, c) for i in range(a + 1, c) if i != b
-        ):
-            empty.append((a, b, c))
-    return frozenset(empty)
-
-
-def enumerate_holes(sig: Signotope, k: int) -> list[Hole]:
-    """All k-holes of the signotope in lexicographic index order.
-
-    For k >= 4 a subset is a hole iff every 3-subset is a 3-hole, the same
-    characterization the coordinate-based enumerator uses.
-    """
-    return enumerate_from_table(sig, k, "hole", three_hole_table)
 
 
 def holes_disjoint(sig: Signotope, x1: Iterable[int], x2: Iterable[int]) -> bool:
@@ -165,7 +146,7 @@ def find_disjoint_tuple(
     sig: Signotope,
     sizes: Sequence[int],
     mode: DisjointMode = "disjoint",
-) -> list[Hole] | None:
+) -> list[tuple[int, ...]] | None:
     """Pairwise (interior-)disjoint holes of the requested sizes, or None.
 
     Same exhaustive search as the coordinate-based version, driven by the

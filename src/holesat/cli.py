@@ -68,28 +68,12 @@ def _seeds_arg(text: str) -> list[int]:
     return seeds
 
 
-def _add_problem_flags(p: argparse.ArgumentParser, modes=MODES) -> None:
+def _add_problem_flags(p: argparse.ArgumentParser) -> None:
+    """The flags that build a HoleProblem: size, mode and encoding variant."""
     p.add_argument("--n", type=int, required=True, help="number of points")
-    p.add_argument("--mode", choices=modes, required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     _add_size_flags(p)
     p.add_argument("--threshold", type=int, default=0, help="count-holes threshold")
-
-
-def _add_size_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sizes", type=_sizes_arg, help="hole sizes, e.g. 5,5")
-    p.add_argument("--k", type=int, help="shorthand for --sizes K")
-
-
-def _sizes_from_args(args) -> tuple[int, ...]:
-    if args.sizes and args.k is not None:
-        raise ValueError("pass --sizes or --k, not both")
-    sizes = args.sizes or ((args.k,) if args.k is not None else None)
-    if sizes is None:
-        raise ValueError("one of --sizes or --k is required")
-    return sizes
-
-
-def _add_variant_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--orient-vars",
         choices=("compact", "explicit"),
@@ -109,19 +93,34 @@ def _add_variant_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_size_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--sizes", type=_sizes_arg, help="hole sizes, e.g. 5,5")
+    p.add_argument("--k", type=int, help="shorthand for --sizes K")
+
+
+def _sizes_from_args(args) -> tuple[int, ...]:
+    if args.sizes and args.k is not None:
+        raise ValueError("pass --sizes or --k, not both")
+    sizes = args.sizes or ((args.k,) if args.k is not None else None)
+    if sizes is None:
+        raise ValueError("one of --sizes or --k is required")
+    return sizes
+
+
 def _problem_from_args(args) -> HoleProblem:
-    kwargs = dict(
-        n=args.n, mode=args.mode, sizes=_sizes_from_args(args), threshold=args.threshold
+    return HoleProblem(
+        n=args.n, mode=args.mode, sizes=_sizes_from_args(args), threshold=args.threshold,
+        orient_vars=args.orient_vars,
+        hints=args.hints,
+        relaxed_lr=args.relaxed_lr,
+        simplified_h5=args.simplified_h5,
+        directional_defs=args.directional_defs,
     )
-    if hasattr(args, "orient_vars"):
-        kwargs.update(
-            orient_vars=args.orient_vars,
-            hints=args.hints,
-            relaxed_lr=args.relaxed_lr,
-            simplified_h5=args.simplified_h5,
-            directional_defs=args.directional_defs,
-        )
-    return HoleProblem(**kwargs)
+
+
+def _infrastructure_trouble(report) -> bool:
+    """No verdict, or a SAT model that does not decode: malformed output."""
+    return report.verdict == "UNKNOWN" or report.detail.startswith(MODEL_DECODING_FAILED)
 
 
 def cmd_encode(args) -> int:
@@ -164,7 +163,7 @@ def cmd_solve(args) -> int:
     print(report.to_text())
     if args.summary:
         report.write_summary(args.summary)
-    if report.verdict == "UNKNOWN" or report.detail.startswith(MODEL_DECODING_FAILED):
+    if _infrastructure_trouble(report):
         print(f"error: {report.detail}", file=sys.stderr)
         return ERROR
     if report.verification == "failed":
@@ -207,10 +206,10 @@ def cmd_verify_witness(args) -> int:
         tag = "/".join(map(str, sizes))
         found = find_disjoint_tuple(s, sizes, mode)
         if want:
-            note = " ".join(str(h.indices) for h in found) if found else "none"
+            note = " ".join(map(str, found)) if found else "none"
             checks.append((f"contains {mode} {tag} holes", found is not None, note))
         else:
-            note = "witness " + " ".join(str(h.indices) for h in found) if found else "none"
+            note = "witness " + " ".join(map(str, found)) if found else "none"
             checks.append((f"no {mode} {tag} holes", found is None, note))
     if args.canonical:
         checks.append(("canonical form", s.is_canonical(), ""))
@@ -313,7 +312,7 @@ def cmd_recipe(args) -> int:
         print(f"wrote {args.report}")
     if result.passed:
         return PASS
-    if any(s.report.verdict == "UNKNOWN" for s in result.steps):
+    if any(_infrastructure_trouble(s.report) for s in result.steps):
         return ERROR
     return FAIL
 
@@ -329,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="build a DIMACS CNF instance")
     _add_problem_flags(p)
-    _add_variant_flags(p)
     p.add_argument("-o", "--output", help="CNF path (default <instance-key>.cnf)")
     p.add_argument("--registry", help="variable-registry path (default <output>.vars)")
     p.add_argument("--stats", action="store_true", help="print per-family/group counts")
@@ -337,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="encode, solve, and verify one instance")
     _add_problem_flags(p)
-    _add_variant_flags(p)
     p.add_argument("--solver", help="solver preset name or binary path")
     p.add_argument("--checker", help="proof-checker preset name or binary path")
     p.add_argument("--timeout", type=float, help="seconds per solver call")
@@ -414,10 +411,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERROR
-    except (OSError, ValueError) as exc:
+    except (SolverError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
 

@@ -508,8 +508,11 @@ def emit_cardinality(
     if r == 0:
         clauses = [(-x,) for x in xs]
         return [("cardinality", clauses)]
-    # sequential counter: C(i,j) means at least j of the first i inputs hold
     m = len(xs)
+    if m == 1:
+        # one k-subset (k = n): at most r >= 1 of one variable always holds
+        return [("cardinality", [])]
+    # sequential counter: C(i,j) means at least j of the first i inputs hold
     s = lambda i, j: reg.var("C", i, j)
     clauses.append((-xs[0], s(1, 1)))
     for j in range(2, r + 1):
@@ -586,7 +589,7 @@ def assignment_from_chirotope(sig, problem: HoleProblem) -> dict[int, bool]:
     three = frozenset() if gon_mode else three_hole_table(sig)
     # the k-subsets the H, L/R and C families count (gons in forbid-gon mode)
     family = enumerate_gons if gon_mode else enumerate_holes
-    holes = {k: {h.indices for h in family(sig, k)} for k in set(problem.sizes)}
+    holes = {k: set(family(sig, k)) for k in set(problem.sizes)}
     masks = {k: [sum(1 << i for i in x) for x in xs] for k, xs in holes.items()}
     interior = problem.mode == "two-interior-disjoint-holes"
     through_anchor = not (interior or problem.relaxed_lr)

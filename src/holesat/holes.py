@@ -1,43 +1,29 @@
 """Detection and enumeration of k-gons, k-holes, and disjoint hole tuples.
 
 Predicates read ``s.n`` and the orientation table that point sets and
-signotopes alike fill on construction: ``s.chi`` one sign at a time, or,
-in code only the coordinate oracle runs (``three_hole_table`` and the
-disjointness deciders), the bitmasks ``s.left``. Nothing here assumes a
-canonical labeling. A *k-gon* is a subset in convex position; a *k-hole*
-is a k-gon whose hull contains no other point of the set. A 2-subset is
-always a (degenerate) hole under general position.
+signotopes alike fill on construction: ``s.chi`` one sign at a time, or
+the bitmasks ``s.left`` (``three_hole_table`` and the disjointness
+deciders). Nothing here assumes a canonical labeling. A *k-gon* is a subset
+in convex position; a *k-hole* is a k-gon whose hull contains no other
+point of the set. A 2-subset is always a (degenerate) hole under general
+position. Enumerations and tuple searches return holes and gons as sorted
+index tuples.
 
-The orientation-only predicates and the tuple search also serve the
-Signotope oracle of :mod:`holesat.abstract`; the hull and disjointness code
-here is never shared with it, so the two oracles decide disjointness
-independently.
+The orientation-only predicates, the 3-hole table, the hole and gon
+enumerations and the tuple search also serve the Signotope oracle of
+:mod:`holesat.abstract`; the hull and disjointness code here is never
+shared with it, so the two oracles decide disjointness independently.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .geometry import POSITIVE, PointSet
 
 DisjointMode = Literal["disjoint", "interior-disjoint"]
-
-
-@dataclass(frozen=True)
-class Hole:
-    """A subset of point indices tagged as gon or hole."""
-
-    indices: tuple[int, ...]
-    kind: str = "hole"
-
-    def __post_init__(self) -> None:
-        xs = tuple(sorted(self.indices))
-        if len(set(xs)) != len(xs):
-            raise ValueError(f"duplicate indices in {xs}")
-        object.__setattr__(self, "indices", xs)
 
 
 def _normalize(s: PointSet, x: Iterable[int]) -> tuple[int, ...]:
@@ -155,24 +141,22 @@ def four_gon_table(s: PointSet) -> frozenset[tuple[int, int, int, int]]:
     )
 
 
-def enumerate_from_table(
-    s: PointSet, k: int, kind: str, table_of: Callable[[PointSet], frozenset]
-) -> list[Hole]:
+def enumerate_from_table(s: PointSet, k: int, kind: str) -> list[tuple[int, ...]]:
     """All k-holes (kind "hole") or k-gons (kind "gon"), lexicographically.
 
     Every 2-subset is a hole and every 3-subset a gon. Above that, a subset
     is a hole iff every 3-subset is a 3-hole, and a gon iff every 4-subset
-    is a 4-gon, so ``table_of(s)`` (the 3-holes or the 4-gons) decides all
-    larger sizes. Each oracle passes its own 3-hole table.
+    is a 4-gon, so one table (the 3-holes or the 4-gons) decides all larger
+    sizes.
     """
     least = 2 if kind == "hole" else 3
     if not least <= k <= s.n:
         raise ValueError(f"{kind} size {k} out of range for n={s.n}")
     if k == least:
-        return [Hole(t, kind) for t in itertools.combinations(range(s.n), k)]
-    table = table_of(s)
+        return list(itertools.combinations(range(s.n), k))
+    table = three_hole_table(s) if kind == "hole" else four_gon_table(s)
     if k == least + 1:
-        return [Hole(t, kind) for t in sorted(table)]
+        return sorted(table)
     # ext[u]: bitmask of the points c such that u + (c,) is in the table
     ext: dict[tuple[int, ...], int] = {}
     for t in table:
@@ -188,7 +172,7 @@ def enumerate_from_table(
             candidates ^= low
             j = low.bit_length() - 1
             if len(xs) == k - 1:
-                found.append(Hole(xs + (j,), kind))
+                found.append(xs + (j,))
                 continue
             nxt = candidates
             for u in itertools.combinations(xs, least - 1):
@@ -200,22 +184,22 @@ def enumerate_from_table(
     return found
 
 
-def enumerate_holes(s: PointSet, k: int) -> list[Hole]:
+def enumerate_holes(s: PointSet, k: int) -> list[tuple[int, ...]]:
     """All k-holes in lexicographic index order.
 
     For k >= 4 this uses the triple-emptiness characterization (a subset is a
     hole iff every 3-subset is a 3-hole), which agrees with :func:`is_hole`;
     the test suite cross-checks the two paths.
     """
-    return enumerate_from_table(s, k, "hole", three_hole_table)
+    return enumerate_from_table(s, k, "hole")
 
 
-def enumerate_gons(s: PointSet, k: int) -> list[Hole]:
+def enumerate_gons(s: PointSet, k: int) -> list[tuple[int, ...]]:
     """All k-gons in lexicographic index order.
 
     For k >= 5 a subset is in convex position iff every 4-subset is.
     """
-    return enumerate_from_table(s, k, "gon", four_gon_table)
+    return enumerate_from_table(s, k, "gon")
 
 
 def hulls_disjoint(s: PointSet, x1: Iterable[int], x2: Iterable[int]) -> bool:
@@ -322,7 +306,7 @@ def find_disjoint_tuple(
     s: PointSet,
     sizes: Sequence[int],
     mode: DisjointMode = "disjoint",
-) -> list[Hole] | None:
+) -> list[tuple[int, ...]] | None:
     """Pairwise (interior-)disjoint holes of the requested sizes, or None.
 
     The search is exhaustive: holes of each size are enumerated, pairwise
@@ -363,12 +347,12 @@ def tuple_search_input(
         raise ValueError(f"unknown mode {mode!r}")
     by_size = {k: enumerate_holes(s, k) for k in sorted(set(sizes))}
 
-    def rows(ci: list[Hole], cj: list[Hole]) -> list[int]:
+    def rows(ci: list[tuple[int, ...]], cj: list[tuple[int, ...]]) -> list[int]:
         # touching[p]: the holes of cj with vertex p, in disjoint mode only
         touching = [0] * s.n
         if mode == "disjoint":
             for v, hv in enumerate(cj):
-                for p in hv.indices:
+                for p in hv:
                     touching[p] |= 1 << v
         everything = (1 << len(cj)) - 1
         out = []
@@ -376,13 +360,13 @@ def tuple_search_input(
             # equal-size slots take increasing positions, so within one
             # class only the holes after u are ever read
             candidates = everything & -(2 << u) if ci is cj else everything
-            for p in hu.indices:
+            for p in hu:
                 candidates &= ~touching[p]
             row = 0
             while candidates:
                 low = candidates & -candidates
                 candidates ^= low
-                if decide(s, hu.indices, cj[low.bit_length() - 1].indices):
+                if decide(s, hu, cj[low.bit_length() - 1]):
                     row |= low
             out.append(row)
         return out
@@ -391,10 +375,10 @@ def tuple_search_input(
 
 
 def search_disjoint_tuple(
-    by_size: dict[int, list[Hole]],
+    by_size: dict[int, list[tuple[int, ...]]],
     sizes: Sequence[int],
     rows,
-) -> list[Hole] | None:
+) -> list[tuple[int, ...]] | None:
     """First compatible tuple over precomputed hole classes, or None.
 
     ``rows`` builds compatibility masks between two hole lists, as
@@ -410,7 +394,7 @@ def search_disjoint_tuple(
 
 
 def count_disjoint_tuples(
-    by_size: dict[int, list[Hole]], sizes: Sequence[int], rows
+    by_size: dict[int, list[tuple[int, ...]]], sizes: Sequence[int], rows
 ) -> int:
     """Number of compatible tuples (equal-size slots counted once per set)."""
     return sum(
@@ -419,7 +403,7 @@ def count_disjoint_tuples(
 
 
 def _last_slot_masks(
-    by_size: dict[int, list[Hole]], sizes: Sequence[int], rows
+    by_size: dict[int, list[tuple[int, ...]]], sizes: Sequence[int], rows
 ) -> Iterator[tuple[list[int], int]]:
     """Depth-first tuple search, stopped one slot early.
 

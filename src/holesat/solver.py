@@ -109,13 +109,16 @@ KNOWN_CHECKERS: dict[str, dict] = {
 
 
 def load_config(path: str | None = None) -> dict:
-    """JSON config mapping, or {} when no config file exists."""
+    """JSON config object, or {} when no config file exists."""
     candidate = path or os.environ.get("HOLESAT_CONFIG") or "holesat.json"
     p = Path(candidate)
     if not p.is_file():
         return {}
     with open(p) as f:
-        return json.load(f)
+        config = json.load(f)
+    if not isinstance(config, dict):
+        raise SolverError(f"config file {p} must hold a JSON object")
+    return config
 
 
 def _resolve_tool(spec, known: dict[str, dict], cls, kind: str):
@@ -189,20 +192,29 @@ def discover_checker(spec=None, config: dict | None = None) -> CheckerConfig:
     )
 
 
+def _config_number(config: dict | None, key: str, default):
+    """A numeric config value; a missing key or null means ``default``."""
+    cfg = config if config is not None else load_config()
+    value = cfg.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SolverError(f"config {key!r} must be a number, got {value!r}")
+    return value
+
+
 def default_timeout(config: dict | None = None) -> float:
     env = os.environ.get("HOLESAT_TIMEOUT")
     if env:
         return float(env)
-    cfg = config if config is not None else load_config()
-    return float(cfg.get("timeout", DEFAULT_TIMEOUT))
+    return float(_config_number(config, "timeout", DEFAULT_TIMEOUT))
 
 
 def default_workers(config: dict | None = None) -> int:
     env = os.environ.get("HOLESAT_WORKERS")
     if env:
         return int(env)
-    cfg = config if config is not None else load_config()
-    return int(cfg.get("workers", DEFAULT_WORKERS))
+    return int(_config_number(config, "workers", DEFAULT_WORKERS))
 
 
 @dataclass
@@ -442,7 +454,7 @@ def verify_model(sig: Signotope, problem: HoleProblem) -> VerifyResult:
         if found is not None:
             return VerifyResult(
                 False,
-                tuple(h.indices for h in found),
+                tuple(found),
                 f"{mode} holes of sizes {problem.sizes} present",
             )
         return VerifyResult(True)
@@ -450,12 +462,12 @@ def verify_model(sig: Signotope, problem: HoleProblem) -> VerifyResult:
     if problem.mode == "forbid-hole":
         holes = abstract.enumerate_holes(sig, k)
         if holes:
-            return VerifyResult(False, holes[0].indices, f"{k}-hole present")
+            return VerifyResult(False, holes[0], f"{k}-hole present")
         return VerifyResult(True)
     if problem.mode == "forbid-gon":
         gons = abstract.enumerate_gons(sig, k)
         if gons:
-            return VerifyResult(False, gons[0].indices, f"{k}-gon present")
+            return VerifyResult(False, gons[0], f"{k}-gon present")
         return VerifyResult(True)
     if problem.mode == "count-holes":
         count = len(abstract.enumerate_holes(sig, k))

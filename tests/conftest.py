@@ -1,13 +1,14 @@
-"""Shared fixtures: deterministic random point sets, solver availability."""
+"""Shared fixtures: deterministic random point sets and signotopes, solver availability."""
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 
 import pytest
 
-from holesat.geometry import Point, PointSet, orient
+from holesat.geometry import Point, PointSet, Signotope, orient
 from holesat.solver import SolverError, discover_checker, discover_solver
 
 
@@ -52,3 +53,29 @@ def random_point_set(n: int, rng: random.Random, span: int = 1000) -> PointSet:
             continue
         points.append(cand)
     return PointSet(points)
+
+
+def random_signotope(n: int, rng: random.Random) -> Signotope:
+    """A random simple pseudoline arrangement as a signotope.
+
+    Starting from the identity permutation, swap a random adjacent pair
+    that is still in increasing order until the permutation is reversed:
+    a random reduced word of the reverse permutation (Felsner & Weil,
+    "Sweeps, arrangements and signotopes", DAM 2001). Triple a < b < c is
+    +1 iff pair (a, b) crosses before pair (b, c). From n = 9 on, such
+    signotopes need not be the chirotope of any point set.
+    """
+    perm = list(range(n))
+    crossed: dict[tuple[int, int], int] = {}
+    while True:
+        ascents = [i for i in range(n - 1) if perm[i] < perm[i + 1]]
+        if not ascents:
+            break
+        i = rng.choice(ascents)
+        crossed[perm[i], perm[i + 1]] = len(crossed)
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    signs = {
+        (a, b, c): 1 if crossed[a, b] < crossed[b, c] else -1
+        for a, b, c in itertools.combinations(range(n), 3)
+    }
+    return Signotope(n=n, signs=signs)

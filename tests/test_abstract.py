@@ -11,14 +11,15 @@ import itertools
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holesat import abstract
 from holesat import holes as geo
-from holesat.geometry import canonicalize, chirotope
+from holesat.geometry import canonicalize, check_signotope, chirotope
 
-from conftest import random_point_set
+from conftest import random_point_set, random_signotope
 
 
 def _canonical(seed: int, n: int):
@@ -54,14 +55,37 @@ def test_tables_and_enumeration_match_geometry(seed):
     s, sig = _canonical(seed, n)
     assert abstract.three_hole_table(sig) == geo.three_hole_table(s)
     for k in (2, 3, 4, 5):
-        assert [h.indices for h in abstract.enumerate_holes(sig, k)] == [
-            h.indices for h in geo.enumerate_holes(s, k)
-        ]
+        assert abstract.enumerate_holes(sig, k) == geo.enumerate_holes(s, k)
     gons4 = {xs for xs in itertools.combinations(range(n), 4) if geo.is_gon(s, xs)}
     assert abstract.four_gon_table(sig) == gons4
-    assert [h.indices for h in abstract.enumerate_gons(sig, 5)] == [
+    assert abstract.enumerate_gons(sig, 5) == [
         xs for xs in itertools.combinations(range(n), 5) if geo.is_gon(s, xs)
     ]
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_shared_table_on_random_signotopes(n):
+    # signotopes from random pseudoline arrangements, not from point sets
+    rng = random.Random(n)
+    for _ in range(8):
+        sig = random_signotope(n, rng)
+        assert check_signotope(sig) == []
+        empty = set()
+        for a, b, c in itertools.combinations(range(n), 3):
+            inside = [
+                i for i in range(n)
+                if i not in (a, b, c) and abstract.in_triangle(sig, i, a, b, c)
+            ]
+            # the precondition abstract.is_hole relies on
+            assert all(a < i < c for i in inside)
+            if not inside:
+                empty.add((a, b, c))
+        assert abstract.three_hole_table(sig) == empty
+        for k in (4, 5):
+            assert abstract.enumerate_holes(sig, k) == [
+                xs for xs in itertools.combinations(range(n), k)
+                if abstract.is_hole(sig, xs)
+            ]
 
 
 @given(st.integers(0, 10**6))
@@ -118,12 +142,12 @@ def test_find_disjoint_tuple_matches_geometry(seed, mode):
     assert (got is None) == (want is None)
     if got is not None:
         h1, h2 = got
-        assert abstract.is_hole(sig, h1.indices) and abstract.is_hole(sig, h2.indices)
+        assert abstract.is_hole(sig, h1) and abstract.is_hole(sig, h2)
         check = (
             abstract.holes_disjoint if mode == "disjoint"
             else abstract.holes_interior_disjoint
         )
-        assert check(sig, h1.indices, h2.indices)
+        assert check(sig, h1, h2)
 
 
 def test_disjointness_deciders_stay_independent():

@@ -152,7 +152,7 @@ def test_criterion_05_witness_verification():
             is_hole(tr, t) for t in itertools.combinations(range(9), 3)
         ),
         "two-ring-18 5-holes lean inner": all(
-            sum(1 for i in h.indices if i >= 9) >= 3
+            sum(1 for i in h if i >= 9) >= 3
             for h in enumerate_holes(tr, 5)
         ),
     }

@@ -10,6 +10,7 @@ from holesat import cli
 from holesat.constructions import witness
 from holesat.geometry import write_points
 from holesat.recipes import RECIPE_NAMES, recipe_steps
+from holesat.solver import DEFAULT_TIMEOUT, default_timeout
 
 from conftest import requires_solver
 
@@ -67,6 +68,16 @@ def test_encode_rejects_bad_problem(capsys, tmp_path):
         "--hints", "-o", str(tmp_path / "x.cnf"),
     ])
     assert code == cli.ERROR  # window hints only exist for the disjoint tables
+
+
+@pytest.mark.parametrize("threshold", ["2", "3"])
+def test_encode_count_holes_with_one_subset(tmp_path, threshold):
+    # k = n: one k-subset, and at most t - 1 >= 1 of one hole always holds
+    code = run([
+        "encode", "--n", "5", "--mode", "count-holes", "--k", "5",
+        "--threshold", threshold, "-o", str(tmp_path / "x.cnf"),
+    ])
+    assert code == 0
 
 
 def test_unknown_subcommand_exits_two():
@@ -266,6 +277,56 @@ def test_solve_malformed_config_value_is_infrastructure_error(
     code = run(["solve", "--n", "5", "--mode", "forbid-hole", "--k", "4"])
     assert code == cli.ERROR
     assert named in capsys.readouterr().err
+
+
+SEARCH_MISS = [
+    "search", "--n", "5", "--mode", "forbid-hole", "--k", "3",
+    "--seeds", "0", "--budget", "100",
+]
+SOLVE_STUB = ["solve", "--n", "5", "--mode", "forbid-hole", "--k", "4", "--solver", "/bin/true"]
+
+
+@pytest.mark.parametrize("config, argv, named", [
+    ([1, 2], SOLVE_STUB, "holesat.json must hold a JSON object"),
+    (None, SOLVE_STUB, "holesat.json must hold a JSON object"),
+    ({"timeout": [1]}, SOLVE_STUB, "'timeout' must be a number"),
+    ({"timeout": True}, SOLVE_STUB, "'timeout' must be a number"),
+    ({"workers": "4"}, SEARCH_MISS, "'workers' must be a number"),
+    ({"workers": False}, SEARCH_MISS, "'workers' must be a number"),
+])
+def test_malformed_config_file_is_infrastructure_error(
+    tmp_path, monkeypatch, capsys, config, argv, named
+):
+    cfg = tmp_path / "holesat.json"
+    cfg.write_text(json.dumps(config))
+    monkeypatch.setenv("HOLESAT_CONFIG", str(cfg))
+    for env in ("HOLESAT_TIMEOUT", "HOLESAT_WORKERS"):
+        monkeypatch.delenv(env, raising=False)
+    assert run(argv) == cli.ERROR
+    assert named in capsys.readouterr().err
+
+
+def test_null_config_number_means_unset(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "holesat.json"
+    cfg.write_text(json.dumps({"workers": None, "timeout": None}))
+    monkeypatch.setenv("HOLESAT_CONFIG", str(cfg))
+    for env in ("HOLESAT_TIMEOUT", "HOLESAT_WORKERS"):
+        monkeypatch.delenv(env, raising=False)
+    assert run(SEARCH_MISS) == cli.FAIL
+    assert "no witness" in capsys.readouterr().out
+    assert default_timeout() == DEFAULT_TIMEOUT
+
+
+def test_recipe_undecodable_model_is_infrastructure_error(tmp_path, capsys):
+    stub = tmp_path / "partial"
+    stub.write_text("#!/bin/sh\necho s SATISFIABLE; echo v 1 0\n")
+    stub.chmod(0o755)
+    code = run([
+        "recipe", "h55-small-table", "--no-proof", "--workers", "1",
+        "--solver", str(stub), "--workdir", str(tmp_path / "w"),
+    ])
+    assert code == cli.ERROR
+    assert "model decoding failed" in capsys.readouterr().out
 
 
 def test_recipe_count_16_steps():

@@ -30,7 +30,9 @@ from holesat.encoder import (
     load_registry,
     violated_clauses,
 )
-from holesat.geometry import NEGATIVE, POSITIVE, canonicalize, chirotope, orient
+from holesat.geometry import (
+    NEGATIVE, POSITIVE, Point, PointSet, canonicalize, chirotope, orient,
+)
 from holesat.holes import (
     enumerate_gons,
     enumerate_holes,
@@ -438,6 +440,17 @@ def test_chirotope_assignment_matches_geometry(p, seed):
     _semantic_case(seed, p)
 
 
+@pytest.mark.parametrize("threshold", [2, 3])
+def test_count_holes_with_one_subset_emits_no_counter(threshold):
+    # k = n: one 5-subset, and at most t - 1 >= 1 of one variable always holds
+    p = HoleProblem(n=5, mode="count-holes", sizes=(5,), threshold=threshold)
+    inst = build_instance(p)
+    assert dict(inst.groups)["cardinality"] == 0
+    pentagon = [(0, 0), (100, 10), (130, 110), (50, 190), (-40, 100)]
+    s = canonicalize(PointSet([Point(x, y) for x, y in pentagon]))
+    assert violated_clauses(inst, assignment_from_chirotope(chirotope(s), p)) == []
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=8, deadline=None)
 def test_hints_and_relaxed_lr_stay_satisfied(seed):
@@ -494,7 +507,7 @@ def test_assignment_auxiliaries_match_coordinates(flags, seed):
     s = canonicalize(random_point_set(n, random.Random(700 + seed)))
     val = assignment_from_chirotope(chirotope(s), p)
     enumerate_family = enumerate_gons if p.mode == "forbid-gon" else enumerate_holes
-    found = {k: {h.indices for h in enumerate_family(s, k)} for k in set(p.sizes)}
+    found = {k: set(enumerate_family(s, k)) for k in set(p.sizes)}
     three = three_hole_table(s)
     schema = (
         "interior" if p.mode == "two-interior-disjoint-holes"

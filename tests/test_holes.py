@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from holesat import abstract
 from holesat.geometry import Point, PointSet, canonicalize, chirotope, orient
 from holesat.holes import (
-    Hole,
     count_disjoint_tuples,
     enumerate_holes,
     find_disjoint_tuple,
@@ -146,13 +145,6 @@ def oracle_interior_disjoint(s: PointSet, x1, x2) -> bool:
 
 # --- tests ---------------------------------------------------------------
 
-def test_hole_dataclass_sorts_and_validates():
-    h = Hole((4, 1, 3))
-    assert h.indices == (1, 3, 4)
-    with pytest.raises(ValueError):
-        Hole((1, 1, 2))
-
-
 @given(st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_in_triangle_matches_sign_oracle(seed):
@@ -189,7 +181,7 @@ def test_enumerate_holes_agrees_with_direct_check(seed):
             xs for xs in itertools.combinations(range(9), k)
             if k == 2 or is_hole(s, xs)
         }
-        got = {h.indices for h in enumerate_holes(s, k)}
+        got = set(enumerate_holes(s, k))
         assert got == expected
 
 
@@ -289,8 +281,8 @@ def test_find_disjoint_tuple_matches_brute_force(seed):
         assert (found is not None) == brute
         if found is not None:
             h1, h2 = found
-            assert is_hole(s, h1.indices) and is_hole(s, h2.indices)
-            assert compatible(s, h1.indices, h2.indices)
+            assert is_hole(s, h1) and is_hole(s, h2)
+            assert compatible(s, h1, h2)
 
 
 def test_two_hole_pair_semantics():
@@ -318,7 +310,7 @@ def _brute_tuples(by_size, sizes, decide):
         neighbours[ka, kb] = [
             {
                 v for v, hv in enumerate(by_size[kb])
-                if (ka != kb or v > u) and decide(hu.indices, hv.indices)
+                if (ka != kb or v > u) and decide(hu, hv)
             }
             for u, hu in enumerate(by_size[ka])
         ]
@@ -379,6 +371,4 @@ def test_prefiltered_tuple_search_matches_unfiltered_pairs(n):
     four, five = enumerate_holes(s, 4), enumerate_holes(s, 5)
     for h4 in four[:: max(1, len(four) // 12)]:
         for h5 in five:
-            assert hulls_disjoint(s, h4.indices, h5.indices) == oracle_hulls_disjoint(
-                s, h4.indices, h5.indices
-            )
+            assert hulls_disjoint(s, h4, h5) == oracle_hulls_disjoint(s, h4, h5)

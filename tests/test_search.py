@@ -77,10 +77,10 @@ def _brute_pair_count(s: PointSet, sizes, predicate) -> int:
             1
             for i in range(len(a))
             for j in range(i + 1, len(a))
-            if predicate(s, a[i].indices, a[j].indices)
+            if predicate(s, a[i], a[j])
         )
     return sum(
-        1 for hu in a for hv in b if predicate(s, hu.indices, hv.indices)
+        1 for hu in a for hv in b if predicate(s, hu, hv)
     )
 
 
@@ -102,9 +102,9 @@ def test_disjoint_pair_count_matches_brute_force(sizes):
                 for i in range(len(tri))
                 for j in range(i + 1, len(tri))
                 for k in range(j + 1, len(tri))
-                if hulls_disjoint(s, tri[i].indices, tri[j].indices)
-                and hulls_disjoint(s, tri[i].indices, tri[k].indices)
-                and hulls_disjoint(s, tri[j].indices, tri[k].indices)
+                if hulls_disjoint(s, tri[i], tri[j])
+                and hulls_disjoint(s, tri[i], tri[k])
+                and hulls_disjoint(s, tri[j], tri[k])
             )
             assert objective_count(
                 s, SearchObjective("two-disjoint-holes", (3, 3, 3))
