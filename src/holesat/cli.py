@@ -145,9 +145,10 @@ def cmd_solve(args) -> int:
     inst = build_instance(problem)
     solver = discover_solver(args.solver)
     want_proof = bool(args.proof or args.check)
-    # resolve the checker eagerly when asked for so a missing binary is a
-    # clear error, not a silently skipped verification
-    checker = discover_checker(args.checker) if args.check else None
+    # --check needs a checker, and one named for a proof must resolve;
+    # otherwise solve_instance looks for one and may leave UNSAT unchecked
+    wanted = args.check or (args.proof and args.checker)
+    checker = discover_checker(args.checker) if wanted else None
     timeout = args.timeout if args.timeout is not None else default_timeout()
     # a temporary directory unless --workdir names one to keep
     with tempfile.TemporaryDirectory(prefix="holesat-") as own_dir:
@@ -273,13 +274,7 @@ def cmd_search(args) -> int:
 
 def cmd_recipe(args) -> int:
     solver = discover_solver(args.solver)
-    if args.checker:
-        checker = discover_checker(args.checker)
-    else:
-        try:
-            checker = discover_checker()
-        except SolverError:
-            checker = None
+    checker = discover_checker(args.checker) if args.checker else None
     timeout = args.timeout if args.timeout is not None else default_timeout()
     result = run_recipe(
         args.name,

@@ -44,20 +44,12 @@ def in_triangle(s: PointSet, i: int, a: int, b: int, c: int) -> bool:
     )
 
 
-def _inside_others(s: PointSet, i: int, xs: Sequence[int]) -> bool:
-    """True iff i lies strictly inside a triangle of the other members of xs."""
-    others = [j for j in xs if j != i]
-    return any(
-        in_triangle(s, i, a, b, c) for a, b, c in itertools.combinations(others, 3)
-    )
-
-
 def is_gon(s: PointSet, x: Iterable[int]) -> bool:
-    """True iff the subset is in convex position."""
+    """True iff the subset is in convex position: no member inside its hull."""
     xs = _normalize(s, x)
     if len(xs) < 3:
         raise ValueError("a gon needs at least 3 points")
-    return not any(_inside_others(s, i, xs) for i in xs)
+    return not _hull_interior(s.left, xs) & sum(1 << i for i in xs)
 
 
 def hull_order(s: PointSet, x: Iterable[int]) -> list[int]:
@@ -69,7 +61,8 @@ def hull_order(s: PointSet, x: Iterable[int]) -> list[int]:
     xs = _normalize(s, x)
     if len(xs) <= 2:
         return list(xs)
-    vertices = [i for i in xs if not _inside_others(s, i, xs)]
+    inside = _hull_interior(s.left, xs)
+    vertices = [i for i in xs if not inside >> i & 1]
     anchor = min(vertices, key=lambda i: s.points[i])
     rest = [i for i in vertices if i != anchor]
     rest.sort(

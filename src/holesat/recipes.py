@@ -89,34 +89,35 @@ def _pair(mode: str, sizes: tuple[int, ...], value: int, **kwargs) -> list[Recip
     ]
 
 
+# name -> step builder, in the order the CLI lists them
+_RECIPES = {
+    "h55-small-table": lambda: [
+        step
+        for sizes, value in SMALL_TABLE
+        for step in _pair("two-disjoint-holes", sizes, value)
+    ],
+    "h55-full": lambda: _pair("two-disjoint-holes", (5, 5), 17, hints=True),
+    "g6": lambda: _pair("forbid-gon", (6,), 17),
+    "interior-55": lambda: _pair("two-interior-disjoint-holes", (5, 5), 15),
+    # every 16-point set has at least 11 5-holes, and 11 are attainable
+    "count-16": lambda: [
+        RecipeStep(
+            f"count-holes (5) n=16 t={t}",
+            HoleProblem(n=16, mode="count-holes", sizes=(5,), threshold=t),
+            expect,
+        )
+        for t, expect in ((12, "SAT"), (11, "UNSAT"))
+    ],
+}
+RECIPE_NAMES = tuple(_RECIPES)
+
+
 def recipe_steps(name: str) -> list[RecipeStep]:
-    if name == "h55-small-table":
-        steps: list[RecipeStep] = []
-        for sizes, value in SMALL_TABLE:
-            steps.extend(_pair("two-disjoint-holes", sizes, value))
-        return steps
-    if name == "h55-full":
-        return _pair("two-disjoint-holes", (5, 5), 17, hints=True)
-    if name == "g6":
-        return _pair("forbid-gon", (6,), 17)
-    if name == "interior-55":
-        return _pair("two-interior-disjoint-holes", (5, 5), 15)
-    if name == "count-16":
-        # every 16-point set has at least 11 5-holes, and 11 are attainable
-        return [
-            RecipeStep(
-                f"count-holes (5) n=16 t={t}",
-                HoleProblem(n=16, mode="count-holes", sizes=(5,), threshold=t),
-                expect,
-            )
-            for t, expect in ((12, "SAT"), (11, "UNSAT"))
-        ]
-    raise ValueError(
-        f"unknown recipe {name!r}; available: {', '.join(RECIPE_NAMES)}"
-    )
-
-
-RECIPE_NAMES = ("h55-small-table", "h55-full", "g6", "interior-55", "count-16")
+    if name not in _RECIPES:
+        raise ValueError(
+            f"unknown recipe {name!r}; available: {', '.join(RECIPE_NAMES)}"
+        )
+    return _RECIPES[name]()
 
 
 def run_recipe(

@@ -49,6 +49,10 @@ class SolverError(RuntimeError):
     """Infrastructure failure: missing binary, bad config, unusable output."""
 
 
+class ToolNotFound(SolverError):
+    """No tool of a kind is named anywhere, and none is on PATH."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     path: str
@@ -174,7 +178,7 @@ def _discover(
         path = shutil.which(name)
         if path:
             return cls(path=path, name=name, **known[name])
-    raise SolverError(
+    raise ToolNotFound(
         f"no {what} found: set {env}, add a '{kind}' entry to holesat.json, "
         "or install one of " + ", ".join(known)
     )
@@ -192,29 +196,25 @@ def discover_checker(spec=None, config: dict | None = None) -> CheckerConfig:
     )
 
 
-def _config_number(config: dict | None, key: str, default):
-    """A numeric config value; a missing key or null means ``default``."""
-    cfg = config if config is not None else load_config()
-    value = cfg.get(key)
+def _setting(config: dict | None, key: str, default, cast):
+    """``HOLESAT_<KEY>``, else the config number (null means unset), else ``default``."""
+    env = os.environ.get(f"HOLESAT_{key.upper()}")
+    if env:
+        return cast(env)
+    value = (config if config is not None else load_config()).get(key)
     if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        value = default
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SolverError(f"config {key!r} must be a number, got {value!r}")
-    return value
+    return cast(value)
 
 
 def default_timeout(config: dict | None = None) -> float:
-    env = os.environ.get("HOLESAT_TIMEOUT")
-    if env:
-        return float(env)
-    return float(_config_number(config, "timeout", DEFAULT_TIMEOUT))
+    return _setting(config, "timeout", DEFAULT_TIMEOUT, float)
 
 
 def default_workers(config: dict | None = None) -> int:
-    env = os.environ.get("HOLESAT_WORKERS")
-    if env:
-        return int(env)
-    return int(_config_number(config, "workers", DEFAULT_WORKERS))
+    return _setting(config, "workers", DEFAULT_WORKERS, int)
 
 
 @dataclass
@@ -289,6 +289,28 @@ def parse_solver_output(text: str):
     return verdict, lits
 
 
+def _run(argv: list[str], timeout: float | None):
+    """(finished process or None on timeout, time limit, seconds) of one child.
+
+    Every solver and checker process starts here; ``timeout=None`` means
+    :func:`default_timeout`.
+    """
+    limit = timeout if timeout is not None else default_timeout()
+    start = time.monotonic()
+    try:
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=limit)
+    except subprocess.TimeoutExpired:
+        proc = None
+    except OSError as exc:
+        raise SolverError(f"failed to launch {argv[0]}: {exc}") from exc
+    return proc, limit, time.monotonic() - start
+
+
+def _tail(proc) -> str:
+    """The last three lines a child printed, stdout then stderr."""
+    return " | ".join((proc.stdout + proc.stderr).strip().splitlines()[-3:])
+
+
 def run_solver(
     cnf_path,
     config: SolverConfig | None = None,
@@ -301,47 +323,27 @@ def run_solver(
     unparsable output are likewise UNKNOWN but carry distinct details.
     """
     cfg = config or discover_solver()
-    limit = timeout if timeout is not None else default_timeout()
     argv = cfg.argv(str(cnf_path), str(proof_path) if proof_path else None)
-    start = time.monotonic()
-    try:
-        proc = subprocess.run(
-            argv, capture_output=True, text=True, timeout=limit
-        )
-    except subprocess.TimeoutExpired:
-        return SolveReport(
-            verdict="UNKNOWN",
-            wall_time=time.monotonic() - start,
-            solver=cfg.identity(),
-            detail=f"timeout after {limit:.0f}s",
-        )
-    except OSError as exc:
-        raise SolverError(f"failed to launch {argv[0]}: {exc}") from exc
-    wall = time.monotonic() - start
+    proc, limit, wall = _run(argv, timeout)
+    report = SolveReport(verdict="UNKNOWN", wall_time=wall, solver=cfg.identity())
+    if proc is None:
+        report.detail = f"timeout after {limit:.0f}s"
+        return report
     verdict, lits = parse_solver_output(proc.stdout)
     if verdict is None:
-        tail = (proc.stdout + proc.stderr).strip().splitlines()[-3:]
         kind = (
             "unparsable solver output"
             if proc.returncode in (0, 10, 20)
             else f"solver crash (exit {proc.returncode})"
         )
-        return SolveReport(
-            verdict="UNKNOWN",
-            wall_time=wall,
-            solver=cfg.identity(),
-            detail=f"{kind}: {' | '.join(tail)}",
-        )
-    model = {abs(l): l > 0 for l in lits} if verdict == "SAT" else None
-    return SolveReport(
-        verdict=verdict,
-        model=model,
-        certificate_path=str(proof_path)
-        if proof_path and verdict == "UNSAT"
-        else None,
-        wall_time=wall,
-        solver=cfg.identity(),
-    )
+        report.detail = f"{kind}: {_tail(proc)}"
+        return report
+    report.verdict = verdict
+    if verdict == "SAT":
+        report.model = {abs(l): l > 0 for l in lits}
+    if proof_path and verdict == "UNSAT":
+        report.certificate_path = str(proof_path)
+    return report
 
 
 def normalize_certificate(path) -> str:
@@ -374,26 +376,16 @@ def run_proof_check(
     Passes only on exit code 0 together with an ``s VERIFIED`` line.
     """
     cfg = checker or discover_checker()
-    limit = timeout if timeout is not None else default_timeout()
-    cert = normalize_certificate(certificate_path)
-    argv = cfg.argv(str(cnf_path), cert)
-    try:
-        proc = subprocess.run(
-            argv, capture_output=True, text=True, timeout=limit
-        )
-    except subprocess.TimeoutExpired:
+    argv = cfg.argv(str(cnf_path), normalize_certificate(certificate_path))
+    proc, limit, _ = _run(argv, timeout)
+    if proc is None:
         return False, f"checker timeout after {limit:.0f}s"
-    except OSError as exc:
-        raise SolverError(f"failed to launch {argv[0]}: {exc}") from exc
-    out = proc.stdout + proc.stderr
     # success must be stated, not inferred from silence: drat-trim, rate
     # and gratgen all print this line when the proof checks
-    verified = any(line.strip() == "s VERIFIED" for line in out.splitlines())
-    ok = proc.returncode == 0 and verified
-    if ok:
+    out = proc.stdout + proc.stderr
+    if proc.returncode == 0 and any(line.strip() == "s VERIFIED" for line in out.splitlines()):
         return True, ""
-    tail = " | ".join(out.strip().splitlines()[-3:])
-    return False, f"checker {cfg.identity()} exit {proc.returncode}: {tail}"
+    return False, f"checker {cfg.identity()} exit {proc.returncode}: {_tail(proc)}"
 
 
 def decode_model(
@@ -490,11 +482,12 @@ def solve_instance(
     """Write, solve, and verify one instance end to end.
 
     SAT models are decoded and checked semantically (verification field
-    ``passed``/``failed``; a model that does not decode fails); UNSAT
-    certificates are checked when requested and a checker is available,
-    otherwise verification is ``skipped``. Without ``workdir`` the files
-    go to a temporary directory that is removed before returning, and the
-    report names no certificate.
+    ``passed``/``failed``; a model that does not decode fails). When a
+    proof is wanted and no checker is passed, one is discovered before the
+    solve: a checker named anywhere must resolve, and only when none is
+    named or on PATH does an UNSAT verdict stay ``skipped``. Without
+    ``workdir`` the files go to a temporary directory that is removed
+    before returning, and the report names no certificate.
     """
     cfg = solver or discover_solver()
     if workdir is None:
@@ -503,6 +496,11 @@ def solve_instance(
             report = solve_instance(instance, cfg, checker, timeout, own, want_proof)
         report.certificate_path = None
         return report
+    if want_proof and checker is None:
+        try:
+            checker = discover_checker()
+        except ToolNotFound:
+            pass
     base = Path(workdir)
     base.mkdir(parents=True, exist_ok=True)
     key = instance.problem.key()
@@ -526,18 +524,11 @@ def solve_instance(
                 f"model verification failed: {result.description}"
                 f" {result.counterexample}"
             )
-    elif report.verdict == "UNSAT" and want_proof:
-        try:
-            chk = checker or discover_checker()
-        except SolverError:
-            chk = None
-        if chk is None:
-            report.verification = "skipped"
-        else:
-            ok, detail = run_proof_check(cnf, proof, chk, timeout=timeout)
-            report.verification = "passed" if ok else "failed"
-            if not ok:
-                report.detail = detail
+    elif report.verdict == "UNSAT" and want_proof and checker is not None:
+        ok, detail = run_proof_check(cnf, proof, checker, timeout=timeout)
+        report.verification = "passed" if ok else "failed"
+        if not ok:
+            report.detail = detail
     return report
 
 

@@ -329,6 +329,63 @@ def test_recipe_undecodable_model_is_infrastructure_error(tmp_path, capsys):
     assert "model decoding failed" in capsys.readouterr().out
 
 
+def _unsat_stub_config(tmp_path, monkeypatch, **extra) -> None:
+    """Config naming a stub solver that writes a proof and answers UNSAT.
+
+    PATH holds only the stub, so no checker is found by scanning.
+    """
+    bindir = tmp_path / "bin"
+    bindir.mkdir()
+    stub = bindir / "unsat"
+    stub.write_text('#!/bin/sh\necho 0 > "$1"\necho s UNSATISFIABLE\n')
+    stub.chmod(0o755)
+    cfg = tmp_path / "holesat.json"
+    solver = {"path": str(stub), "proof_args": ["{proof}"]}
+    cfg.write_text(json.dumps({"solver": solver, **extra}))
+    monkeypatch.setenv("HOLESAT_CONFIG", str(cfg))
+    monkeypatch.setenv("PATH", str(bindir))
+    for env in ("HOLESAT_SOLVER", "HOLESAT_CHECKER"):
+        monkeypatch.delenv(env, raising=False)
+
+
+SOLVE_UNSAT = ["solve", "--n", "5", "--mode", "forbid-hole", "--k", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["recipe", "h55-small-table", "--workers", "1"],
+    SOLVE_UNSAT + ["--proof", "kept.drat"],
+])
+def test_malformed_checker_entry_is_infrastructure_error(tmp_path, monkeypatch, capsys, argv):
+    # a checker named in the config must resolve, not silently skip the check
+    _unsat_stub_config(tmp_path, monkeypatch, checker={"path": 5})
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--workdir", str(tmp_path / "w")]) == cli.ERROR
+    out = capsys.readouterr()
+    assert "checker entry 'path' must be a non-empty string" in out.out + out.err
+    # resolved before the solve, so no step got a verdict
+    assert "UNSAT" not in out.out.replace("expected UNSAT", "")
+
+
+def test_solve_proof_uses_named_checker(tmp_path, monkeypatch, capsys):
+    _unsat_stub_config(tmp_path, monkeypatch)
+    checker = tmp_path / "confirming"
+    checker.write_text("#!/bin/sh\necho s VERIFIED\n")
+    checker.chmod(0o755)
+    proof = tmp_path / "kept.drat"
+    code = run(SOLVE_UNSAT + ["--proof", str(proof), "--checker", str(checker)])
+    assert code == cli.PASS
+    assert "verification: passed" in capsys.readouterr().out
+
+
+def test_solve_proof_without_any_checker_is_skipped(tmp_path, monkeypatch, capsys):
+    _unsat_stub_config(tmp_path, monkeypatch)
+    proof = tmp_path / "kept.drat"
+    assert run(SOLVE_UNSAT + ["--proof", str(proof)]) == cli.PASS
+    out = capsys.readouterr().out
+    assert "verdict: UNSAT" in out and "verification: skipped" in out
+    assert proof.read_text() == "0\n"
+
+
 def test_recipe_count_16_steps():
     assert "count-16" in RECIPE_NAMES
     steps = recipe_steps("count-16")

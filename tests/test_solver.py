@@ -186,6 +186,17 @@ def test_proof_check_needs_positive_verdict(tmp_path):
     assert run_proof_check(cnf, cert, confirming, timeout=5) == (True, "")
 
 
+def test_proof_check_timeout_and_launch_failure(tmp_path):
+    cnf = _tiny_cnf(tmp_path)
+    cert = tmp_path / "tiny.drat"
+    cert.write_text("0\n")
+    slow = CheckerConfig(path=_stub(tmp_path, "slow", "sleep 5; echo s VERIFIED"), name="slow")
+    assert run_proof_check(cnf, cert, slow, timeout=1) == (False, "checker timeout after 1s")
+    gone = CheckerConfig(path=str(tmp_path / "gone"), name="gone")
+    with pytest.raises(SolverError, match="failed to launch"):
+        run_proof_check(cnf, cert, gone, timeout=5)
+
+
 # --- temporary files and malformed models ---------------------------------
 
 def test_solve_leaves_no_temporary_directories(tmp_path, monkeypatch):
