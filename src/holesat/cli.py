@@ -27,7 +27,7 @@ from .constructions import WITNESS_COORDS, generate_double_circle, generate_two_
 from .encoder import MODES, HoleProblem, build_instance
 from .geometry import read_points, write_points
 from .holes import enumerate_holes, find_disjoint_tuple
-from .recipes import RECIPE_NAMES, run_recipe
+from .recipes import RECIPE_NAMES, passed, run_recipe
 from .search import OBJECTIVE_MODES, SearchObjective, count_gons, search_witness
 from .solver import (
     MODEL_DECODING_FAILED,
@@ -36,6 +36,7 @@ from .solver import (
     default_workers,
     discover_checker,
     discover_solver,
+    find_checker,
     solve_instance,
 )
 
@@ -123,6 +124,13 @@ def _infrastructure_trouble(report) -> bool:
     return report.verdict == "UNKNOWN" or report.detail.startswith(MODEL_DECODING_FAILED)
 
 
+def _exit_code(judged) -> int:
+    """ERROR on any infrastructure trouble, else FAIL unless every pair passed."""
+    if any(_infrastructure_trouble(report) for report, _ in judged):
+        return ERROR
+    return PASS if all(passed(report, expect) for report, expect in judged) else FAIL
+
+
 def cmd_encode(args) -> int:
     problem = _problem_from_args(args)
     inst = build_instance(problem)
@@ -142,14 +150,15 @@ def cmd_encode(args) -> int:
 
 def cmd_solve(args) -> int:
     problem = _problem_from_args(args)
-    inst = build_instance(problem)
     solver = discover_solver(args.solver)
-    want_proof = bool(args.proof or args.check)
-    # --check needs a checker, and one named for a proof must resolve;
-    # otherwise solve_instance looks for one and may leave UNSAT unchecked
-    wanted = args.check or (args.proof and args.checker)
-    checker = discover_checker(args.checker) if wanted else None
+    # naming a checker asks for a checked proof, as --check does, and a
+    # named checker must resolve; with a bare --proof any checker will do
+    wanted = args.check or args.checker
+    want_proof = bool(args.proof or wanted)
+    find = discover_checker if wanted else find_checker
+    checker = find(args.checker) if want_proof else None
     timeout = args.timeout if args.timeout is not None else default_timeout()
+    inst = build_instance(problem)
     # a temporary directory unless --workdir names one to keep
     with tempfile.TemporaryDirectory(prefix="holesat-") as own_dir:
         report = solve_instance(
@@ -164,15 +173,13 @@ def cmd_solve(args) -> int:
     print(report.to_text())
     if args.summary:
         report.write_summary(args.summary)
-    if _infrastructure_trouble(report):
+    expect = args.expect.upper() if args.expect else None
+    code = _exit_code([(report, expect)])
+    if code == ERROR:
         print(f"error: {report.detail}", file=sys.stderr)
-        return ERROR
-    if report.verification == "failed":
-        return FAIL
-    if args.expect and report.verdict != args.expect.upper():
-        print(f"expected {args.expect.upper()}, got {report.verdict}", file=sys.stderr)
-        return FAIL
-    return PASS
+    elif code == FAIL and report.verification != "failed":
+        print(f"expected {expect}, got {report.verdict}", file=sys.stderr)
+    return code
 
 
 def cmd_verify_witness(args) -> int:
@@ -273,43 +280,39 @@ def cmd_search(args) -> int:
 
 
 def cmd_recipe(args) -> int:
-    solver = discover_solver(args.solver)
-    checker = discover_checker(args.checker) if args.checker else None
-    timeout = args.timeout if args.timeout is not None else default_timeout()
-    result = run_recipe(
+    results = run_recipe(
         args.name,
-        solver=solver,
-        checker=checker,
-        timeout=timeout,
+        solver=discover_solver(args.solver),
+        checker=discover_checker(args.checker) if args.checker else None,
+        timeout=args.timeout,
         workers=args.workers,
         workdir=args.workdir,
         want_proof=not args.no_proof,
     )
-    print(result.to_text())
+    rows = []
+    for step, report in results:
+        ok = passed(report, step.expect)
+        rows.append(dict(
+            label=step.label, expect=step.expect, verdict=report.verdict,
+            verification=report.verification, wall_time=report.wall_time,
+            passed=ok, detail="" if ok else report.detail,
+        ))
+    print(f"recipe {args.name}")
+    for r in rows:
+        detail = f" ({r['detail']})" if r["detail"] else ""
+        print(
+            f"  {'pass' if r['passed'] else 'FAIL'}: {r['label']} -> {r['verdict']} "
+            f"[expected {r['expect']}, {r['wall_time']:.1f}s, "
+            f"verification {r['verification']}]{detail}"
+        )
+    code = _exit_code([(report, step.expect) for step, report in results])
+    done = sum(r["passed"] for r in rows)
+    print(f"result: {'pass' if code == PASS else 'FAIL'} ({done}/{len(rows)} steps)")
     if args.report:
-        payload = {
-            "recipe": result.name,
-            "passed": result.passed,
-            "steps": [
-                {
-                    "label": s.step.label,
-                    "expect": s.step.expect,
-                    "verdict": s.report.verdict,
-                    "verification": s.report.verification,
-                    "wall_time": s.report.wall_time,
-                    "passed": s.passed,
-                    "detail": s.note,
-                }
-                for s in result.steps
-            ],
-        }
+        payload = {"recipe": args.name, "passed": code == PASS, "steps": rows}
         Path(args.report).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.report}")
-    if result.passed:
-        return PASS
-    if any(_infrastructure_trouble(s.report) for s in result.steps):
-        return ERROR
-    return FAIL
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

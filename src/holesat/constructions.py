@@ -48,7 +48,7 @@ def generate_double_circle(n: int, radius: int = DEFAULT_RADIUS) -> PointSet:
             continue
         if _double_circle_valid(s, m):
             return s
-    raise RuntimeError(f"double circle rounding failed for n={n}")
+    raise ValueError(f"double circle rounding failed for n={n} from radius {radius}")
 
 
 def _double_circle_valid(s: PointSet, m: int) -> bool:
@@ -90,7 +90,7 @@ def generate_two_ring(n: int, radius: int = DEFAULT_RADIUS) -> PointSet:
             continue
         if _two_ring_valid(s, m):
             return s
-    raise RuntimeError(f"two-ring rounding failed for n={n}")
+    raise ValueError(f"two-ring rounding failed for n={n} from radius {radius}")
 
 
 def _ring_point(r: float, angle: float) -> tuple[int, int]:

@@ -2,8 +2,8 @@
 
 Each recipe is a list of (problem, expected verdict) steps; running one
 encodes every instance, dispatches the solves to the harness's worker
-pool, verifies models/certificates, and compares verdicts against the
-expectation. A recipe passes iff every step does.
+pool, verifies models/certificates, and judges each report against its
+step's expectation with :func:`passed`. A recipe passes iff every step does.
 """
 
 from __future__ import annotations
@@ -15,48 +15,29 @@ from .solver import (
     CheckerConfig,
     SolveReport,
     SolverConfig,
+    default_timeout,
+    default_workers,
+    discover_solver,
+    find_checker,
     run_batch,
 )
 
 
 @dataclass(frozen=True)
 class RecipeStep:
-    label: str
     problem: HoleProblem
     expect: str  # "SAT" or "UNSAT"
 
-
-@dataclass
-class StepReport:
-    step: RecipeStep
-    report: SolveReport
-    passed: bool
-    note: str = ""
-
-
-@dataclass
-class RecipeResult:
-    name: str
-    steps: list[StepReport]
-
     @property
-    def passed(self) -> bool:
-        return all(s.passed for s in self.steps)
+    def label(self) -> str:
+        p = self.problem
+        label = f"{p.mode} ({'/'.join(map(str, p.sizes))}) n={p.n}"
+        return f"{label} t={p.threshold}" if p.mode == "count-holes" else label
 
-    def to_text(self) -> str:
-        lines = [f"recipe {self.name}"]
-        for s in self.steps:
-            status = "pass" if s.passed else "FAIL"
-            extra = f" ({s.note})" if s.note else ""
-            lines.append(
-                f"  {status}: {s.step.label} -> {s.report.verdict} "
-                f"[expected {s.step.expect}, {s.report.wall_time:.1f}s, "
-                f"verification {s.report.verification}]{extra}"
-            )
-        done = sum(1 for s in self.steps if s.passed)
-        verdict = "pass" if self.passed else "FAIL"
-        lines.append(f"result: {verdict} ({done}/{len(self.steps)} steps)")
-        return "\n".join(lines)
+
+def passed(report: SolveReport, expect: str | None) -> bool:
+    """Verification did not fail and the verdict is ``expect`` (any, if None)."""
+    return report.verification != "failed" and expect in (None, report.verdict)
 
 
 # h(k1,k2) values with both sizes <= 5, excluding the long (5,5) target.
@@ -74,18 +55,9 @@ SMALL_TABLE = (
 
 
 def _pair(mode: str, sizes: tuple[int, ...], value: int, **kwargs) -> list[RecipeStep]:
-    tag = "/".join(map(str, sizes))
     return [
-        RecipeStep(
-            f"{mode} ({tag}) n={value - 1}",
-            HoleProblem(n=value - 1, mode=mode, sizes=sizes, **kwargs),
-            "SAT",
-        ),
-        RecipeStep(
-            f"{mode} ({tag}) n={value}",
-            HoleProblem(n=value, mode=mode, sizes=sizes, **kwargs),
-            "UNSAT",
-        ),
+        RecipeStep(HoleProblem(n=n, mode=mode, sizes=sizes, **kwargs), expect)
+        for n, expect in ((value - 1, "SAT"), (value, "UNSAT"))
     ]
 
 
@@ -101,11 +73,7 @@ _RECIPES = {
     "interior-55": lambda: _pair("two-interior-disjoint-holes", (5, 5), 15),
     # every 16-point set has at least 11 5-holes, and 11 are attainable
     "count-16": lambda: [
-        RecipeStep(
-            f"count-holes (5) n=16 t={t}",
-            HoleProblem(n=16, mode="count-holes", sizes=(5,), threshold=t),
-            expect,
-        )
+        RecipeStep(HoleProblem(n=16, mode="count-holes", sizes=(5,), threshold=t), expect)
         for t, expect in ((12, "SAT"), (11, "UNSAT"))
     ],
 }
@@ -128,22 +96,18 @@ def run_recipe(
     workers: int | None = None,
     workdir=None,
     want_proof: bool = True,
-) -> RecipeResult:
+) -> list[tuple[RecipeStep, SolveReport]]:
+    """(step, report) pairs, in step order.
+
+    The solver, checker, timeout and worker count are resolved before any
+    instance is built, so a configuration error costs no encoding.
+    """
     steps = recipe_steps(name)
+    solver = solver or discover_solver()
+    if want_proof and checker is None:
+        checker = find_checker()
+    timeout = timeout if timeout is not None else default_timeout()
+    workers = workers if workers is not None else default_workers()
     instances = [build_instance(s.problem) for s in steps]
-    reports = run_batch(
-        instances,
-        solver=solver,
-        checker=checker,
-        timeout=timeout,
-        workers=workers,
-        workdir=workdir,
-        want_proof=want_proof,
-    )
-    out: list[StepReport] = []
-    for step in steps:
-        report = reports[step.problem.key()]
-        ok = report.verdict == step.expect and report.verification != "failed"
-        note = "" if ok else report.detail
-        out.append(StepReport(step, report, ok, note))
-    return RecipeResult(name, out)
+    reports = run_batch(instances, solver, checker, timeout, workers, workdir, want_proof)
+    return [(step, reports[step.problem.key()]) for step in steps]

@@ -118,8 +118,11 @@ def load_config(path: str | None = None) -> dict:
     p = Path(candidate)
     if not p.is_file():
         return {}
-    with open(p) as f:
-        config = json.load(f)
+    try:
+        with open(p) as f:
+            config = json.load(f)
+    except json.JSONDecodeError as exc:
+        raise SolverError(f"config file {p} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise SolverError(f"config file {p} must hold a JSON object")
     return config
@@ -196,11 +199,23 @@ def discover_checker(spec=None, config: dict | None = None) -> CheckerConfig:
     )
 
 
+def find_checker(spec=None, config: dict | None = None) -> CheckerConfig | None:
+    """A checker named anywhere (it must resolve), else one on PATH, else None."""
+    try:
+        return discover_checker(spec, config)
+    except ToolNotFound:
+        return None
+
+
 def _setting(config: dict | None, key: str, default, cast):
     """``HOLESAT_<KEY>``, else the config number (null means unset), else ``default``."""
-    env = os.environ.get(f"HOLESAT_{key.upper()}")
+    var = f"HOLESAT_{key.upper()}"
+    env = os.environ.get(var)
     if env:
-        return cast(env)
+        try:
+            return cast(env)
+        except ValueError:
+            raise SolverError(f"cannot read {var}={env!r} as {cast.__name__}") from None
     value = (config if config is not None else load_config()).get(key)
     if value is None:
         value = default
@@ -483,9 +498,9 @@ def solve_instance(
 
     SAT models are decoded and checked semantically (verification field
     ``passed``/``failed``; a model that does not decode fails). When a
-    proof is wanted and no checker is passed, one is discovered before the
-    solve: a checker named anywhere must resolve, and only when none is
-    named or on PATH does an UNSAT verdict stay ``skipped``. Without
+    proof is wanted and no checker is passed, :func:`find_checker` picks
+    one before the solve; only when it finds none does an UNSAT verdict
+    stay ``skipped``. Without
     ``workdir`` the files go to a temporary directory that is removed
     before returning, and the report names no certificate.
     """
@@ -497,10 +512,7 @@ def solve_instance(
         report.certificate_path = None
         return report
     if want_proof and checker is None:
-        try:
-            checker = discover_checker()
-        except ToolNotFound:
-            pass
+        checker = find_checker()
     base = Path(workdir)
     base.mkdir(parents=True, exist_ok=True)
     key = instance.problem.key()

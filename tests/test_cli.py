@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
-from holesat import cli
+from holesat import cli, recipes
 from holesat.constructions import witness
 from holesat.geometry import write_points
 from holesat.recipes import RECIPE_NAMES, recipe_steps
@@ -169,6 +170,14 @@ def test_construct_size_validation(capsys):
     assert run(["construct", "double-circle", "--n", "7"]) == cli.ERROR
     assert run(["construct", "two-ring"]) == cli.ERROR          # --n required
     assert run(["construct", "fig4-n21", "--n", "20"]) == cli.ERROR  # fixed size
+
+
+@pytest.mark.parametrize("name, n", [("two-ring", "100"), ("double-circle", "400")])
+def test_construct_rounding_failure_is_infrastructure_error(capsys, name, n):
+    # radius 1 rounds every point onto a handful of lattice points
+    assert run(["construct", name, "--n", n, "--radius", "1"]) == cli.ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"n={n}" in err and "radius 1" in err
 
 
 # --- search ---------------------------------------------------------------
@@ -409,3 +418,188 @@ def test_recipe_small_table(tmp_path, capsys):
     data = json.loads(report.read_text())
     assert data["recipe"] == "h55-small-table" and data["passed"] is True
     assert len(data["steps"]) == 18
+
+
+# --- pinned outputs with stub solvers and checkers ------------------------
+
+def _bin(tmp_path, name: str, body: str) -> None:
+    """A shell script in the stub config's bin directory (on PATH)."""
+    path = tmp_path / "bin" / name
+    path.write_text(f"#!/bin/sh\n{body}\n")
+    path.chmod(0o755)
+
+
+def _masked(text: str, tmp_path) -> str:
+    """Text with wall times and the test's directory masked."""
+    text = text.replace(str(tmp_path), "TMP")
+    text = re.sub(r"\d+\.\d+s,", "Ts,", text)
+    return re.sub(r"wall-time: \d+\.\d+", "wall-time: T", text)
+
+
+def _masked_json(path) -> dict:
+    data = json.loads(path.read_text())
+    for row in data.get("steps", [data]):
+        assert isinstance(row["wall_time"], float)
+        row["wall_time"] = "T"
+    return data
+
+
+@pytest.fixture
+def stub_bin(tmp_path, monkeypatch):
+    """An always-UNSAT solver in the config, PATH with stubs and no checker."""
+    _unsat_stub_config(tmp_path, monkeypatch)
+    _bin(tmp_path, "confirming", "echo s VERIFIED")
+    _bin(tmp_path, "rejecting", "echo s NOT VERIFIED; exit 1")
+    _bin(tmp_path, "partial", "echo s SATISFIABLE; echo v 1 0")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+COUNT_16 = ["count-holes (5) n=16 t=12", "count-holes (5) n=16 t=11"]
+UNDECODABLE = (
+    "model decoding failed: model does not cover orientation variable ('O', 0, 1, 3)"
+)
+
+
+def _recipe_rows(verdict, verification, passed=(False, True), detail=""):
+    return [
+        {"label": label, "expect": expect, "verdict": verdict,
+         "verification": verification, "wall_time": "T",
+         "passed": ok, "detail": detail}
+        for label, expect, ok in zip(COUNT_16, ("SAT", "UNSAT"), passed)
+    ]
+
+
+REJECTED = "checker rejecting exit 1: s NOT VERIFIED"
+
+
+@pytest.mark.parametrize("flags, code, text, rows", [
+    (["--no-proof"], cli.FAIL, [
+        "  FAIL: count-holes (5) n=16 t=12 -> UNSAT [expected SAT, Ts, verification skipped]",
+        "  pass: count-holes (5) n=16 t=11 -> UNSAT [expected UNSAT, Ts, verification skipped]",
+        "result: FAIL (1/2 steps)",
+    ], _recipe_rows("UNSAT", "skipped")),
+    ([], cli.FAIL, [
+        "  FAIL: count-holes (5) n=16 t=12 -> UNSAT [expected SAT, Ts, verification skipped]",
+        "  pass: count-holes (5) n=16 t=11 -> UNSAT [expected UNSAT, Ts, verification skipped]",
+        "result: FAIL (1/2 steps)",
+    ], _recipe_rows("UNSAT", "skipped")),
+    (["--checker", "confirming"], cli.FAIL, [
+        "  FAIL: count-holes (5) n=16 t=12 -> UNSAT [expected SAT, Ts, verification passed]",
+        "  pass: count-holes (5) n=16 t=11 -> UNSAT [expected UNSAT, Ts, verification passed]",
+        "result: FAIL (1/2 steps)",
+    ], _recipe_rows("UNSAT", "passed")),
+    (["--checker", "rejecting"], cli.FAIL, [
+        "  FAIL: count-holes (5) n=16 t=12 -> UNSAT [expected SAT, Ts, verification failed]"
+        f" ({REJECTED})",
+        "  FAIL: count-holes (5) n=16 t=11 -> UNSAT [expected UNSAT, Ts, verification failed]"
+        f" ({REJECTED})",
+        "result: FAIL (0/2 steps)",
+    ], _recipe_rows("UNSAT", "failed", (False, False), REJECTED)),
+    (["--no-proof", "--solver", "partial"], cli.ERROR, [
+        "  FAIL: count-holes (5) n=16 t=12 -> SAT [expected SAT, Ts, verification failed]"
+        f" ({UNDECODABLE})",
+        "  FAIL: count-holes (5) n=16 t=11 -> SAT [expected UNSAT, Ts, verification failed]"
+        f" ({UNDECODABLE})",
+        "result: FAIL (0/2 steps)",
+    ], _recipe_rows("SAT", "failed", (False, False), UNDECODABLE)),
+])
+def test_recipe_outputs_are_pinned(stub_bin, capsys, flags, code, text, rows):
+    report = stub_bin / "r.json"
+    argv = ["recipe", "count-16", "--workers", "1", "--report", str(report)]
+    assert run(argv + flags) == code
+    out = capsys.readouterr()
+    assert _masked(out.out, stub_bin).splitlines() == [
+        "recipe count-16", *text, "wrote TMP/r.json"
+    ]
+    assert out.err == ""
+    assert _masked_json(report) == {"recipe": "count-16", "passed": False, "steps": rows}
+
+
+def _solve_text(verdict, verification, *extra):
+    return [
+        "instance: forbid-hole-k4-n5-compact",
+        f"verdict: {verdict}",
+        "solver: unsat" if verdict == "UNSAT" else "solver: partial",
+        "wall-time: T",
+        f"verification: {verification}",
+        *extra,
+        "",
+    ]
+
+
+@pytest.mark.parametrize("flags, code, text, err", [
+    (["--expect", "unsat"], cli.PASS, _solve_text("UNSAT", "skipped"), ""),
+    (["--expect", "sat"], cli.FAIL, _solve_text("UNSAT", "skipped"),
+     "expected SAT, got UNSAT\n"),
+    (["--check", "--checker", "confirming", "--proof", "kept.drat"], cli.PASS,
+     _solve_text("UNSAT", "passed", "certificate: kept.drat"), ""),
+    (["--check", "--checker", "rejecting", "--expect", "unsat"], cli.FAIL,
+     _solve_text("UNSAT", "failed", f"detail: {REJECTED}"), ""),
+    (["--solver", "partial", "--expect", "sat"], cli.ERROR,
+     _solve_text("SAT", "failed", f"detail: {UNDECODABLE}"),
+     f"error: {UNDECODABLE}\n"),
+])
+def test_solve_outputs_are_pinned(stub_bin, capsys, flags, code, text, err):
+    summary = stub_bin / "s.json"
+    assert run(SOLVE_UNSAT + flags + ["--summary", str(summary)]) == code
+    out = capsys.readouterr()
+    assert _masked(out.out, stub_bin).splitlines() == text
+    assert out.err == err
+    fields = dict(line.split(": ", 1) for line in text if line)
+    assert _masked_json(summary) == {
+        "instance": fields["instance"],
+        "verdict": fields["verdict"],
+        "solver": fields["solver"],
+        "wall_time": "T",
+        "verification": fields["verification"],
+        "certificate_path": fields.get("certificate"),
+        "model_size": 1 if fields["verdict"] == "SAT" else 0,
+        "detail": fields.get("detail", ""),
+    }
+
+
+def test_solve_named_checker_asks_for_a_checked_proof(stub_bin, capsys):
+    assert run(SOLVE_UNSAT + ["--checker", "rejecting"]) == cli.FAIL
+    out = capsys.readouterr().out
+    assert "verification: failed" in out and REJECTED in out
+
+
+@pytest.mark.parametrize("config, env", [
+    ({"checker": {"path": 5}}, {}),
+    ({}, {"HOLESAT_WORKERS": "2.5"}),
+])
+def test_recipe_resolves_tools_before_encoding(
+    tmp_path, monkeypatch, capsys, config, env
+):
+    _unsat_stub_config(tmp_path, monkeypatch, **config)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    built = []
+    monkeypatch.setattr(recipes, "build_instance", built.append)
+    assert run(["recipe", "interior-55", "--workdir", str(tmp_path / "w")]) == cli.ERROR
+    assert built == []
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("env, value, argv", [
+    ("HOLESAT_TIMEOUT", "abc", SOLVE_UNSAT),
+    ("HOLESAT_WORKERS", "2.5", SEARCH_MISS),
+])
+def test_bad_setting_names_its_variable(stub_bin, monkeypatch, capsys, env, value, argv):
+    monkeypatch.setenv(env, value)
+    assert run(argv) == cli.ERROR
+    err = capsys.readouterr().err
+    assert env in err and repr(value) in err
+
+
+def test_unparsable_config_file_names_the_file(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "holesat.json"
+    cfg.write_text("{bad")
+    monkeypatch.setenv("HOLESAT_CONFIG", str(cfg))
+    for env in ("HOLESAT_SOLVER", "HOLESAT_TIMEOUT"):
+        monkeypatch.delenv(env, raising=False)
+    assert run(SOLVE_UNSAT) == cli.ERROR
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "line 1 column 2" in err
