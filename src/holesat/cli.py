@@ -15,6 +15,7 @@ failed verification, missing witness), 2 = infrastructure trouble
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import shutil
@@ -109,14 +110,9 @@ def _sizes_from_args(args) -> tuple[int, ...]:
 
 
 def _problem_from_args(args) -> HoleProblem:
-    return HoleProblem(
-        n=args.n, mode=args.mode, sizes=_sizes_from_args(args), threshold=args.threshold,
-        orient_vars=args.orient_vars,
-        hints=args.hints,
-        relaxed_lr=args.relaxed_lr,
-        simplified_h5=args.simplified_h5,
-        directional_defs=args.directional_defs,
-    )
+    """Every problem field from the flag of the same name; sizes from --sizes or --k."""
+    fields = [f.name for f in dataclasses.fields(HoleProblem) if f.name != "sizes"]
+    return HoleProblem(sizes=_sizes_from_args(args), **{f: getattr(args, f) for f in fields})
 
 
 def _infrastructure_trouble(report) -> bool:
@@ -155,6 +151,8 @@ def cmd_solve(args) -> int:
     # named checker must resolve; with a bare --proof any checker will do
     wanted = args.check or args.checker
     want_proof = bool(args.proof or wanted)
+    if want_proof:
+        solver.require_proof()
     find = discover_checker if wanted else find_checker
     checker = find(args.checker) if want_proof else None
     timeout = args.timeout if args.timeout is not None else default_timeout()

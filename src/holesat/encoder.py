@@ -32,7 +32,9 @@ literal per clause.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Literal, Sequence, get_args
 
@@ -109,6 +111,8 @@ class HoleProblem:
             raise ValueError("hints are only valid for two-disjoint-holes (5,5)")
         if self.relaxed_lr and self.mode != "two-disjoint-holes":
             raise ValueError("relaxed_lr only applies to two-disjoint-holes")
+        if self.hints and self.directional_defs:
+            raise ValueError("hints need both directions of the hole definitions")
 
     def key(self) -> str:
         """Stable identifier, used for file names and instance comments."""
@@ -163,17 +167,15 @@ class VarRegistry:
                 lit[a][b][c] = lit[b][c][a] = lit[c][a][b] = v
                 lit[b][a][c] = lit[a][c][b] = lit[c][b][a] = -v
         self.lit: list[list[list[int]]] = lit
-        if n >= 4:
-            for a, b, c, d in quads:
-                self._add(("E", a, b, c, d), "E")
-                self._add(("E", c, d, a, b), "E")
-            for q in quads:
-                self._add(("G4", *q), "G4")
+        for a, b, c, d in quads:
+            self._add(("E", a, b, c, d), "E")
+            self._add(("E", c, d, a, b), "E")
+        for q in quads:
+            self._add(("G4", *q), "G4")
         if problem.mode != "forbid-gon":
-            if n >= 4:
-                for a, b, c, d in quads:
-                    self._add(("I", b, a, c, d), "I")
-                    self._add(("I", c, a, b, d), "I")
+            for a, b, c, d in quads:
+                self._add(("I", b, a, c, d), "I")
+                self._add(("I", c, a, b, d), "I")
             for t in triples:
                 self._add(("H3", *t), "H3")
         for k in problem.hole_sizes:
@@ -182,13 +184,10 @@ class VarRegistry:
         if problem.mode in DISJOINT_MODES:
             for k in sorted(set(problem.sizes)):
                 for fam in ("L", "R"):
-                    for a in range(n):
-                        for b in range(n):
-                            if a != b:
-                                self._add((fam, k, a, b), f"{fam}{k}")
+                    for a, b in itertools.permutations(range(n), 2):
+                        self._add((fam, k, a, b), f"{fam}{k}")
         if problem.mode == "count-holes" and problem.threshold >= 2:
-            m = len(list(itertools.combinations(range(n), problem.sizes[0])))
-            for i in range(1, m):
+            for i in range(1, math.comb(n, problem.sizes[0])):
                 for j in range(1, problem.threshold):
                     self._add(("C", i, j), "C")
 
@@ -211,12 +210,12 @@ class VarRegistry:
             raise ValueError(f"indices must be distinct and >= 0, got {(a, b, c)}")
         return lit
 
-    def hole_lit(self, k: int, x: Sequence[int]) -> int | None:
-        """Variable standing for 'x is a k-hole', or None for k=2."""
-        if k == 2:
-            return None
+    def hole_lit(self, k: int, x: Sequence[int]) -> int:
+        """Variable standing for 'x is a k-hole' (a k-gon in forbid-gon mode), k >= 3."""
         if k == 3:
             return self._ids[("H3", *x)]
+        if k == 4 and self.problem.mode == "forbid-gon":
+            return self._ids[("G4", *x)]
         return self._ids[("H", k, *x)]
 
     def items(self) -> Iterator[tuple[int, tuple]]:
@@ -250,14 +249,11 @@ class CnfInstance:
     def write_dimacs(self, path) -> None:
         with open(path, "w") as f:
             f.write(f"c holesat instance {self.problem.key()}\n")
-            p = self.problem
-            f.write(
-                f"c n={p.n} mode={p.mode} sizes={','.join(map(str, p.sizes))}"
-                f" threshold={p.threshold} orient-vars={p.orient_vars}"
-                f" hints={int(p.hints)} relaxed-lr={int(p.relaxed_lr)}"
-                f" simplified-h5={int(p.simplified_h5)}"
-                f" directional-defs={int(p.directional_defs)}\n"
+            switches = (
+                (fd.name.replace("_", "-"), getattr(self.problem, fd.name))
+                for fd in dataclasses.fields(HoleProblem)
             )
+            f.write("c " + " ".join(f"{k}={_header_value(v)}" for k, v in switches) + "\n")
             fams = " ".join(
                 f"{k}={v}" for k, v in self.registry.family_counts.items()
             )
@@ -292,12 +288,11 @@ def load_registry(path) -> dict[int, tuple]:
     return out
 
 
-def _eq_clauses(u: int, v: int) -> list[tuple[int, int]]:
-    return [(-u, v), (u, -v)]
-
-
-def _neq_clauses(u: int, v: int) -> list[tuple[int, int]]:
-    return [(u, v), (-u, -v)]
+def _header_value(value) -> str:
+    """A problem field as the DIMACS header spells it: bools 0/1, sizes a,b."""
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(int(value) if isinstance(value, bool) else value)
 
 
 def _and_def(
@@ -321,20 +316,20 @@ def emit_orientation_axioms(
 ) -> list[tuple[str, list[tuple[int, ...]]]]:
     """Families (1)-(3): alternation, signotope axioms, sortedness units."""
     n = problem.n
+    lit = reg.lit
     groups: list[tuple[str, list[tuple[int, ...]]]] = []
     if problem.orient_vars == "explicit":
+        # lit holds each ordered triple's own variable: cyclic images are
+        # equal, and a transposition differs
         alt: list[tuple[int, ...]] = []
         for a, b, c in itertools.combinations(range(n), 3):
-            pos = [reg.var("O", *p) for p in ((a, b, c), (b, c, a), (c, a, b))]
-            neg = [reg.var("O", *p) for p in ((b, a, c), (a, c, b), (c, b, a))]
-            alt += _eq_clauses(pos[0], pos[1])
-            alt += _eq_clauses(pos[1], pos[2])
-            alt += _eq_clauses(neg[0], neg[1])
-            alt += _eq_clauses(neg[1], neg[2])
-            alt += _neq_clauses(pos[0], neg[0])
+            p0, p1, p2 = lit[a][b][c], lit[b][c][a], lit[c][a][b]
+            q0, q1, q2 = lit[b][a][c], lit[a][c][b], lit[c][b][a]
+            for u, v in ((p0, p1), (p1, p2), (q0, q1), (q1, q2)):
+                alt += [(-u, v), (u, -v)]
+            alt += [(p0, q0), (-p0, -q0)]
         groups.append(("alternating", alt))
     # at most one sign change along (abc, abd, acd, bcd) per sorted 4-tuple
-    lit = reg.lit
     sig: list[tuple[int, ...]] = []
     for a, b, c, d in itertools.combinations(range(n), 4):
         s = (lit[a][b][c], lit[a][b][d], lit[a][c][d], lit[b][c][d])
@@ -354,69 +349,43 @@ def emit_hole_definitions(
 ) -> list[tuple[str, list[tuple[int, ...]]]]:
     """Families (4)-(7): E, G4/I, H3, and the per-size hole variables."""
     n = problem.n
-    directional = problem.directional_defs and not problem.hints
+    gon_mode = problem.mode == "forbid-gon"
+    # directional definitions keep the implication each use of a variable needs
+    fwd, bwd = ("fwd", "bwd") if problem.directional_defs else ("both", "both")
     groups: list[tuple[str, list[tuple[int, ...]]]] = []
 
     bounding: list[tuple[int, ...]] = []
     gons: list[tuple[int, ...]] = []
-    if n >= 4:
-        for a, b, c, d in itertools.combinations(range(n), 4):
-            for (p, q, r, s) in ((a, b, c, d), (c, d, a, b)):
-                e = reg.var("E", p, q, r, s)
-                u, v = reg.lit[p][q][r], reg.lit[p][q][s]
-                bounding += [(-e, u, -v), (-e, -u, v), (e, u, v), (e, -u, -v)]
-            e1 = reg.var("E", a, b, c, d)
-            e2 = reg.var("E", c, d, a, b)
-            gons += _and_def(
-                reg.var("G4", a, b, c, d),
-                (e1, e2),
-                "bwd" if directional else "both",
-            )
-            if problem.mode != "forbid-gon":
-                gons += _and_def(
-                    reg.var("I", b, a, c, d),
-                    (-e1, e2),
-                    "fwd" if directional else "both",
-                )
-                gons += _and_def(
-                    reg.var("I", c, a, b, d),
-                    (e1, -e2),
-                    "fwd" if directional else "both",
-                )
+    for a, b, c, d in itertools.combinations(range(n), 4):
+        e1, e2 = reg.var("E", a, b, c, d), reg.var("E", c, d, a, b)
+        for e, p, q, r, s in ((e1, a, b, c, d), (e2, c, d, a, b)):
+            u, v = reg.lit[p][q][r], reg.lit[p][q][s]
+            bounding += [(-e, u, -v), (-e, -u, v), (e, u, v), (e, -u, -v)]
+        gons += _and_def(reg.var("G4", a, b, c, d), (e1, e2), bwd)
+        if not gon_mode:
+            gons += _and_def(reg.var("I", b, a, c, d), (-e1, e2), fwd)
+            gons += _and_def(reg.var("I", c, a, b, d), (e1, -e2), fwd)
     groups.append(("bounding-segments", bounding))
     groups.append(("gons-and-containments", gons))
 
-    if problem.mode != "forbid-gon":
+    if not gon_mode:
         three: list[tuple[int, ...]] = []
         for a, b, c in itertools.combinations(range(n), 3):
-            conj = [
-                -reg.var("I", i, a, b, c) for i in range(a + 1, c) if i != b
-            ]
-            three += _and_def(
-                reg.var("H3", a, b, c),
-                conj,
-                "bwd" if directional else "both",
-            )
+            conj = [-reg.var("I", i, a, b, c) for i in range(a + 1, c) if i != b]
+            three += _and_def(reg.hole_lit(3, (a, b, c)), conj, bwd)
         groups.append(("three-holes", three))
 
+    # a k-subset is a k-gon iff each 4-subset is a 4-gon, a k-hole iff each
+    # 3-subset is a 3-hole
+    base = 4 if gon_mode else 3
     for k in problem.hole_sizes:
         holes: list[tuple[int, ...]] = []
         for x in itertools.combinations(range(n), k):
-            if problem.mode == "forbid-gon":
-                conj = [reg.var("G4", *q) for q in itertools.combinations(x, 4)]
-            else:
-                conj = [reg.var("H3", *t) for t in itertools.combinations(x, 3)]
-                if k == 5 and not problem.simplified_h5:
-                    conj = [
-                        reg.var("G4", *q) for q in itertools.combinations(x, 4)
-                    ] + conj
-            holes += _and_def(
-                reg.var("H", k, *x),
-                conj,
-                "bwd" if directional else "both",
-            )
-        label = f"{k}-gons" if problem.mode == "forbid-gon" else f"{k}-holes"
-        groups.append((label, holes))
+            conj = [reg.hole_lit(base, t) for t in itertools.combinations(x, base)]
+            if k == 5 and not gon_mode and not problem.simplified_h5:
+                conj = [reg.var("G4", *q) for q in itertools.combinations(x, 4)] + conj
+            holes += _and_def(reg.hole_lit(k, x), conj, bwd)
+        groups.append((f"{k}-gons" if gon_mode else f"{k}-holes", holes))
     return groups
 
 
@@ -483,12 +452,12 @@ def emit_hints(
     for i in range(n - 9):
         window = range(i, i + 10)
         clauses.append(
-            tuple(reg.var("H", 5, *x) for x in itertools.combinations(window, 5))
+            tuple(reg.hole_lit(5, x) for x in itertools.combinations(window, 5))
         )
     if n == 17:
         for block in (range(0, 7), range(10, 17)):
             for x in itertools.combinations(block, 5):
-                clauses.append((-reg.var("H", 5, *x),))
+                clauses.append((-reg.hole_lit(5, x),))
     return [("hints", clauses)]
 
 
@@ -533,16 +502,7 @@ def emit_forbid(
 ) -> list[tuple[str, list[tuple[int, ...]]]]:
     """Unit clauses negating every hole (gon) variable of the target size."""
     k = problem.sizes[0]
-    if problem.mode == "forbid-gon" and k == 4:
-        units = [
-            (-reg.var("G4", *q),)
-            for q in itertools.combinations(range(problem.n), 4)
-        ]
-    else:
-        units = [
-            (-reg.hole_lit(k, x),)
-            for x in itertools.combinations(range(problem.n), k)
-        ]
+    units = [(-reg.hole_lit(k, x),) for x in itertools.combinations(range(problem.n), k)]
     return [("forbid", units)]
 
 

@@ -90,15 +90,14 @@ class OrientationTable:
 class PointSet(OrientationTable):
     """An ordered list of points in general position (no three collinear).
 
-    General position is checked on construction; pass ``canonical=True`` to
-    additionally validate the canonical-form invariants. The same pass over
-    all triples fills the orientation table ``left``: ``left[a][b]`` is the
+    General position is checked on construction. The same pass over all
+    triples fills the orientation table ``left``: ``left[a][b]`` is the
     bitmask of the indices strictly left of the directed line a->b.
     """
 
     __slots__ = ("points", "n", "left")
 
-    def __init__(self, points: Iterable[Sequence[Coord]], canonical: bool = False):
+    def __init__(self, points: Iterable[Sequence[Coord]]):
         pts = tuple(Point(_check_coord(p[0]), _check_coord(p[1])) for p in points)
         if len(set(pts)) != len(pts):
             raise ValueError("duplicate points")
@@ -118,8 +117,6 @@ class PointSet(OrientationTable):
             left[b][c] |= 1 << a
             left[c][a] |= 1 << b
         self.left: tuple[tuple[int, ...], ...] = tuple(map(tuple, left))
-        if canonical and not self.is_canonical():
-            raise ValueError("point set does not satisfy the canonical-form invariants")
 
     def __len__(self) -> int:
         return len(self.points)

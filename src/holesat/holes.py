@@ -140,11 +140,13 @@ def enumerate_from_table(s: PointSet, k: int, kind: str) -> list[tuple[int, ...]
     Every 2-subset is a hole and every 3-subset a gon. Above that, a subset
     is a hole iff every 3-subset is a 3-hole, and a gon iff every 4-subset
     is a 4-gon, so one table (the 3-holes or the 4-gons) decides all larger
-    sizes.
+    sizes. Sizes above n have none; sizes below the least are an error.
     """
     least = 2 if kind == "hole" else 3
-    if not least <= k <= s.n:
-        raise ValueError(f"{kind} size {k} out of range for n={s.n}")
+    if k < least:
+        raise ValueError(f"{kind} size {k} is below {least}")
+    if k > s.n:
+        return []
     if k == least:
         return list(itertools.combinations(range(s.n), k))
     table = three_hole_table(s) if kind == "hole" else four_gon_table(s)

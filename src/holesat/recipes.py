@@ -99,13 +99,15 @@ def run_recipe(
 ) -> list[tuple[RecipeStep, SolveReport]]:
     """(step, report) pairs, in step order.
 
-    The solver, checker, timeout and worker count are resolved before any
-    instance is built, so a configuration error costs no encoding.
+    The solver (and its proof template, when a proof is wanted), checker,
+    timeout and worker count are resolved before any instance is built, so
+    a configuration error costs no encoding.
     """
     steps = recipe_steps(name)
     solver = solver or discover_solver()
-    if want_proof and checker is None:
-        checker = find_checker()
+    if want_proof:
+        solver.require_proof()
+        checker = checker or find_checker()
     timeout = timeout if timeout is not None else default_timeout()
     workers = workers if workers is not None else default_workers()
     instances = [build_instance(s.problem) for s in steps]

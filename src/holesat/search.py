@@ -72,8 +72,8 @@ class SearchObjective:
 
 
 def count_gons(s: PointSet, k: int) -> int:
-    """Number of k-gons in the point set; 0 when k exceeds its size."""
-    return len(enumerate_gons(s, k)) if k <= s.n else 0
+    """Number of k-gons in the point set."""
+    return len(enumerate_gons(s, k))
 
 
 def objective_count(s: PointSet, obj: SearchObjective) -> int:

@@ -63,13 +63,15 @@ class SolverConfig:
     def identity(self) -> str:
         return self.name or os.path.basename(self.path)
 
+    def require_proof(self) -> None:
+        """Raise unless this solver can be asked for a certificate."""
+        if not self.proof_args:
+            raise SolverError(f"solver {self.identity()} has no proof argument template")
+
     def argv(self, cnf: str, proof: str | None = None) -> list[str]:
         parts = [self.path]
         if proof is not None:
-            if not self.proof_args:
-                raise SolverError(
-                    f"solver {self.identity()} has no proof argument template"
-                )
+            self.require_proof()
             parts += [a.format(cnf=cnf, proof=proof) for a in self.proof_args]
         parts += [a.format(cnf=cnf, proof=proof or "") for a in self.args]
         return parts
@@ -112,10 +114,9 @@ KNOWN_CHECKERS: dict[str, dict] = {
 }
 
 
-def load_config(path: str | None = None) -> dict:
+def load_config() -> dict:
     """JSON config object, or {} when no config file exists."""
-    candidate = path or os.environ.get("HOLESAT_CONFIG") or "holesat.json"
-    p = Path(candidate)
+    p = Path(os.environ.get("HOLESAT_CONFIG") or "holesat.json")
     if not p.is_file():
         return {}
     try:
@@ -165,16 +166,13 @@ def _resolve_tool(spec, known: dict[str, dict], cls, kind: str):
     return cls(path=path, name=base, **preset)
 
 
-def _discover(
-    spec, config: dict | None, kind: str, known: dict[str, dict], cls, what: str
-):
+def _discover(spec, kind: str, known: dict[str, dict], cls, what: str):
     """A tool from explicit spec, environment, config file, or PATH scan."""
     env = f"HOLESAT_{kind.upper()}"
     if spec is None:
         spec = os.environ.get(env) or None
     if spec is None:
-        cfg = config if config is not None else load_config()
-        spec = cfg.get(kind)
+        spec = load_config().get(kind)
     if spec is not None:
         return _resolve_tool(spec, known, cls, kind)
     for name in known:
@@ -187,27 +185,25 @@ def _discover(
     )
 
 
-def discover_solver(spec=None, config: dict | None = None) -> SolverConfig:
+def discover_solver(spec=None) -> SolverConfig:
     """Solver from explicit spec, environment, config file, or PATH scan."""
-    return _discover(spec, config, "solver", KNOWN_SOLVERS, SolverConfig, "SAT solver")
+    return _discover(spec, "solver", KNOWN_SOLVERS, SolverConfig, "SAT solver")
 
 
-def discover_checker(spec=None, config: dict | None = None) -> CheckerConfig:
+def discover_checker(spec=None) -> CheckerConfig:
     """Proof checker from explicit spec, environment, config, or PATH."""
-    return _discover(
-        spec, config, "checker", KNOWN_CHECKERS, CheckerConfig, "proof checker"
-    )
+    return _discover(spec, "checker", KNOWN_CHECKERS, CheckerConfig, "proof checker")
 
 
-def find_checker(spec=None, config: dict | None = None) -> CheckerConfig | None:
+def find_checker(spec=None) -> CheckerConfig | None:
     """A checker named anywhere (it must resolve), else one on PATH, else None."""
     try:
-        return discover_checker(spec, config)
+        return discover_checker(spec)
     except ToolNotFound:
         return None
 
 
-def _setting(config: dict | None, key: str, default, cast):
+def _setting(key: str, default, cast):
     """``HOLESAT_<KEY>``, else the config number (null means unset), else ``default``."""
     var = f"HOLESAT_{key.upper()}"
     env = os.environ.get(var)
@@ -216,7 +212,7 @@ def _setting(config: dict | None, key: str, default, cast):
             return cast(env)
         except ValueError:
             raise SolverError(f"cannot read {var}={env!r} as {cast.__name__}") from None
-    value = (config if config is not None else load_config()).get(key)
+    value = load_config().get(key)
     if value is None:
         value = default
     elif isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -224,12 +220,12 @@ def _setting(config: dict | None, key: str, default, cast):
     return cast(value)
 
 
-def default_timeout(config: dict | None = None) -> float:
-    return _setting(config, "timeout", DEFAULT_TIMEOUT, float)
+def default_timeout() -> float:
+    return _setting("timeout", DEFAULT_TIMEOUT, float)
 
 
-def default_workers(config: dict | None = None) -> int:
-    return _setting(config, "workers", DEFAULT_WORKERS, int)
+def default_workers() -> int:
+    return _setting("workers", DEFAULT_WORKERS, int)
 
 
 @dataclass

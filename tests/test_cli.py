@@ -81,6 +81,16 @@ def test_encode_count_holes_with_one_subset(tmp_path, threshold):
     assert code == 0
 
 
+def test_encode_rejects_hints_with_directional_defs(tmp_path, capsys):
+    out = tmp_path / "x.cnf"
+    code = run([
+        "encode", "--n", "11", "--mode", "two-disjoint-holes", "--sizes", "5,5",
+        "--hints", "--directional-defs", "-o", str(out),
+    ])
+    assert code == cli.ERROR
+    assert "hints" in capsys.readouterr().err and not out.exists()
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as err:
         run(["frobnicate"])
@@ -140,6 +150,17 @@ def test_verify_witness_canonical_check(tmp_path, capsys):
     shuffled = tmp_path / "shuffled.txt"
     shuffled.write_text("130 110\n0 0\n100 10\n50 190\n")
     assert run(["verify-witness", str(shuffled), "--canonical"]) == cli.FAIL
+
+
+def test_sizes_above_n_count_zero(tmp_path, capsys):
+    path = tmp_path / "fig6.txt"
+    write_points(path, witness("fig6-n14"))
+    assert run(["verify-witness", str(path), "--no-hole", "20", "--no-gon", "20"]) == 0
+    assert capsys.readouterr().out.count("(count=0)") == 2
+    assert run(["count-holes", str(path), "--k", "20"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    # below the least size is still a bad flag
+    assert run(["verify-witness", str(path), "--hole", "1"]) == cli.ERROR
 
 
 # --- count-holes ----------------------------------------------------------
@@ -581,6 +602,23 @@ def test_recipe_resolves_tools_before_encoding(
     assert built == []
     out = capsys.readouterr()
     assert out.out == "" and len(out.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["recipe", "interior-55", "--solver", "partial", "--workers", "1"],
+    SOLVE_UNSAT + ["--solver", "partial", "--proof", "kept.drat"],
+])
+def test_solver_without_proof_template_fails_before_encoding(
+    stub_bin, monkeypatch, capsys, argv
+):
+    built = []
+    monkeypatch.setattr(recipes, "build_instance", built.append)
+    monkeypatch.setattr(cli, "build_instance", built.append)
+    assert run(argv) == cli.ERROR
+    assert built == []
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: solver partial has no proof argument template\n"
 
 
 @pytest.mark.parametrize("env, value, argv", [

@@ -71,6 +71,15 @@ def test_problem_validation():
         HoleProblem(n=4, mode="forbid-hole", sizes=(5,))
 
 
+def test_hints_exclude_directional_defs():
+    # a hint asserts that some H5 holds, which says nothing unless H5 -> hole
+    # is kept, and directional definitions drop that direction
+    with pytest.raises(ValueError, match="hints"):
+        HoleProblem(
+            n=11, mode="two-disjoint-holes", sizes=(5, 5), hints=True, directional_defs=True
+        )
+
+
 def test_problem_key_is_descriptive():
     p = HoleProblem(
         n=17, mode="two-disjoint-holes", sizes=(5, 5), orient_vars="explicit", hints=True
@@ -356,6 +365,12 @@ PINNED = [
     (dict(n=8, mode="count-holes", sizes=(3,), threshold=1),
      "1aa8ae4ebd51cb13c0c5c1787fe2dd2a3c92d8617c411a0b667b24454eec0bc4",
      "a40e2e58ffb2ed8865992dbbdcad4dc35ababb16bd7fc7e53f97724d210c0cd8"),
+    (dict(n=9, mode="forbid-gon", sizes=(6,)),
+     "9ac68b9587e076c9900edec08fafbb7f012cfdd8755e0a14aec6e1ebfa1eb9a7",
+     "1f8a108c7bfda3d1b07bfbf2a51ee6c3ed2bcd9c752637132747e0909806b7ed"),
+    (dict(n=9, mode="forbid-hole", sizes=(6,)),
+     "06434f227cde2183d3777a955607b89190286510f8aef4284195a9f346a17c86",
+     "b6197705e317944ade7f0659f91b63447e1329f7878cb83d2907c388fd80ec18"),
 ]
 
 
