@@ -35,8 +35,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Literal, Sequence, get_args
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Literal, Sequence, get_args
 
 from .abstract import (
     enumerate_gons,
@@ -105,10 +105,10 @@ class HoleProblem:
             raise ValueError("threshold only applies to count-holes")
         if self.n < max(self.sizes) or self.n < 3:
             raise ValueError(f"n={self.n} too small for sizes {self.sizes}")
-        if self.hints and not (
-            self.mode == "two-disjoint-holes" and self.sizes == (5, 5)
-        ):
+        if self.hints and (self.mode, self.sizes) != ("two-disjoint-holes", (5, 5)):
             raise ValueError("hints are only valid for two-disjoint-holes (5,5)")
+        if self.hints and self.n < 10:
+            raise ValueError("hints need n >= 10 (one clause per 10-point window)")
         if self.relaxed_lr and self.mode != "two-disjoint-holes":
             raise ValueError("relaxed_lr only applies to two-disjoint-holes")
         if self.hints and self.directional_defs:
@@ -223,30 +223,65 @@ class VarRegistry:
             yield i, tag
 
 
-@dataclass
-class CnfInstance:
-    """A compiled problem: clauses plus per-group provenance counts."""
+CHUNK = 4096  # clauses checked and formatted at a time
 
-    problem: HoleProblem
-    registry: VarRegistry
-    clauses: list[tuple[int, ...]] = field(default_factory=list)
-    groups: list[tuple[str, int]] = field(default_factory=list)
+
+class CnfInstance:
+    """A compiled problem: the registry and the emitters of its clause groups.
+
+    Each consumer runs the emitters afresh and walks the clauses a chunk at
+    a time; ``groups`` is recorded by a write, or counted when read before.
+    """
+
+    def __init__(self, problem: HoleProblem, registry: VarRegistry, emitters=()):
+        self.problem, self.registry = problem, registry
+        self._emitters = list(emitters)  # emit(problem, registry) -> [(label, clauses)]
+        self._groups = self._clauses = None
 
     @property
     def num_vars(self) -> int:
         return len(self.registry)
 
     @property
+    def groups(self) -> list[tuple[str, int]]:
+        if self._groups is None:
+            self._groups = [(label, sum(map(len, chunks))) for label, chunks in self._chunks()]
+        return self._groups
+
+    @property
     def num_clauses(self) -> int:
-        return len(self.clauses)
+        return sum(count for _, count in self.groups)
+
+    @property
+    def clauses(self) -> list[tuple[int, ...]]:
+        """Every clause in one list, built on first read, for readers that index it."""
+        if self._clauses is None:
+            self._clauses = [cl for _, chunks in self._chunks() for c in chunks for cl in c]
+        return self._clauses
 
     def add_group(self, label: str, clauses: list[tuple[int, ...]]) -> None:
         if not all(clauses):
             raise ValueError(f"empty clause in group {label}")
-        self.clauses.extend(clauses)
-        self.groups.append((label, len(clauses)))
+        self._emitters.append(lambda problem, reg: [(label, clauses)])
+        self._groups = self._clauses = None
+
+    def _chunks(self) -> Iterator[tuple[str, Iterator[list[tuple[int, ...]]]]]:
+        """(label, its clauses in checked chunks) per group, each emitter run afresh."""
+        for emit in self._emitters:
+            for label, clauses in emit(self.problem, self.registry):
+                yield label, _checked_chunks(label, clauses)
 
     def write_dimacs(self, path) -> None:
+        """Format the body as the emitters produce it, then write header and body."""
+        body, fmt, groups = [], [], []  # fmt: the "%d ... 0" line by clause length
+        for label, chunks in self._chunks():
+            count = 0
+            for chunk in chunks:
+                fmt += ("%d " * m + "0\n" for m in range(len(fmt), max(map(len, chunk)) + 1))
+                body.append("".join([fmt[len(cl)] % cl for cl in chunk]))
+                count += len(chunk)
+            groups.append((label, count))
+        self._groups = groups
         with open(path, "w") as f:
             f.write(f"c holesat instance {self.problem.key()}\n")
             switches = (
@@ -254,19 +289,12 @@ class CnfInstance:
                 for fd in dataclasses.fields(HoleProblem)
             )
             f.write("c " + " ".join(f"{k}={_header_value(v)}" for k, v in switches) + "\n")
-            fams = " ".join(
-                f"{k}={v}" for k, v in self.registry.family_counts.items()
-            )
+            fams = " ".join(f"{k}={v}" for k, v in self.registry.family_counts.items())
             f.write(f"c vars {fams} total={self.num_vars}\n")
-            for label, count in self.groups:
+            for label, count in groups:
                 f.write(f"c group {label} {count}\n")
             f.write(f"p cnf {self.num_vars} {self.num_clauses}\n")
-            clauses = self.clauses
-            # one "%d %d ... 0" line format per clause length
-            longest = max(map(len, clauses), default=0)
-            fmt = ["%d " * m + "0\n" for m in range(longest + 1)]
-            for i in range(0, len(clauses), 65536):
-                f.write("".join([fmt[len(cl)] % cl for cl in clauses[i : i + 65536]]))
+            f.writelines(body)
 
     def write_registry(self, path) -> None:
         with open(path, "w") as f:
@@ -293,6 +321,25 @@ def _header_value(value) -> str:
     if isinstance(value, tuple):
         return ",".join(map(str, value))
     return str(int(value) if isinstance(value, bool) else value)
+
+
+def _checked_chunks(label: str, clauses: Iterable) -> Iterator[list[tuple[int, ...]]]:
+    """The clauses in lists of up to CHUNK; an empty clause raises."""
+    it = iter(clauses)
+    while chunk := list(itertools.islice(it, CHUNK)):
+        if not all(chunk):
+            raise ValueError(f"empty clause in group {label}")
+        yield chunk
+
+
+@dataclass(frozen=True)
+class _Lazy:
+    """Clauses made afresh on each pass by ``lists()``, a generator of clause lists."""
+
+    lists: Callable[[], Iterator[list[tuple[int, ...]]]]
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return itertools.chain.from_iterable(self.lists())
 
 
 def _and_def(
@@ -337,9 +384,7 @@ def emit_orientation_axioms(
             sig.append((s[i], -s[j], s[k]))
             sig.append((-s[i], s[j], -s[k]))
     groups.append(("signotope", sig))
-    units = [
-        (reg.olit(0, a, b),) for a, b in itertools.combinations(range(1, n), 2)
-    ]
+    units = [(reg.olit(0, a, b),) for a, b in itertools.combinations(range(1, n), 2)]
     groups.append(("sorted-around-first", units))
     return groups
 
@@ -391,8 +436,10 @@ def emit_hole_definitions(
 
 def emit_disjointness(
     problem: HoleProblem, reg: VarRegistry
-) -> list[tuple[str, list[tuple[int, ...]]]]:
+) -> list[tuple[str, Iterable[tuple[int, ...]]]]:
     """Family (8): side-existence variables and their mutual exclusion.
+
+    The largest group, so its clauses are lazy: one list per side variable.
 
     L(k, a, b) (R(k, a, b)) is implied by each k-hole x of the mode's schema
     with its labels, bar the skipped ones, strictly left (right) of a->b:
@@ -406,32 +453,34 @@ def emit_disjointness(
     k1, k2 = problem.sizes
     interior = problem.mode == "two-interior-disjoint-holes"
     pairs = list(itertools.permutations(range(n), 2))
-    clauses: list[tuple[int, ...]] = []
-    for k in sorted(set(problem.sizes)):
-        # each k-subset once, with its negated hole literal (none for k = 2)
-        subsets = [
-            (x, () if k == 2 else (-reg.hole_lit(k, x),))
-            for x in itertools.combinations(range(n), k)
-        ]
-        through = [[(x, h) for x, h in subsets if p in x] for p in range(n)]
-        for a, b in pairs:
-            # body rows, "c is not left (right) of a->b", are 0 at a and b:
-            # the endpoints a subset of the schema may hold are the skipped
-            # ones, so the nonzero entries over x are the body
-            row_r = reg.lit[a][b]
-            row_l = [-l for l in row_r]
-            for fam, row, anchor, other in (("L", row_l, a, b), ("R", row_r, b, a)):
-                side = reg.var(fam, k, a, b)
-                get = row.__getitem__
-                pool = subsets if interior or problem.relaxed_lr else through[anchor]
-                clauses += [
-                    (side, *h, *filter(None, map(get, x)))
-                    for x, h in pool
-                    if interior or other not in x
-                ]
-    for ka, kb in sorted({(k1, k2), (k2, k1)}):
-        clauses += [(-reg.var("L", ka, a, b), -reg.var("R", kb, a, b)) for a, b in pairs]
-    return [("disjointness", clauses)]
+
+    def lists() -> Iterator[list[tuple[int, ...]]]:
+        for k in sorted(set(problem.sizes)):
+            # each k-subset once, with its negated hole literal (none for k = 2)
+            subsets = [
+                (x, () if k == 2 else (-reg.hole_lit(k, x),))
+                for x in itertools.combinations(range(n), k)
+            ]
+            through = [[(x, h) for x, h in subsets if p in x] for p in range(n)]
+            for a, b in pairs:
+                # body rows, "c is not left (right) of a->b", are 0 at a and b:
+                # the endpoints a subset of the schema may hold are the skipped
+                # ones, so the nonzero entries over x are the body
+                row_r = reg.lit[a][b]
+                row_l = [-l for l in row_r]
+                for fam, row, anchor, other in (("L", row_l, a, b), ("R", row_r, b, a)):
+                    side = reg.var(fam, k, a, b)
+                    get = row.__getitem__
+                    pool = subsets if interior or problem.relaxed_lr else through[anchor]
+                    yield [
+                        (side, *h, *filter(None, map(get, x)))
+                        for x, h in pool
+                        if interior or other not in x
+                    ]
+        for ka, kb in sorted({(k1, k2), (k2, k1)}):
+            yield [(-reg.var("L", ka, a, b), -reg.var("R", kb, a, b)) for a, b in pairs]
+
+    return [("disjointness", _Lazy(lists))]
 
 
 def emit_hints(
@@ -448,12 +497,10 @@ def emit_hints(
     if not (problem.mode == "two-disjoint-holes" and problem.sizes == (5, 5)):
         raise ValueError("hints require two-disjoint-holes (5,5)")
     n = problem.n
-    clauses: list[tuple[int, ...]] = []
-    for i in range(n - 9):
-        window = range(i, i + 10)
-        clauses.append(
-            tuple(reg.hole_lit(5, x) for x in itertools.combinations(window, 5))
-        )
+    clauses = [  # one per window of 10 consecutive indices
+        tuple(reg.hole_lit(5, x) for x in itertools.combinations(range(i, i + 10), 5))
+        for i in range(n - 9)
+    ]
     if n == 17:
         for block in (range(0, 7), range(10, 17)):
             for x in itertools.combinations(block, 5):
@@ -468,24 +515,17 @@ def emit_cardinality(
     if problem.mode != "count-holes":
         raise ValueError("cardinality constraints only in count-holes mode")
     k = problem.sizes[0]
-    xs = [
-        reg.hole_lit(k, x)
-        for x in itertools.combinations(range(problem.n), k)
-    ]
+    xs = [reg.hole_lit(k, x) for x in itertools.combinations(range(problem.n), k)]
     r = problem.threshold - 1
-    clauses: list[tuple[int, ...]] = []
     if r == 0:
-        clauses = [(-x,) for x in xs]
-        return [("cardinality", clauses)]
+        return [("cardinality", [(-x,) for x in xs])]
     m = len(xs)
     if m == 1:
         # one k-subset (k = n): at most r >= 1 of one variable always holds
         return [("cardinality", [])]
     # sequential counter: C(i,j) means at least j of the first i inputs hold
     s = lambda i, j: reg.var("C", i, j)
-    clauses.append((-xs[0], s(1, 1)))
-    for j in range(2, r + 1):
-        clauses.append((-s(1, j),))
+    clauses = [(-xs[0], s(1, 1))] + [(-s(1, j),) for j in range(2, r + 1)]
     for i in range(2, m):
         clauses.append((-xs[i - 1], s(i, 1)))
         clauses.append((-s(i - 1, 1), s(i, 1)))
@@ -507,9 +547,7 @@ def emit_forbid(
 
 
 def build_instance(problem: HoleProblem) -> CnfInstance:
-    """Compile the problem; deterministic for identical problems."""
-    reg = VarRegistry(problem)
-    inst = CnfInstance(problem, reg)
+    """Compile the problem into its registry and emitters; deterministic."""
     emitters = [emit_orientation_axioms, emit_hole_definitions]
     if problem.mode in DISJOINT_MODES:
         emitters.append(emit_disjointness)
@@ -519,10 +557,7 @@ def build_instance(problem: HoleProblem) -> CnfInstance:
         emitters.append(emit_forbid)
     else:
         emitters.append(emit_cardinality)
-    for emit in emitters:
-        for label, clauses in emit(problem, reg):
-            inst.add_group(label, clauses)
-    return inst
+    return CnfInstance(problem, VarRegistry(problem), emitters)
 
 
 def assignment_from_chirotope(sig, problem: HoleProblem) -> dict[int, bool]:
@@ -596,12 +631,10 @@ def violated_clauses(
 ) -> list[tuple[str, tuple[int, ...]]]:
     """Up to ``limit`` (group label, clause) pairs the assignment falsifies."""
     out = []
-    pos = 0
-    for label, count in inst.groups:
-        for cl in inst.clauses[pos : pos + count]:
+    for label, chunks in inst._chunks():
+        for cl in itertools.chain.from_iterable(chunks):
             if not any(assignment[abs(l)] == (l > 0) for l in cl):
                 out.append((label, cl))
                 if len(out) >= limit:
                     return out
-        pos += count
     return out

@@ -235,7 +235,7 @@ class SolveReport:
     certificate_path: str | None = None
     wall_time: float = 0.0
     solver: str = ""
-    verification: Literal["passed", "failed", "skipped"] = "skipped"
+    verification: Literal["passed", "failed", "skipped", "not-run"] = "skipped"
     detail: str = ""
     instance: str = ""
 
@@ -550,20 +550,14 @@ def run_batch(
     want_proof: bool = False,
 ) -> dict[str, SolveReport]:
     """Concurrent solves, merged by instance key; a solve that raises gives
-    its key alone an UNKNOWN report that carries the error."""
+    its key alone an UNKNOWN, ``not-run`` report that carries the error."""
     cfg = solver or discover_solver()
     count = workers if workers is not None else default_workers()
     reports: dict[str, SolveReport] = {}
     with ThreadPoolExecutor(max_workers=max(1, count)) as pool:
         futures = {
             instance.problem.key(): pool.submit(
-                solve_instance,
-                instance,
-                cfg,
-                checker,
-                timeout,
-                workdir,
-                want_proof,
+                solve_instance, instance, cfg, checker, timeout, workdir, want_proof
             )
             for instance in instances
         }
@@ -572,6 +566,7 @@ def run_batch(
                 reports[key] = fut.result()
             except (SolverError, OSError) as exc:
                 reports[key] = SolveReport(
-                    verdict="UNKNOWN", solver=cfg.identity(), detail=str(exc), instance=key
+                    verdict="UNKNOWN", solver=cfg.identity(), verification="not-run",
+                    detail=str(exc), instance=key,
                 )
     return reports

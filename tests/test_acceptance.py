@@ -58,8 +58,8 @@ def test_criterion_01_instance_size_reproduction():
         orient_vars="explicit", hints=True,
     )
     inst = build_instance(p)
-    elapsed = time.time() - t0
     gap = (inst.num_clauses - 825689) / 825689
+    elapsed = time.time() - t0
     ok = inst.num_vars == 23392 and abs(gap) <= 0.15 and elapsed < 60
     _report(
         1, ok, "n=17 disjoint-(5,5) instance size",

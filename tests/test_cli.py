@@ -91,6 +91,17 @@ def test_encode_rejects_hints_with_directional_defs(tmp_path, capsys):
     assert "hints" in capsys.readouterr().err and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["encode", "solve"])
+def test_hints_below_ten_points_rejected(tmp_path, capsys, command):
+    out = tmp_path / "x.cnf"
+    code = run([
+        command, "--n", "9", "--mode", "two-disjoint-holes", "--sizes", "5,5",
+        "--hints", "-o" if command == "encode" else "--workdir", str(out),
+    ])
+    assert code == cli.ERROR
+    assert "hints need n >= 10" in capsys.readouterr().err and not out.exists()
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as err:
         run(["frobnicate"])

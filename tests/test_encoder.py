@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +79,14 @@ def test_hints_exclude_directional_defs():
         HoleProblem(
             n=11, mode="two-disjoint-holes", sizes=(5, 5), hints=True, directional_defs=True
         )
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_hints_need_a_ten_point_window(n):
+    # below n=10 no window clause exists, so the flag would only rename the key
+    with pytest.raises(ValueError, match="hints need n >= 10"):
+        HoleProblem(n=n, mode="two-disjoint-holes", sizes=(5, 5), hints=True)
+    assert HoleProblem(n=10, mode="two-disjoint-holes", sizes=(5, 5), hints=True).hints
 
 
 def test_problem_key_is_descriptive():
@@ -396,11 +405,68 @@ def test_n17_hints_pinned():
     )
 
 
+def test_headline_instance_pinned(tmp_path):
+    # the n=17 (5,5) instance the paper's size comparison uses, whole
+    p = HoleProblem(
+        n=17, mode="two-disjoint-holes", sizes=(5, 5), orient_vars="explicit", hints=True
+    )
+    inst = build_instance(p)
+    inst.write_dimacs(tmp_path / "a.cnf")
+    inst.write_registry(tmp_path / "a.vars")
+    digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert (tmp_path / "a.cnf").stat().st_size == 29_960_859
+    assert (digest("a.cnf"), digest("a.vars")) == (
+        "491914287f4add4a7d4bd7c82dc6680848d3a846fb4e0398ef01e282104cf104",
+        "281464ff99ffded0be9f8a01f9b1e13f39ffbbf6609df8dc9aec1ceb2349bfdb",
+    )
+
+
 def test_empty_clause_rejected():
     p = HoleProblem(n=6, mode="forbid-hole", sizes=(5,))
     inst = CnfInstance(p, VarRegistry(p))
     with pytest.raises(ValueError, match="empty clause"):
         inst.add_group("broken", [()])
+
+
+def test_empty_emitted_clause_rejected_before_writing(tmp_path):
+    p = HoleProblem(n=6, mode="forbid-hole", sizes=(5,))
+    inst = CnfInstance(p, VarRegistry(p), [lambda p, reg: [("broken", iter([(1,), ()]))]])
+    with pytest.raises(ValueError, match="empty clause in group broken"):
+        inst.write_dimacs(tmp_path / "a.cnf")
+    assert not (tmp_path / "a.cnf").exists()
+
+
+# --- clauses on demand ------------------------------------------------------
+
+def test_emission_memory_tracks_cnf_size(tmp_path):
+    # build, write and check stream the clauses: the peak is the CNF text
+    # and a chunk, not every clause tuple at once
+    p = HoleProblem(n=12, mode="two-disjoint-holes", sizes=(5, 5))
+    s = canonicalize(random_point_set(p.n, random.Random(3)))
+    assignment = assignment_from_chirotope(chirotope(s), p)
+    tracemalloc.start()
+    try:
+        inst = build_instance(p)
+        inst.write_dimacs(tmp_path / "a.cnf")
+        violated_clauses(inst, assignment, limit=10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (tmp_path / "a.cnf").stat().st_size
+
+
+@pytest.mark.parametrize("p", PROBLEMS, ids=lambda p: p.key())
+def test_counted_groups_and_clauses_match_the_write(tmp_path, p):
+    counted = build_instance(p)
+    groups, total = counted.groups, counted.num_clauses
+    written = build_instance(p)
+    written.write_dimacs(tmp_path / "a.cnf")
+    assert (written.groups, written.num_clauses) == (groups, total)
+    body = [
+        line for line in (tmp_path / "a.cnf").read_text().splitlines()
+        if not line.startswith(("c", "p"))
+    ]
+    assert body == [" ".join(map(str, cl)) + " 0" for cl in counted.clauses]
 
 
 # --- semantics ------------------------------------------------------------

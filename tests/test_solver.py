@@ -267,6 +267,25 @@ def test_run_batch_keeps_reports_when_one_solve_raises(tmp_path):
     assert second.instance == problems[1].key()
 
 
+def test_run_batch_marks_a_raised_solve_not_run(tmp_path, monkeypatch):
+    # the malformed checker entry raises inside the solve, before any launch
+    cfg = tmp_path / "holesat.json"
+    cfg.write_text(json.dumps({"checker": {"path": 5}}))
+    monkeypatch.setenv("HOLESAT_CONFIG", str(cfg))
+    monkeypatch.delenv("HOLESAT_CHECKER", raising=False)
+    unsat = SolverConfig(
+        path=_stub(tmp_path, "unsat", 'echo 0 > "$1"; echo s UNSATISFIABLE'),
+        name="unsat", proof_args=("{proof}",),
+    )
+    p = HoleProblem(n=5, mode="forbid-hole", sizes=(4,))
+    [report] = run_batch(
+        [build_instance(p)], solver=unsat, workdir=tmp_path / "w", want_proof=True
+    ).values()
+    assert "'path' must be a non-empty string" in report.detail
+    assert (report.verdict, report.verification) == ("UNKNOWN", "not-run")
+    assert "verification: not-run" in report.to_text()
+
+
 # --- decoding and model verification --------------------------------------
 
 def _canonical(seed: int, n: int):
