@@ -3,10 +3,10 @@
 Every decision is made from triple orientations, so the predicates apply
 to satisfying assignments of the CNF encodings even when no realizing point
 set is known. A :class:`Signotope` carries the same orientation table as a
-point set, so the predicates that only read orientations (``in_triangle``,
-``is_gon``, the 3-hole and 4-gon tables, hole and gon enumeration, the
-tuple search) are shared with :mod:`holesat.holes` and re-exported here;
-enumeration reads the shared bitmask table. The deciders here read only
+point set, 3-hole table ``sig.three_holes`` included, so the predicates
+that only read orientations (``in_triangle``, ``is_gon``, the 4-gon table,
+hole and gon enumeration, the tuple search) are shared with
+:mod:`holesat.holes` and re-exported here. The deciders here read only
 ``sig.chi``: ``is_hole`` checks the definition directly, and disjointness
 is decided through separator pairs instead of polygon intersection, which
 keeps the two modules independent oracles; nothing of the coordinate
@@ -27,8 +27,8 @@ import itertools
 from typing import Iterable, Sequence
 
 from .geometry import NEGATIVE, POSITIVE, Signotope
-# orientation-only predicates shared with the coordinate oracle; the tables
-# and enumerations are re-exported for callers of this module
+# orientation-only predicates shared with the coordinate oracle; the 4-gon
+# table and the enumerations are re-exported for callers of this module
 from .holes import (
     DisjointMode,
     _normalize,
@@ -38,7 +38,6 @@ from .holes import (
     in_triangle,
     is_gon,
     search_disjoint_tuple,
-    three_hole_table,
     tuple_search_input,
 )
 

@@ -36,15 +36,9 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Literal, Sequence, get_args
+from typing import Iterable, Iterator, Literal, Sequence, get_args
 
-from .abstract import (
-    enumerate_gons,
-    enumerate_holes,
-    in_triangle,
-    is_gon,
-    three_hole_table,
-)
+from .abstract import enumerate_gons, enumerate_holes, in_triangle, is_gon
 
 Mode = Literal[
     "two-disjoint-holes",
@@ -233,7 +227,7 @@ class CnfInstance:
     a time; ``groups`` is recorded by a write, or counted when read before.
     """
 
-    def __init__(self, problem: HoleProblem, registry: VarRegistry, emitters=()):
+    def __init__(self, problem: HoleProblem, registry: VarRegistry, emitters):
         self.problem, self.registry = problem, registry
         self._emitters = list(emitters)  # emit(problem, registry) -> [(label, clauses)]
         self._groups = self._clauses = None
@@ -258,12 +252,6 @@ class CnfInstance:
         if self._clauses is None:
             self._clauses = [cl for _, chunks in self._chunks() for c in chunks for cl in c]
         return self._clauses
-
-    def add_group(self, label: str, clauses: list[tuple[int, ...]]) -> None:
-        if not all(clauses):
-            raise ValueError(f"empty clause in group {label}")
-        self._emitters.append(lambda problem, reg: [(label, clauses)])
-        self._groups = self._clauses = None
 
     def _chunks(self) -> Iterator[tuple[str, Iterator[list[tuple[int, ...]]]]]:
         """(label, its clauses in checked chunks) per group, each emitter run afresh."""
@@ -330,16 +318,6 @@ def _checked_chunks(label: str, clauses: Iterable) -> Iterator[list[tuple[int, .
         if not all(chunk):
             raise ValueError(f"empty clause in group {label}")
         yield chunk
-
-
-@dataclass(frozen=True)
-class _Lazy:
-    """Clauses made afresh on each pass by ``lists()``, a generator of clause lists."""
-
-    lists: Callable[[], Iterator[list[tuple[int, ...]]]]
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return itertools.chain.from_iterable(self.lists())
 
 
 def _and_def(
@@ -439,7 +417,8 @@ def emit_disjointness(
 ) -> list[tuple[str, Iterable[tuple[int, ...]]]]:
     """Family (8): side-existence variables and their mutual exclusion.
 
-    The largest group, so its clauses are lazy: one list per side variable.
+    The largest group, so its clauses are an iterator over one list per
+    side variable, made afresh by each call.
 
     L(k, a, b) (R(k, a, b)) is implied by each k-hole x of the mode's schema
     with its labels, bar the skipped ones, strictly left (right) of a->b:
@@ -447,8 +426,6 @@ def emit_disjointness(
     other endpoint, ``relaxed_lr`` = subsets avoiding the other endpoint,
     both skipping the anchor; interior = every subset, skipping a and b.
     """
-    if problem.mode not in DISJOINT_MODES:
-        raise ValueError(f"no disjointness constraints in mode {problem.mode}")
     n = problem.n
     k1, k2 = problem.sizes
     interior = problem.mode == "two-interior-disjoint-holes"
@@ -480,7 +457,7 @@ def emit_disjointness(
         for ka, kb in sorted({(k1, k2), (k2, k1)}):
             yield [(-reg.var("L", ka, a, b), -reg.var("R", kb, a, b)) for a, b in pairs]
 
-    return [("disjointness", _Lazy(lists))]
+    return [("disjointness", itertools.chain.from_iterable(lists()))]
 
 
 def emit_hints(
@@ -494,8 +471,6 @@ def emit_hints(
     with the 5-hole guaranteed in the remaining 10 to form a disjoint pair,
     so those are excluded outright.
     """
-    if not (problem.mode == "two-disjoint-holes" and problem.sizes == (5, 5)):
-        raise ValueError("hints require two-disjoint-holes (5,5)")
     n = problem.n
     clauses = [  # one per window of 10 consecutive indices
         tuple(reg.hole_lit(5, x) for x in itertools.combinations(range(i, i + 10), 5))
@@ -512,8 +487,6 @@ def emit_cardinality(
     problem: HoleProblem, reg: VarRegistry
 ) -> list[tuple[str, list[tuple[int, ...]]]]:
     """Count mode: at most threshold-1 of the hole variables are true."""
-    if problem.mode != "count-holes":
-        raise ValueError("cardinality constraints only in count-holes mode")
     k = problem.sizes[0]
     xs = [reg.hole_lit(k, x) for x in itertools.combinations(range(problem.n), k)]
     r = problem.threshold - 1
@@ -581,7 +554,6 @@ def assignment_from_chirotope(sig, problem: HoleProblem) -> dict[int, bool]:
     n, left, chi = problem.n, sig.left, sig.chi
     reg = VarRegistry(problem)
     gon_mode = problem.mode == "forbid-gon"
-    three = frozenset() if gon_mode else three_hole_table(sig)
     # the k-subsets the H, L/R and C families count (gons in forbid-gon mode)
     family = enumerate_gons if gon_mode else enumerate_holes
     holes = {k: set(family(sig, k)) for k in set(problem.sizes)}
@@ -616,7 +588,7 @@ def assignment_from_chirotope(sig, problem: HoleProblem) -> dict[int, bool]:
         elif kind == "I":
             val[ident] = in_triangle(sig, *tag[1:])
         elif kind == "H3":
-            val[ident] = tag[1:] in three
+            val[ident] = tag[1:] in sig.three_holes
         elif kind == "H":
             val[ident] = tag[2:] in holes[tag[1]]
         elif kind in ("L", "R"):

@@ -3,9 +3,10 @@
 Everything here is computed with arbitrary-precision integers (or
 `fractions.Fraction` after projective normalization); no floating point
 enters any predicate. Both orientation maps, a :class:`PointSet` and a
-:class:`Signotope`, fill the same table of bitmasks on construction
-(``left[a][b]``, the indices strictly left of a->b), and one ``chi`` reads
-it for both; nothing is computed lazily.
+:class:`Signotope`, fill the same tables on construction, through one
+routine: the bitmasks ``left[a][b]`` (the indices strictly left of a->b)
+and the 3-holes ``three_holes``. One ``chi`` reads ``left`` for both;
+nothing is computed lazily.
 
 Conventions used throughout the package:
 
@@ -69,14 +70,31 @@ def _check_coord(value: Coord) -> Coord:
 class OrientationTable:
     """The orientation table shared by point sets and signotopes.
 
-    Subclasses set ``n`` and ``left``: ``left[a][b]`` is the bitmask of the
-    indices c with (a, b, c) positively oriented, i.e. strictly left of the
-    directed line a->b.
+    Subclasses set ``n`` and call :meth:`_fill`, which sets ``left`` and
+    ``three_holes``. ``left[a][b]`` is the bitmask of the indices c with
+    (a, b, c) positively oriented, i.e. strictly left of the directed line
+    a->b; ``three_holes`` holds the sorted triples whose triangle is empty.
     """
 
     __slots__ = ()
     n: int
     left: tuple[tuple[int, ...], ...]
+    three_holes: frozenset[tuple[int, int, int]]
+
+    def _fill(self, triples: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> None:
+        """Set both tables from (sorted triple, the same triple ccw) pairs."""
+        left = [[0] * self.n for _ in range(self.n)]
+        for _, (a, b, c) in triples:
+            # each point of a ccw triple is left of the edge opposite it
+            left[a][b] |= 1 << c
+            left[b][c] |= 1 << a
+            left[c][a] |= 1 << b
+        object.__setattr__(self, "left", tuple(map(tuple, left)))
+        # the open triangle is the AND of the three half-planes that hold
+        # the opposite vertex
+        object.__setattr__(self, "three_holes", frozenset(
+            t for t, (a, b, c) in triples if not left[a][b] & left[b][c] & left[c][a]
+        ))
 
     def chi(self, a: int, b: int, c: int) -> int:
         """Orientation of the indexed triple, read from the table."""
@@ -90,12 +108,12 @@ class OrientationTable:
 class PointSet(OrientationTable):
     """An ordered list of points in general position (no three collinear).
 
-    General position is checked on construction. The same pass over all
-    triples fills the orientation table ``left``: ``left[a][b]`` is the
-    bitmask of the indices strictly left of the directed line a->b.
+    General position is checked on construction, over all triples, before
+    the orientation table ``left`` and the 3-hole table ``three_holes`` are
+    filled.
     """
 
-    __slots__ = ("points", "n", "left")
+    __slots__ = ("points", "n", "left", "three_holes")
 
     def __init__(self, points: Iterable[Sequence[Coord]]):
         pts = tuple(Point(_check_coord(p[0]), _check_coord(p[1])) for p in points)
@@ -104,19 +122,14 @@ class PointSet(OrientationTable):
         self.points: tuple[Point, ...] = pts
         # a plain slot, not a property: hot predicates read it per call
         self.n = n = len(pts)
-        left = [[0] * n for _ in range(n)]
-        for a, b, c in itertools.combinations(range(n), 3):
+        triples = []
+        for t in itertools.combinations(range(n), 3):
+            a, b, c = t
             sign = orient(pts[a], pts[b], pts[c])
             if sign == ZERO:
-                raise ValueError(f"points {(a, b, c)} are collinear")
-            if sign == NEGATIVE:
-                a, b = b, a
-            # (a, b, c) is now counterclockwise: each point is left of the
-            # edge opposite it
-            left[a][b] |= 1 << c
-            left[b][c] |= 1 << a
-            left[c][a] |= 1 << b
-        self.left: tuple[tuple[int, ...], ...] = tuple(map(tuple, left))
+                raise ValueError(f"points {t} are collinear")
+            triples.append((t, t if sign == POSITIVE else (b, a, c)))
+        self._fill(triples)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -146,31 +159,14 @@ class PointSet(OrientationTable):
         )
 
 
-def _sort_triple(a: int, b: int, c: int) -> tuple[tuple[int, int, int], int]:
-    """Sorted triple plus the permutation parity (+1 even, -1 odd)."""
-    if a == b or a == c or b == c:
-        raise ValueError(f"indices must be distinct, got {(a, b, c)}")
-    parity = 1
-    if a > b:
-        a, b = b, a
-        parity = -parity
-    if b > c:
-        b, c = c, b
-        parity = -parity
-    if a > b:
-        a, b = b, a
-        parity = -parity
-    return (a, b, c), parity
-
-
 @dataclass(frozen=True)
 class Signotope(OrientationTable):
     """A total orientation map on sorted index triples of ``0..n-1``.
 
     ``signs`` maps every sorted triple to +1 or -1; construction fills the
-    orientation table ``left`` from it, and :meth:`chi` reads every argument
-    order from the table. Whether the map satisfies the monotone sign-change
-    axioms is checked separately by :func:`check_signotope`.
+    tables ``left`` and ``three_holes`` from it, and :meth:`chi` reads every
+    argument order from ``left``. Whether the map satisfies the monotone
+    sign-change axioms is checked separately by :func:`check_signotope`.
     """
 
     n: int
@@ -182,14 +178,10 @@ class Signotope(OrientationTable):
             raise ValueError("signs must cover exactly the sorted triples of 0..n-1")
         if any(s not in (POSITIVE, NEGATIVE) for s in self.signs.values()):
             raise ValueError("signs must be +1 or -1")
-        left = [[0] * self.n for _ in range(self.n)]
-        for (a, b, c), sign in self.signs.items():
-            if sign == NEGATIVE:
-                a, b = b, a
-            left[a][b] |= 1 << c
-            left[b][c] |= 1 << a
-            left[c][a] |= 1 << b
-        object.__setattr__(self, "left", tuple(map(tuple, left)))
+        self._fill([
+            (t, t if sign == POSITIVE else (t[1], t[0], t[2]))
+            for t, sign in self.signs.items()
+        ])
 
     def triples(self) -> Iterator[tuple[int, int, int]]:
         return itertools.combinations(range(self.n), 3)

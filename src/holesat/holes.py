@@ -1,15 +1,15 @@
 """Detection and enumeration of k-gons, k-holes, and disjoint hole tuples.
 
-Predicates read ``s.n`` and the orientation table that point sets and
-signotopes alike fill on construction: ``s.chi`` one sign at a time, or
-the bitmasks ``s.left`` (``three_hole_table`` and the disjointness
-deciders). Nothing here assumes a canonical labeling. A *k-gon* is a subset
-in convex position; a *k-hole* is a k-gon whose hull contains no other
-point of the set. A 2-subset is always a (degenerate) hole under general
-position. Enumerations and tuple searches return holes and gons as sorted
-index tuples.
+Predicates read ``s.n`` and the tables that point sets and signotopes
+alike fill on construction: ``s.chi`` one sign at a time, the bitmasks
+``s.left`` (the hull and disjointness deciders), or the 3-holes
+``s.three_holes`` (hole enumeration). Nothing here assumes a canonical
+labeling. A *k-gon* is a subset in convex position; a *k-hole* is a k-gon
+whose hull contains no other point of the set. A 2-subset is always a
+(degenerate) hole under general position. Enumerations and tuple searches
+return holes and gons as sorted index tuples.
 
-The orientation-only predicates, the 3-hole table, the hole and gon
+The orientation-only predicates, the 4-gon table, the hole and gon
 enumerations and the tuple search also serve the Signotope oracle of
 :mod:`holesat.abstract`; the hull and disjointness code here is never
 shared with it, so the two oracles decide disjointness independently.
@@ -108,25 +108,6 @@ def is_hole(s: PointSet, x: Iterable[int]) -> bool:
     return True
 
 
-def three_hole_table(s: PointSet) -> frozenset[tuple[int, int, int]]:
-    """All 3-subsets whose triangle is empty (the 3-holes).
-
-    The open triangle is the AND of the three half-planes that hold the
-    opposite vertex, each a mask of the orientation table.
-    """
-    left = s.left
-    empty = []
-    for t in itertools.combinations(range(s.n), 3):
-        a, b, c = t
-        if left[a][b] >> c & 1:
-            inside = left[a][b] & left[b][c] & left[c][a]
-        else:
-            inside = left[b][a] & left[c][b] & left[a][c]
-        if not inside:
-            empty.append(t)
-    return frozenset(empty)
-
-
 def four_gon_table(s: PointSet) -> frozenset[tuple[int, int, int, int]]:
     """All 4-subsets in convex position."""
     return frozenset(
@@ -149,7 +130,7 @@ def enumerate_from_table(s: PointSet, k: int, kind: str) -> list[tuple[int, ...]
         return []
     if k == least:
         return list(itertools.combinations(range(s.n), k))
-    table = three_hole_table(s) if kind == "hole" else four_gon_table(s)
+    table = s.three_holes if kind == "hole" else four_gon_table(s)
     if k == least + 1:
         return sorted(table)
     # ext[u]: bitmask of the points c such that u + (c,) is in the table

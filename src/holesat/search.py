@@ -34,6 +34,8 @@ DEFAULT_BOX = 10**6
 # proposals per cooling step, and the start temperature per initial count
 EPOCH = 250
 T_FACTOR = 0.5
+# failed draws for one point before the box counts as too small
+MAX_DRAWS = 1000
 
 OBJECTIVE_MODES = DISJOINT_MODES + ("forbid-hole", "forbid-gon")
 
@@ -95,11 +97,18 @@ def _random_general_position(
     span = min(box, 4 * n * n)
     points: list[Point] = []
     while len(points) < n:
-        points.append(Point(rng.randint(-span, span), rng.randint(-span, span)))
-        try:
-            PointSet(points)
-        except ValueError:  # a duplicate or a collinear triple
-            points.pop()
+        for _ in range(MAX_DRAWS):
+            points.append(Point(rng.randint(-span, span), rng.randint(-span, span)))
+            try:
+                PointSet(points)
+                break
+            except ValueError:  # a duplicate or a collinear triple
+                points.pop()
+        else:
+            raise ValueError(
+                f"box {box} too small for n={n} points in general position: "
+                f"{MAX_DRAWS} draws failed to place point {len(points) + 1}"
+            )
     return points
 
 
@@ -220,8 +229,14 @@ def search_witness(
     # Pool (not ProcessPoolExecutor) so the winner can terminate the losers
     # instead of waiting out their budgets.
     with multiprocessing.Pool(processes=min(workers, len(jobs))) as pool:
-        for seed, coords in pool.imap_unordered(_search_job, jobs):
-            if coords is not None:
-                pool.terminate()
-                return PointSet(coords), seed
+        try:
+            for seed, coords in pool.imap_unordered(_search_job, jobs):
+                if coords is not None:
+                    pool.terminate()
+                    return PointSet(coords), seed
+        except Exception:
+            # drain first: terminating workers mid-post can deadlock the pool
+            pool.close()
+            pool.join()
+            raise
     return None

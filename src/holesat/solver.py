@@ -35,7 +35,7 @@ from typing import Literal, Mapping, Sequence
 
 from . import abstract
 from .encoder import DISJOINT_FLAVOR, CnfInstance, HoleProblem, VarRegistry
-from .geometry import Signotope, _sort_triple, check_signotope
+from .geometry import Signotope, check_signotope
 
 DEFAULT_TIMEOUT = 600.0
 DEFAULT_WORKERS = 4
@@ -418,8 +418,10 @@ def decode_model(
         n = max(n, a + 1, b + 1, c + 1)
         if ident not in model:
             raise ValueError(f"model does not cover orientation variable {tag}")
-        key, parity = _sort_triple(a, b, c)
-        resolved = parity if model[ident] else -parity
+        key = tuple(sorted((a, b, c)))
+        sign = 1 if model[ident] else -1
+        # an odd permutation of the sorted triple (odd inversion count) flips it
+        resolved = -sign if ((a > b) + (a > c) + (b > c)) % 2 else sign
         if key in signs and signs[key] != resolved:
             raise ValueError(
                 f"inconsistent orientation variables for triple {key}"

@@ -53,7 +53,7 @@ def test_gons_and_holes_match_geometry(seed, n):
 def test_tables_and_enumeration_match_geometry(seed):
     n = 9
     s, sig = _canonical(seed, n)
-    assert abstract.three_hole_table(sig) == geo.three_hole_table(s)
+    assert sig.three_holes == s.three_holes
     for k in (2, 3, 4, 5):
         assert abstract.enumerate_holes(sig, k) == geo.enumerate_holes(s, k)
     gons4 = {xs for xs in itertools.combinations(range(n), 4) if geo.is_gon(s, xs)}
@@ -80,7 +80,7 @@ def test_shared_table_on_random_signotopes(n):
             assert all(a < i < c for i in inside)
             if not inside:
                 empty.add((a, b, c))
-        assert abstract.three_hole_table(sig) == empty
+        assert sig.three_holes == empty
         for k in (4, 5):
             assert abstract.enumerate_holes(sig, k) == [
                 xs for xs in itertools.combinations(range(n), k)

@@ -234,6 +234,17 @@ def test_search_miss_exits_one(capsys):
     assert "no witness" in capsys.readouterr().out
 
 
+def test_search_box_too_small_exits_two(capsys):
+    # a 3x3 grid holds at most 6 points with no three collinear
+    code = run([
+        "search", "--n", "8", "--mode", "forbid-gon", "--k", "5",
+        "--box", "1", "--seeds", "0", "--workers", "1",
+    ])
+    assert code == cli.ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: box 1 ") and "n=8" in err
+
+
 def test_search_seed_spec_parsing():
     assert cli._seeds_arg("0-3,7") == [0, 1, 2, 3, 7]
     assert cli._seeds_arg("4") == [4]

@@ -24,7 +24,6 @@ from holesat.holes import (
     is_hole,
     search_disjoint_tuple,
     strictly_inside_hull,
-    three_hole_table,
     tuple_search_input,
 )
 
@@ -189,7 +188,7 @@ def test_enumerate_holes_agrees_with_direct_check(seed):
 @settings(max_examples=25, deadline=None)
 def test_three_hole_table_is_exact(seed):
     s = random_point_set(8, random.Random(seed))
-    table = three_hole_table(s)
+    table = s.three_holes
     for tri in itertools.combinations(range(8), 3):
         assert (tri in table) == oracle_is_hole(s, tri)
 

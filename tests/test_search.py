@@ -176,3 +176,10 @@ def test_search_witness_gives_up_on_impossible_target():
     # every general-position set of 5 points contains an empty triangle
     obj = SearchObjective("forbid-hole", (3,))
     assert search_witness(5, obj, seeds=[0], budget=200, workers=1) is None
+
+
+def test_search_witness_pool_raises_when_box_too_small():
+    # every restart fails at once; the error must surface, not hang the pool
+    obj = SearchObjective("forbid-gon", (5,))
+    with pytest.raises(ValueError, match="box 1 too small for n=8"):
+        search_witness(8, obj, seeds=range(4), box=1, workers=2)

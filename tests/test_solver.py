@@ -302,6 +302,19 @@ def test_decode_model_roundtrips_chirotope(orient):
     assert decode_model(assignment, inst.registry) == sig
 
 
+def test_decode_model_rejects_inconsistent_permutations():
+    p = HoleProblem(n=7, mode="forbid-hole", sizes=(5,), orient_vars="explicit")
+    _, sig = _canonical(11, 7)
+    inst = build_instance(p)
+    assignment = assignment_from_chirotope(sig, p)
+    flipped = inst.registry.var("O", 2, 1, 4)  # one of the six for (1, 2, 4)
+    assignment[flipped] = not assignment[flipped]
+    with pytest.raises(
+        ValueError, match=r"inconsistent orientation variables for triple \(1, 2, 4\)"
+    ):
+        decode_model(assignment, inst.registry)
+
+
 def test_verify_model_accepts_structure_free_set():
     p = HoleProblem(n=6, mode="forbid-hole", sizes=(6,))
     for seed in range(30):
