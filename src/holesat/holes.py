@@ -138,26 +138,27 @@ def enumerate_from_table(s: PointSet, k: int, kind: str) -> list[tuple[int, ...]
     for t in table:
         ext[t[:-1]] = ext.get(t[:-1], 0) | 1 << t[-1]
     found = []
-
-    def grow(xs: tuple[int, ...], candidates: int) -> None:
-        # depth-first in lexicographic order; candidates are the points c
-        # after xs[-1] for which every subset of xs + (c,) of the table's
-        # size that contains c is in the table
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            j = low.bit_length() - 1
-            if len(xs) == k - 1:
-                found.append(xs + (j,))
-                continue
-            nxt = candidates
-            for u in itertools.combinations(xs, least - 1):
-                nxt &= ext.get(u + (j,), 0)
-            if nxt.bit_count() >= k - 1 - len(xs):
-                grow(xs + (j,), nxt)
-
-    grow((), (1 << s.n) - 1)
+    _grow(found, ext, least, k, (), (1 << s.n) - 1)
     return found
+
+
+def _grow(found, ext, least: int, k: int, xs: tuple[int, ...], candidates: int) -> None:
+    # depth-first in lexicographic order; candidates are the points c after
+    # xs[-1] for which every subset of xs + (c,) of the table's size that
+    # contains c is in the table. Not a closure: a recursive closure is a
+    # reference cycle, which leaves every call's tables to the cyclic GC.
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        j = low.bit_length() - 1
+        if len(xs) == k - 1:
+            found.append(xs + (j,))
+            continue
+        nxt = candidates
+        for u in itertools.combinations(xs, least - 1):
+            nxt &= ext.get(u + (j,), 0)
+        if nxt.bit_count() >= k - 1 - len(xs):
+            _grow(found, ext, least, k, xs + (j,), nxt)
 
 
 def enumerate_holes(s: PointSet, k: int) -> list[tuple[int, ...]]:
@@ -411,29 +412,29 @@ def _last_slot_masks(
                 mask_cache[(key[1], key[0])] = transposed
         return mask_cache[(sizes[i], sizes[j])]
 
-    last = len(sizes) - 1
-    chosen: list[int] = []
+    yield from _tuple_dfs(sizes, cross_masks, [], 0, [(1 << len(by_size[k])) - 1 for k in sizes])
 
-    def dfs(pos: int, candidates: list[int]):
-        if pos == last:
-            yield chosen, candidates[pos]
-            return
-        mask = candidates[pos]
-        while mask:
-            low = mask & -mask
-            u = low.bit_length() - 1
-            mask ^= low
-            nxt = list(candidates)
-            for j in range(pos + 1, len(sizes)):
-                nxt[j] &= cross_masks(pos, j)[u]
-                if sizes[j] == sizes[pos]:
-                    # skip symmetric permutations of equal-size slots
-                    nxt[j] &= ~((1 << (u + 1)) - 1)
-                if nxt[j] == 0:
-                    break
-            else:
-                chosen.append(u)
-                yield from dfs(pos + 1, nxt)
-                chosen.pop()
 
-    yield from dfs(0, [(1 << len(by_size[k])) - 1 for k in sizes])
+def _tuple_dfs(sizes, cross_masks, chosen: list[int], pos: int, candidates: list[int]):
+    # the search of _last_slot_masks from slot pos on; a module function,
+    # not a closure, for the reason given at _grow
+    if pos == len(sizes) - 1:
+        yield chosen, candidates[pos]
+        return
+    mask = candidates[pos]
+    while mask:
+        low = mask & -mask
+        u = low.bit_length() - 1
+        mask ^= low
+        nxt = list(candidates)
+        for j in range(pos + 1, len(sizes)):
+            nxt[j] &= cross_masks(pos, j)[u]
+            if sizes[j] == sizes[pos]:
+                # skip symmetric permutations of equal-size slots
+                nxt[j] &= ~((1 << (u + 1)) - 1)
+            if nxt[j] == 0:
+                break
+        else:
+            chosen.append(u)
+            yield from _tuple_dfs(sizes, cross_masks, chosen, pos + 1, nxt)
+            chosen.pop()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -371,3 +372,22 @@ def test_prefiltered_tuple_search_matches_unfiltered_pairs(n):
     for h4 in four[:: max(1, len(four) // 12)]:
         for h5 in five:
             assert hulls_disjoint(s, h4, h5) == oracle_hulls_disjoint(s, h4, h5)
+
+
+def test_enumeration_and_tuple_search_leave_no_cyclic_garbage():
+    # a recursive closure is a reference cycle: each call would leave its
+    # tables for the cyclic collector, whose pauses land in later calls
+    s = random_point_set(12, random.Random(5))
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_holes(s, 5)
+        find_disjoint_tuple(s, (4, 5))
+        by_size, rows = tuple_search_input(
+            s, (4, 5), "disjoint", enumerate_holes, hulls_disjoint, hulls_interior_disjoint
+        )
+        count_disjoint_tuples(by_size, (4, 5), rows)
+        del by_size, rows
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
