@@ -32,13 +32,13 @@ from .geometry import NEGATIVE, POSITIVE, Signotope
 from .holes import (
     DisjointMode,
     _normalize,
+    disjoint_tuples,
     enumerate_gons,
     enumerate_holes,
+    first_tuple,
     four_gon_table,
     in_triangle,
     is_gon,
-    search_disjoint_tuple,
-    tuple_search_input,
 )
 
 
@@ -151,7 +151,6 @@ def find_disjoint_tuple(
     Same exhaustive search as the coordinate-based version, driven by the
     orientation-only predicates of this module.
     """
-    by_size, rows = tuple_search_input(
+    return first_tuple(disjoint_tuples(
         sig, sizes, mode, enumerate_holes, holes_disjoint, holes_interior_disjoint
-    )
-    return search_disjoint_tuple(by_size, sizes, rows)
+    ))

@@ -33,11 +33,11 @@ from .search import OBJECTIVE_MODES, SearchObjective, count_gons, search_witness
 from .solver import (
     MODEL_DECODING_FAILED,
     SolverError,
-    default_timeout,
     default_workers,
     discover_checker,
     discover_solver,
     find_checker,
+    resolve_timeout,
     solve_instance,
 )
 
@@ -155,7 +155,7 @@ def cmd_solve(args) -> int:
         solver.require_proof()
     find = discover_checker if wanted else find_checker
     checker = find(args.checker) if want_proof else None
-    timeout = args.timeout if args.timeout is not None else default_timeout()
+    timeout = resolve_timeout(args.timeout)
     inst = build_instance(problem)
     # a temporary directory unless --workdir names one to keep
     with tempfile.TemporaryDirectory(prefix="holesat-") as own_dir:

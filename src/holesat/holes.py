@@ -10,8 +10,10 @@ whose hull contains no other point of the set. A 2-subset is always a
 return holes and gons as sorted index tuples.
 
 The orientation-only predicates, the 4-gon table, the hole and gon
-enumerations and the tuple search also serve the Signotope oracle of
-:mod:`holesat.abstract`; the hull and disjointness code here is never
+enumerations and the tuple search (one generator, :func:`disjoint_tuples`,
+with the front ends :func:`first_tuple` and :func:`count_tuples`) also
+serve the Signotope oracle of :mod:`holesat.abstract`, which passes the
+generator its own deciders. The hull and disjointness code here is never
 shared with it, so the two oracles decide disjointness independently.
 """
 
@@ -286,140 +288,95 @@ def find_disjoint_tuple(
 ) -> list[tuple[int, ...]] | None:
     """Pairwise (interior-)disjoint holes of the requested sizes, or None.
 
-    The search is exhaustive: holes of each size are enumerated, pairwise
-    compatibility is precomputed as bitmasks, and tuples are searched with
-    running candidate masks (equal sizes constrained to increasing position
-    to skip symmetric duplicates). A None result is therefore a proof of
-    absence, usable as a lower-bound witness.
+    The search is exhaustive, so None proves absence (a lower-bound witness).
     """
-    by_size, rows = tuple_search_input(
+    return first_tuple(disjoint_tuples(
         s, sizes, mode, enumerate_holes, hulls_disjoint, hulls_interior_disjoint
-    )
-    return search_disjoint_tuple(by_size, sizes, rows)
+    ))
 
 
-def tuple_search_input(
+def first_tuple(tuples) -> list[tuple[int, ...]] | None:
+    """The first tuple a :func:`disjoint_tuples` search finds, or None."""
+    for chosen, last, holes in tuples:
+        return chosen + [holes[(last & -last).bit_length() - 1]]
+    return None
+
+
+def count_tuples(tuples) -> int:
+    """Number of tuples a :func:`disjoint_tuples` search finds."""
+    return sum(last.bit_count() for _, last, _ in tuples)
+
+
+def disjoint_tuples(
     s, sizes: Sequence[int], mode: DisjointMode,
     enumerate_holes, disjoint, interior_disjoint,
-):
-    """(holes by size, compatibility rows) for a tuple search on one oracle.
+) -> Iterator[tuple[list[tuple[int, ...]], int, list[tuple[int, ...]]]]:
+    """Depth-first search for pairwise compatible holes, stopped one slot early.
 
-    Validates ``sizes`` against ``mode`` and binds the oracle's own hole
-    enumeration and disjointness deciders, so each oracle decides with its
-    own predicates. ``rows(ci, cj)[u]`` is the bitmask over the hole list
-    ``cj`` of the holes compatible with ``ci[u]`` (when ``ci is cj``, of
-    those after it). In disjoint mode a pair sharing a vertex is rejected
-    without calling the decider.
+    The oracle's own hole enumeration and disjointness deciders are
+    arguments, so each oracle decides with its own predicates. Each size
+    class is enumerated once, and compatibility is decided once per ordered
+    size pair of two slots, as bitmask rows (:func:`_compat_rows`).
+    Yields, in search order, the holes chosen for all slots but the last
+    (a list reused between yields), the nonzero bitmask of the last slot's
+    candidates, and that slot's hole list. Equal-size slots take
+    increasing positions, so each set of holes is found once.
     """
     if not sizes:
         raise ValueError("need at least one size")
     minimum = 3 if mode == "interior-disjoint" else 2
     if any(k < minimum for k in sizes):
         raise ValueError(f"sizes must be >= {minimum} in {mode} mode")
-    if mode == "disjoint":
-        decide = disjoint
-    elif mode == "interior-disjoint":
-        decide = interior_disjoint
-    else:
+    decide = {"disjoint": disjoint, "interior-disjoint": interior_disjoint}.get(mode)
+    if decide is None:
         raise ValueError(f"unknown mode {mode!r}")
     by_size = {k: enumerate_holes(s, k) for k in sorted(set(sizes))}
-
-    def rows(ci: list[tuple[int, ...]], cj: list[tuple[int, ...]]) -> list[int]:
-        # touching[p]: the holes of cj with vertex p, in disjoint mode only
-        touching = [0] * s.n
-        if mode == "disjoint":
-            for v, hv in enumerate(cj):
-                for p in hv:
-                    touching[p] |= 1 << v
-        everything = (1 << len(cj)) - 1
-        out = []
-        for u, hu in enumerate(ci):
-            # equal-size slots take increasing positions, so within one
-            # class only the holes after u are ever read
-            candidates = everything & -(2 << u) if ci is cj else everything
-            for p in hu:
-                candidates &= ~touching[p]
-            row = 0
-            while candidates:
-                low = candidates & -candidates
-                candidates ^= low
-                if decide(s, hu, cj[low.bit_length() - 1]):
-                    row |= low
-            out.append(row)
-        return out
-
-    return by_size, rows
-
-
-def search_disjoint_tuple(
-    by_size: dict[int, list[tuple[int, ...]]],
-    sizes: Sequence[int],
-    rows,
-) -> list[tuple[int, ...]] | None:
-    """First compatible tuple over precomputed hole classes, or None.
-
-    ``rows`` builds compatibility masks between two hole lists, as
-    :func:`tuple_search_input` returns it; compatibility is assumed
-    symmetric.
-    """
-    found = next(_last_slot_masks(by_size, sizes, rows), None)
-    if found is None:
-        return None
-    chosen, last = found
-    picks = chosen + [(last & -last).bit_length() - 1]
-    return [by_size[k][u] for k, u in zip(sizes, picks)]
-
-
-def count_disjoint_tuples(
-    by_size: dict[int, list[tuple[int, ...]]], sizes: Sequence[int], rows
-) -> int:
-    """Number of compatible tuples (equal-size slots counted once per set)."""
-    return sum(
-        last.bit_count() for _, last in _last_slot_masks(by_size, sizes, rows)
-    )
-
-
-def _last_slot_masks(
-    by_size: dict[int, list[tuple[int, ...]]], sizes: Sequence[int], rows
-) -> Iterator[tuple[list[int], int]]:
-    """Depth-first tuple search, stopped one slot early.
-
-    Yields, in search order, each compatible choice for all slots but the
-    last (hole positions within their size class, a list reused between
-    yields) with the nonzero bitmask of the last slot's candidates. Equal
-    sizes are constrained to increasing position to skip symmetric
-    duplicates.
-    """
-    if any(not by_size[k] for k in sizes):
+    classes = [by_size[k] for k in sizes]
+    if not all(classes):
         return
-
-    # compat[(i, j)][u] = bitmask over class j of holes compatible with
-    # hole u of class i; computed once per unordered size pair.
-    mask_cache: dict[tuple[int, int], list[int]] = {}
-
-    def cross_masks(i: int, j: int) -> list[int]:
-        key = (sizes[i], sizes[j])
-        if key not in mask_cache:
-            cj = by_size[sizes[j]]
-            mask_cache[key] = rows(by_size[sizes[i]], cj)
-            if key[0] != key[1]:
-                transposed = [0] * len(cj)
-                for u, row in enumerate(mask_cache[key]):
-                    while row:
-                        low = row & -row
-                        transposed[low.bit_length() - 1] |= 1 << u
-                        row ^= low
-                mask_cache[(key[1], key[0])] = transposed
-        return mask_cache[(sizes[i], sizes[j])]
-
-    yield from _tuple_dfs(sizes, cross_masks, [], 0, [(1 << len(by_size[k])) - 1 for k in sizes])
+    table = {
+        (a, b): _compat_rows(s, by_size[a], by_size[b], mode == "disjoint", decide)
+        for a, b in set(itertools.combinations(sizes, 2))
+    }
+    # rows[i][j - i - 1]: the rows from slot i's class to slot j's
+    rows = [[table[a, b] for b in sizes[i + 1:]] for i, a in enumerate(sizes)]
+    yield from _tuple_dfs(classes, rows, [], 0, [(1 << len(c)) - 1 for c in classes])
 
 
-def _tuple_dfs(sizes, cross_masks, chosen: list[int], pos: int, candidates: list[int]):
-    # the search of _last_slot_masks from slot pos on; a module function,
-    # not a closure, for the reason given at _grow
-    if pos == len(sizes) - 1:
-        yield chosen, candidates[pos]
+def _compat_rows(s, ci, cj, prefilter: bool, decide) -> list[int]:
+    """``rows[u]``: bitmask over ``cj`` of the holes compatible with ``ci[u]``.
+
+    When ``ci is cj``, only the holes after u count. With ``prefilter``
+    (disjoint mode), a vertex-sharing pair never reaches the decider.
+    """
+    # touching[p]: the holes of cj with vertex p
+    touching = [0] * s.n
+    if prefilter:
+        for v, hv in enumerate(cj):
+            for p in hv:
+                touching[p] |= 1 << v
+    everything = (1 << len(cj)) - 1
+    out = []
+    for u, hu in enumerate(ci):
+        candidates = everything & -(2 << u) if ci is cj else everything
+        for p in hu:
+            candidates &= ~touching[p]
+        row = 0
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            if decide(s, hu, cj[low.bit_length() - 1]):
+                row |= low
+        out.append(row)
+    return out
+
+
+def _tuple_dfs(classes, rows, chosen: list, pos: int, candidates: list[int]):
+    # the search of disjoint_tuples from slot pos on; a module function,
+    # not a closure, for the reason given at _grow. An equal-size row
+    # holds only later holes, which keeps equal-size slots increasing.
+    if pos == len(classes) - 1:
+        yield chosen, candidates[pos], classes[pos]
         return
     mask = candidates[pos]
     while mask:
@@ -427,14 +384,11 @@ def _tuple_dfs(sizes, cross_masks, chosen: list[int], pos: int, candidates: list
         u = low.bit_length() - 1
         mask ^= low
         nxt = list(candidates)
-        for j in range(pos + 1, len(sizes)):
-            nxt[j] &= cross_masks(pos, j)[u]
-            if sizes[j] == sizes[pos]:
-                # skip symmetric permutations of equal-size slots
-                nxt[j] &= ~((1 << (u + 1)) - 1)
-            if nxt[j] == 0:
+        for j, row in enumerate(rows[pos], pos + 1):
+            nxt[j] &= row[u]
+            if not nxt[j]:
                 break
         else:
-            chosen.append(u)
-            yield from _tuple_dfs(sizes, cross_masks, chosen, pos + 1, nxt)
+            chosen.append(classes[pos][u])
+            yield from _tuple_dfs(classes, rows, chosen, pos + 1, nxt)
             chosen.pop()

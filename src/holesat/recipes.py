@@ -15,10 +15,10 @@ from .solver import (
     CheckerConfig,
     SolveReport,
     SolverConfig,
-    default_timeout,
     default_workers,
     discover_solver,
     find_checker,
+    resolve_timeout,
     run_batch,
 )
 
@@ -108,7 +108,7 @@ def run_recipe(
     if want_proof:
         solver.require_proof()
         checker = checker or find_checker()
-    timeout = timeout if timeout is not None else default_timeout()
+    timeout = resolve_timeout(timeout)
     workers = workers if workers is not None else default_workers()
     instances = [build_instance(s.problem) for s in steps]
     reports = run_batch(instances, solver, checker, timeout, workers, workdir, want_proof)

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from .encoder import DISJOINT_FLAVOR, DISJOINT_MODES
 from .geometry import Point, PointSet
 from .holes import (
-    count_disjoint_tuples,
+    count_tuples,
+    disjoint_tuples,
     enumerate_gons,
     enumerate_holes,
     hulls_disjoint,
     hulls_interior_disjoint,
-    tuple_search_input,
 )
 
 log = logging.getLogger("holesat.search")
@@ -84,11 +84,10 @@ def objective_count(s: PointSet, obj: SearchObjective) -> int:
         return len(enumerate_holes(s, obj.sizes[0]))
     if obj.mode == "forbid-gon":
         return count_gons(s, obj.sizes[0])
-    by_size, rows = tuple_search_input(
+    return count_tuples(disjoint_tuples(
         s, obj.sizes, DISJOINT_FLAVOR[obj.mode],
         enumerate_holes, hulls_disjoint, hulls_interior_disjoint,
-    )
-    return count_disjoint_tuples(by_size, obj.sizes, rows)
+    ))
 
 
 def _random_general_position(
@@ -219,6 +218,8 @@ def search_witness(
     Returns (witness, winning seed) or None if every restart exhausts its
     budget.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0 proposals, got {budget}")
     jobs = [(n, obj, seed, budget, box) for seed in seeds]
     if workers <= 1 or len(jobs) == 1:
         for job in jobs:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -224,6 +225,14 @@ def default_timeout() -> float:
     return _setting("timeout", DEFAULT_TIMEOUT, float)
 
 
+def resolve_timeout(timeout: float | None = None) -> float:
+    """``timeout``, else :func:`default_timeout`; a finite number of seconds > 0."""
+    limit = default_timeout() if timeout is None else timeout
+    if not 0 < limit < math.inf:  # also rejects NaN
+        raise SolverError(f"timeout must be a finite number of seconds > 0, got {limit!r}")
+    return limit
+
+
 def default_workers() -> int:
     return _setting("workers", DEFAULT_WORKERS, int)
 
@@ -303,10 +312,10 @@ def parse_solver_output(text: str):
 def _run(argv: list[str], timeout: float | None):
     """(finished process or None on timeout, time limit, seconds) of one child.
 
-    Every solver and checker process starts here; ``timeout=None`` means
-    :func:`default_timeout`.
+    Every solver and checker process starts here, its time limit from
+    :func:`resolve_timeout`.
     """
-    limit = timeout if timeout is not None else default_timeout()
+    limit = resolve_timeout(timeout)
     start = time.monotonic()
     try:
         proc = subprocess.run(argv, capture_output=True, text=True, timeout=limit)

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from holesat import cli, recipes
+from holesat import cli, recipes, search
 from holesat.constructions import witness
-from holesat.geometry import write_points
+from holesat.encoder import HoleProblem, assignment_from_chirotope
+from holesat.geometry import PointSet, canonicalize, chirotope, write_points
 from holesat.recipes import RECIPE_NAMES, recipe_steps
 from holesat.solver import DEFAULT_TIMEOUT, default_timeout
 
@@ -245,6 +249,33 @@ def test_search_box_too_small_exits_two(capsys):
     assert err.count("\n") == 1 and err.startswith("error: box 1 ") and "n=8" in err
 
 
+def test_search_negative_budget_exits_two(monkeypatch, capsys):
+    started = []
+    monkeypatch.setattr(search, "local_search", lambda *args, **kw: started.append(args))
+    code = run(["search", "--n", "8", "--mode", "forbid-gon", "--k", "5", "--budget", "-5"])
+    assert code == cli.ERROR and started == []
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: budget must be >= 0 proposals, got -5\n"
+    # budget 0 checks the start set alone: every 5-point set has a 3-hole
+    monkeypatch.undo()
+    assert run(SEARCH_MISS[:-1] + ["0", "--workers", "1"]) == cli.FAIL
+    assert "1 restarts x 0 proposals" in capsys.readouterr().out
+
+
+def test_parallel_search_finds_witness(tmp_path):
+    # several workers, so the first success terminates the pool; a hang
+    # fails the test at the subprocess timeout instead of stalling the run
+    out = tmp_path / "w.txt"
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "holesat.cli", "search", "--n", "6", "--mode", "forbid-hole",
+         "--k", "5", "--seeds", "0-3", "--workers", "2", "-o", str(out)],
+        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert run(["verify-witness", str(out), "--no-hole", "5"]) == 0
+
+
 def test_search_seed_spec_parsing():
     assert cli._seeds_arg("0-3,7") == [0, 1, 2, 3, 7]
     assert cli._seeds_arg("4") == [4]
@@ -379,6 +410,24 @@ def test_recipe_undecodable_model_is_infrastructure_error(tmp_path, capsys):
     ])
     assert code == cli.ERROR
     assert "model decoding failed" in capsys.readouterr().out
+
+
+def test_solve_replayed_model_with_forbidden_structure_fails(tmp_path, capsys):
+    # the model decodes, but every 5-point set has a 4-hole
+    problem = HoleProblem(n=5, mode="forbid-hole", sizes=(4,))
+    model = assignment_from_chirotope(chirotope(canonicalize(PointSet(PENTAGON))), problem)
+    lits = " ".join(str(v if value else -v) for v, value in sorted(model.items()))
+    stub = tmp_path / "replay"
+    stub.write_text(f"#!/bin/sh\necho s SATISFIABLE\necho v {lits} 0\n")
+    stub.chmod(0o755)
+    code = run([
+        "solve", "--n", "5", "--mode", "forbid-hole", "--k", "4",
+        "--solver", str(stub), "--expect", "sat",
+    ])
+    assert code == cli.FAIL
+    out = capsys.readouterr().out
+    assert "verification: failed" in out
+    assert "detail: model verification failed: 4-hole present" in out
 
 
 def _unsat_stub_config(tmp_path, monkeypatch, **extra) -> None:
@@ -663,3 +712,36 @@ def test_unparsable_config_file_names_the_file(tmp_path, monkeypatch, capsys):
     assert run(SOLVE_UNSAT) == cli.ERROR
     err = capsys.readouterr().err
     assert str(cfg) in err and "line 1 column 2" in err
+
+
+SOLVE_TRUE = ["solve", "--n", "5", "--mode", "forbid-hole", "--k", "5", "--solver", "/bin/true"]
+RECIPE_TRUE = ["recipe", "h55-small-table", "--solver", "/bin/true", "--no-proof"]
+
+
+@pytest.mark.parametrize("argv, env, config, value", [
+    (SOLVE_TRUE + ["--timeout", "inf"], {}, None, "inf"),
+    (SOLVE_TRUE, {"HOLESAT_TIMEOUT": "inf"}, None, "inf"),
+    (SOLVE_TRUE, {}, '{"timeout": 1e999}', "inf"),
+    (RECIPE_TRUE + ["--timeout", "inf"], {}, None, "inf"),
+    (SOLVE_TRUE + ["--timeout", "nan"], {}, None, "nan"),
+    (SOLVE_TRUE + ["--timeout", "-1"], {}, None, "-1.0"),
+    (SOLVE_TRUE + ["--timeout", "0"], {}, None, "0.0"),
+], ids=["flag-inf", "env-inf", "config-inf", "recipe-inf", "nan", "negative", "zero"])
+def test_timeout_must_be_finite_and_positive(
+    tmp_path, monkeypatch, capsys, argv, env, config, value
+):
+    cfg = tmp_path / "holesat.json"
+    if config:
+        cfg.write_text(config)
+    monkeypatch.setenv("HOLESAT_CONFIG", str(cfg))
+    monkeypatch.delenv("HOLESAT_TIMEOUT", raising=False)
+    for key, setting in env.items():
+        monkeypatch.setenv(key, setting)
+    built = []
+    monkeypatch.setattr(recipes, "build_instance", built.append)
+    monkeypatch.setattr(cli, "build_instance", built.append)
+    assert run(argv) == cli.ERROR
+    assert built == []
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: timeout must be a finite number of seconds > 0, got {value}\n"

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from holesat import abstract
 from holesat.geometry import Point, PointSet, canonicalize, chirotope, orient
 from holesat.holes import (
-    count_disjoint_tuples,
+    count_tuples,
+    disjoint_tuples,
     enumerate_holes,
     find_disjoint_tuple,
+    first_tuple,
     hull_order,
     hull_vertices,
     hulls_disjoint,
@@ -23,9 +25,7 @@ from holesat.holes import (
     in_triangle,
     is_gon,
     is_hole,
-    search_disjoint_tuple,
     strictly_inside_hull,
-    tuple_search_input,
 )
 
 from conftest import random_point_set
@@ -352,14 +352,16 @@ def test_prefiltered_tuple_search_matches_unfiltered_pairs(n):
                     asked.append((xa, xb))
                     return decider(target, xa, xb)
 
-                by_size, rows = tuple_search_input(
-                    target, sizes, mode, enum, recording, recording
-                )
+                by_size = {k: enum(target, k) for k in set(sizes)}
                 brute = list(_brute_tuples(
                     by_size, sizes, lambda xa, xb: decider(target, xa, xb)
                 ))
-                assert count_disjoint_tuples(by_size, sizes, rows) == len(brute)
-                first = search_disjoint_tuple(by_size, sizes, rows)
+                assert count_tuples(disjoint_tuples(
+                    target, sizes, mode, enum, recording, recording
+                )) == len(brute)
+                first = first_tuple(disjoint_tuples(
+                    target, sizes, mode, enum, recording, recording
+                ))
                 expected = (
                     [by_size[k][u] for k, u in zip(sizes, brute[0])] if brute else None
                 )
@@ -374,6 +376,32 @@ def test_prefiltered_tuple_search_matches_unfiltered_pairs(n):
             assert hulls_disjoint(s, h4, h5) == oracle_hulls_disjoint(s, h4, h5)
 
 
+@pytest.mark.parametrize("n", (8, 10))
+def test_non_monotone_sizes_match_brute_force(n):
+    # a later slot pair may need the rows of a larger size against a
+    # smaller one, which the search decides directly
+    s = canonicalize(random_point_set(n, random.Random(300 + n)))
+    sig = chirotope(s)
+    oracles = (
+        (s, enumerate_holes, hulls_disjoint, hulls_interior_disjoint),
+        (sig, abstract.enumerate_holes, abstract.holes_disjoint,
+         abstract.holes_interior_disjoint),
+    )
+    for sizes in ((5, 4), (4, 5, 4), (4, 3, 4)):
+        for mode in ("disjoint", "interior-disjoint"):
+            for target, enum, disjoint, interior in oracles:
+                decider = disjoint if mode == "disjoint" else interior
+                by_size = {k: enum(target, k) for k in set(sizes)}
+                brute = list(_brute_tuples(
+                    by_size, sizes, lambda xa, xb: decider(target, xa, xb)
+                ))
+                search = (target, sizes, mode, enum, disjoint, interior)
+                assert count_tuples(disjoint_tuples(*search)) == len(brute)
+                assert first_tuple(disjoint_tuples(*search)) == (
+                    [by_size[k][u] for k, u in zip(sizes, brute[0])] if brute else None
+                )
+
+
 def test_enumeration_and_tuple_search_leave_no_cyclic_garbage():
     # a recursive closure is a reference cycle: each call would leave its
     # tables for the cyclic collector, whose pauses land in later calls
@@ -383,11 +411,9 @@ def test_enumeration_and_tuple_search_leave_no_cyclic_garbage():
     try:
         enumerate_holes(s, 5)
         find_disjoint_tuple(s, (4, 5))
-        by_size, rows = tuple_search_input(
+        count_tuples(disjoint_tuples(
             s, (4, 5), "disjoint", enumerate_holes, hulls_disjoint, hulls_interior_disjoint
-        )
-        count_disjoint_tuples(by_size, (4, 5), rows)
-        del by_size, rows
+        ))
         assert gc.collect() == 0
     finally:
         gc.enable()

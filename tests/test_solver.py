@@ -11,9 +11,9 @@ import tempfile
 import pytest
 
 from holesat.cli import main as cli_main
-from holesat.encoder import HoleProblem, assignment_from_chirotope, build_instance
-from holesat.geometry import canonicalize, chirotope
-from holesat.holes import enumerate_holes
+from holesat.encoder import MODES, HoleProblem, assignment_from_chirotope, build_instance
+from holesat.geometry import PointSet, Signotope, canonicalize, chirotope
+from holesat.holes import enumerate_holes, find_disjoint_tuple
 from holesat.solver import (
     KNOWN_CHECKERS,
     KNOWN_SOLVERS,
@@ -315,24 +315,69 @@ def test_decode_model_rejects_inconsistent_permutations():
         decode_model(assignment, inst.registry)
 
 
-def test_verify_model_accepts_structure_free_set():
-    p = HoleProblem(n=6, mode="forbid-hole", sizes=(6,))
-    for seed in range(30):
-        s, sig = _canonical(seed, 6)
-        if not enumerate_holes(s, 6):
-            result = verify_model(sig, p)
-            assert result.passed, result.description
-            return
-    pytest.fail("no 6-point set without a 6-hole found")
+MODES_PRESENT = {
+    # problem, and whether a coordinate set holds its forbidden structure
+    "forbid-hole": (HoleProblem(n=6, mode="forbid-hole", sizes=(6,)),
+                    lambda s: enumerate_holes(s, 6)),
+    "two-disjoint-holes": (HoleProblem(n=8, mode="two-disjoint-holes", sizes=(4, 4)),
+                           lambda s: find_disjoint_tuple(s, (4, 4))),
+    "two-interior-disjoint-holes": (
+        HoleProblem(n=6, mode="two-interior-disjoint-holes", sizes=(4, 4)),
+        lambda s: find_disjoint_tuple(s, (4, 4), "interior-disjoint"),
+    ),
+}
 
 
-def test_verify_model_rejects_forbidden_structure():
-    p = HoleProblem(n=7, mode="forbid-hole", sizes=(3,))
-    # every point set has 3-holes, so any decoded chirotope must fail
-    _, sig = _canonical(5, 7)
-    result = verify_model(sig, p)
+def _verify_case(mode: str, passes: bool):
+    """(problem, decoded signotope) that verify_model should pass or reject."""
+    if mode == "forbid-gon":
+        # a triangle with a point inside has no 4-gon; a convex quadrilateral is one
+        coords = [(0, 0), (2, 1), (3, 4), (4, 0)] if passes else [(0, 0), (1, 3), (3, 4), (4, 0)]
+        return HoleProblem(n=4, mode=mode, sizes=(4,)), chirotope(canonicalize(PointSet(coords)))
+    if mode == "count-holes":
+        # the threshold one above the 4-hole count, or equal to it
+        s, sig = _canonical(5, 7)
+        count = len(enumerate_holes(s, 4))
+        return HoleProblem(n=7, mode=mode, sizes=(4,), threshold=count + passes), sig
+    problem, present = MODES_PRESENT[mode]
+    for seed in range(100):
+        s, sig = _canonical(seed, problem.n)
+        if bool(present(s)) != passes:
+            return problem, sig
+    pytest.fail(f"no {problem.n}-point set {'without' if passes else 'with'} the structure")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_verify_model_accepts_structure_free_set(mode):
+    problem, sig = _verify_case(mode, True)
+    result = verify_model(sig, problem)
+    assert result.passed, result.description
+
+
+@pytest.mark.parametrize("mode, described", [
+    ("forbid-hole", "6-hole present"),
+    ("forbid-gon", "4-gon present"),
+    ("count-holes", "4-holes >= threshold"),
+    ("two-disjoint-holes", "disjoint holes of sizes (4, 4) present"),
+    ("two-interior-disjoint-holes", "interior-disjoint holes of sizes (4, 4) present"),
+    ("not-a-signotope", "signotope axioms violated"),
+    ("unsorted", "not sorted around first point"),
+])
+def test_verify_model_rejects_forbidden_structure(mode, described):
+    if mode == "not-a-signotope":
+        # chi_012, chi_013, chi_023, chi_123 change sign twice
+        signs = {(0, 1, 2): 1, (0, 1, 3): -1, (0, 2, 3): 1, (1, 2, 3): 1}
+        problem, sig = HoleProblem(n=4, mode="forbid-gon", sizes=(4,)), Signotope(4, signs)
+    elif mode == "unsorted":
+        # x-sorted, but points 1 and 2 turn clockwise around point 0
+        s = PointSet([(0, 0), (1, 3), (2, 1), (4, 0)])
+        problem, sig = HoleProblem(n=4, mode="forbid-gon", sizes=(4,)), chirotope(s)
+    else:
+        problem, sig = _verify_case(mode, False)
+    result = verify_model(sig, problem)
     assert not result.passed
-    assert result.counterexample is not None
+    assert described in result.description
+    assert (result.counterexample is None) == (mode == "unsorted")
 
 
 def test_verify_model_rejects_wrong_size():
