@@ -27,16 +27,19 @@ per triple exist and are chained by equality clauses; the default
 orderings to possibly negated literals. Either way the registry holds one
 table of O literals by ordered triple, ``lit[a][b][c]``, and clause
 emission reads it (and per-pair rows of it) instead of resolving each
-literal per clause.
+literal per clause. Clauses exist only as DIMACS text: each emitter returns
+(label, pieces of whole ``... 0`` lines), read by the writer and the checks.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, Sequence, get_args
+from operator import itemgetter
+from typing import Iterator, Literal, Sequence, get_args
 
 from .abstract import enumerate_gons, enumerate_holes, in_triangle, is_gon
 
@@ -55,6 +58,7 @@ DISJOINT_FLAVOR = {
     "two-interior-disjoint-holes": "interior-disjoint",
 }
 DISJOINT_MODES = tuple(DISJOINT_FLAVOR)
+Groups = list[tuple[str, list[tuple[int, ...]]]]  # (label, clauses) per group
 
 @dataclass(frozen=True)
 class HoleProblem:
@@ -127,9 +131,8 @@ class HoleProblem:
     @property
     def hole_sizes(self) -> tuple[int, ...]:
         """Distinct hole sizes needing an H-variable family (k >= 4)."""
-        if self.mode == "forbid-gon":
-            return tuple(k for k in sorted(set(self.sizes)) if k >= 5)
-        return tuple(k for k in sorted(set(self.sizes)) if k >= 4)
+        low = 5 if self.mode == "forbid-gon" else 4
+        return tuple(k for k in sorted(set(self.sizes)) if k >= low)
 
 
 class VarRegistry:
@@ -152,9 +155,7 @@ class VarRegistry:
         lit = [[[0] * n for _ in range(n)] for _ in range(n)]
         for a, b, c in triples:
             if explicit:  # the cyclic (positive) images first, then the transpositions
-                for p, q, r in (
-                    (a, b, c), (b, c, a), (c, a, b), (b, a, c), (a, c, b), (c, b, a)
-                ):
+                for p, q, r in ((a, b, c), (b, c, a), (c, a, b), (b, a, c), (a, c, b), (c, b, a)):
                     lit[p][q][r] = self._add(("O", p, q, r), "O")
             else:
                 v = self._add(("O", a, b, c), "O")
@@ -177,9 +178,8 @@ class VarRegistry:
                 self._add(("H", k, *x), f"H{k}")
         if problem.mode in DISJOINT_MODES:
             for k in sorted(set(problem.sizes)):
-                for fam in ("L", "R"):
-                    for a, b in itertools.permutations(range(n), 2):
-                        self._add((fam, k, a, b), f"{fam}{k}")
+                for fam, (a, b) in itertools.product("LR", itertools.permutations(range(n), 2)):
+                    self._add((fam, k, a, b), f"{fam}{k}")
         if problem.mode == "count-holes" and problem.threshold >= 2:
             for i in range(1, math.comb(n, problem.sizes[0])):
                 for j in range(1, problem.threshold):
@@ -213,23 +213,19 @@ class VarRegistry:
         return self._ids[("H", k, *x)]
 
     def items(self) -> Iterator[tuple[int, tuple]]:
-        for i, tag in enumerate(self._tags, start=1):
-            yield i, tag
-
-
-CHUNK = 4096  # clauses checked and formatted at a time
+        return enumerate(self._tags, start=1)
 
 
 class CnfInstance:
     """A compiled problem: the registry and the emitters of its clause groups.
 
-    Each consumer runs the emitters afresh and walks the clauses a chunk at
-    a time; ``groups`` is recorded by a write, or counted when read before.
+    Each consumer runs the emitters afresh and reads their DIMACS lines;
+    ``groups`` is recorded by a write, or counted when read before.
     """
 
     def __init__(self, problem: HoleProblem, registry: VarRegistry, emitters):
         self.problem, self.registry = problem, registry
-        self._emitters = list(emitters)  # emit(problem, registry) -> [(label, clauses)]
+        self._emitters = list(emitters)  # emit(problem, registry) -> [(label, pieces)]
         self._groups = self._clauses = None
 
     @property
@@ -239,7 +235,7 @@ class CnfInstance:
     @property
     def groups(self) -> list[tuple[str, int]]:
         if self._groups is None:
-            self._groups = [(label, sum(map(len, chunks))) for label, chunks in self._chunks()]
+            self._text()
         return self._groups
 
     @property
@@ -248,28 +244,26 @@ class CnfInstance:
 
     @property
     def clauses(self) -> list[tuple[int, ...]]:
-        """Every clause in one list, built on first read, for readers that index it."""
+        """Every clause in one list, parsed on first read, for readers that index it."""
         if self._clauses is None:
-            self._clauses = [cl for _, chunks in self._chunks() for c in chunks for cl in c]
+            self._clauses = [_parse(line) for _, line in self._lines()]
         return self._clauses
 
-    def _chunks(self) -> Iterator[tuple[str, Iterator[list[tuple[int, ...]]]]]:
-        """(label, its clauses in checked chunks) per group, each emitter run afresh."""
-        for emit in self._emitters:
-            for label, clauses in emit(self.problem, self.registry):
-                yield label, _checked_chunks(label, clauses)
+    def _text(self) -> list[tuple[str, list[str]]]:
+        """(label, its DIMACS text pieces) per group, each emitter run afresh; sets ``groups``."""
+        text = [(label, list(pieces)) for emit in self._emitters
+                for label, pieces in emit(self.problem, self.registry)]
+        self._groups = [(label, sum(p.count("\n") for p in pieces)) for label, pieces in text]
+        return text
+
+    def _lines(self) -> Iterator[tuple[str, str]]:
+        """(label, clause line) per clause: the lines the writer writes."""
+        return ((label, line) for label, pieces in self._text()
+                for piece in pieces for line in piece.splitlines())
 
     def write_dimacs(self, path) -> None:
-        """Format the body as the emitters produce it, then write header and body."""
-        body, fmt, groups = [], [], []  # fmt: the "%d ... 0" line by clause length
-        for label, chunks in self._chunks():
-            count = 0
-            for chunk in chunks:
-                fmt += ("%d " * m + "0\n" for m in range(len(fmt), max(map(len, chunk)) + 1))
-                body.append("".join([fmt[len(cl)] % cl for cl in chunk]))
-                count += len(chunk)
-            groups.append((label, count))
-        self._groups = groups
+        """Collect the body text as the emitters produce it, then write header and body."""
+        text = self._text()
         with open(path, "w") as f:
             f.write(f"c holesat instance {self.problem.key()}\n")
             switches = (
@@ -279,10 +273,11 @@ class CnfInstance:
             f.write("c " + " ".join(f"{k}={_header_value(v)}" for k, v in switches) + "\n")
             fams = " ".join(f"{k}={v}" for k, v in self.registry.family_counts.items())
             f.write(f"c vars {fams} total={self.num_vars}\n")
-            for label, count in groups:
+            for label, count in self._groups:
                 f.write(f"c group {label} {count}\n")
             f.write(f"p cnf {self.num_vars} {self.num_clauses}\n")
-            f.writelines(body)
+            for _, pieces in text:
+                f.writelines(pieces)
 
     def write_registry(self, path) -> None:
         with open(path, "w") as f:
@@ -311,18 +306,27 @@ def _header_value(value) -> str:
     return str(int(value) if isinstance(value, bool) else value)
 
 
-def _checked_chunks(label: str, clauses: Iterable) -> Iterator[list[tuple[int, ...]]]:
-    """The clauses in lists of up to CHUNK; an empty clause raises."""
-    it = iter(clauses)
-    while chunk := list(itertools.islice(it, CHUNK)):
-        if not all(chunk):
-            raise ValueError(f"empty clause in group {label}")
-        yield chunk
+def _parse(line: str) -> tuple[int, ...]:
+    """The clause of one DIMACS line."""
+    return tuple(map(int, line.split()[:-1]))
 
 
-def _and_def(
-    a: int, conj: Sequence[int], directional: str = "both"
-) -> list[tuple[int, ...]]:
+def as_dimacs(emit):
+    """An emitter of clause tuples, made to return each group as one DIMACS text
+    piece, its lines from one ``%d`` format per length; an empty clause raises."""
+
+    @functools.wraps(emit)
+    def text(problem: HoleProblem, reg: VarRegistry) -> Iterator[tuple[str, list[str]]]:
+        for label, clauses in emit(problem, reg):
+            if not all(clauses):
+                raise ValueError(f"empty clause in group {label}")
+            fmt = ["%d " * m + "0\n" for m in range(max(map(len, clauses), default=0) + 1)]
+            yield label, ["".join([fmt[len(cl)] % cl for cl in clauses])]
+
+    return text
+
+
+def _and_def(a: int, conj: Sequence[int], directional: str = "both") -> list[tuple[int, ...]]:
     """CNF for a = AND(conj); ``directional`` keeps one implication only.
 
     ``"fwd"`` keeps a -> AND(conj) (the binary clauses), ``"bwd"`` keeps
@@ -336,13 +340,12 @@ def _and_def(
     return out
 
 
-def emit_orientation_axioms(
-    problem: HoleProblem, reg: VarRegistry
-) -> list[tuple[str, list[tuple[int, ...]]]]:
+@as_dimacs
+def emit_orientation_axioms(problem: HoleProblem, reg: VarRegistry) -> Groups:
     """Families (1)-(3): alternation, signotope axioms, sortedness units."""
     n = problem.n
     lit = reg.lit
-    groups: list[tuple[str, list[tuple[int, ...]]]] = []
+    groups: Groups = []  # the alternating axioms, in explicit mode
     if problem.orient_vars == "explicit":
         # lit holds each ordered triple's own variable: cyclic images are
         # equal, and a transposition differs
@@ -361,21 +364,17 @@ def emit_orientation_axioms(
         for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
             sig.append((s[i], -s[j], s[k]))
             sig.append((-s[i], s[j], -s[k]))
-    groups.append(("signotope", sig))
     units = [(reg.olit(0, a, b),) for a, b in itertools.combinations(range(1, n), 2)]
-    groups.append(("sorted-around-first", units))
-    return groups
+    return groups + [("signotope", sig), ("sorted-around-first", units)]
 
 
-def emit_hole_definitions(
-    problem: HoleProblem, reg: VarRegistry
-) -> list[tuple[str, list[tuple[int, ...]]]]:
+@as_dimacs
+def emit_hole_definitions(problem: HoleProblem, reg: VarRegistry) -> Groups:
     """Families (4)-(7): E, G4/I, H3, and the per-size hole variables."""
     n = problem.n
     gon_mode = problem.mode == "forbid-gon"
     # directional definitions keep the implication each use of a variable needs
     fwd, bwd = ("fwd", "bwd") if problem.directional_defs else ("both", "both")
-    groups: list[tuple[str, list[tuple[int, ...]]]] = []
 
     bounding: list[tuple[int, ...]] = []
     gons: list[tuple[int, ...]] = []
@@ -388,8 +387,7 @@ def emit_hole_definitions(
         if not gon_mode:
             gons += _and_def(reg.var("I", b, a, c, d), (-e1, e2), fwd)
             gons += _and_def(reg.var("I", c, a, b, d), (e1, -e2), fwd)
-    groups.append(("bounding-segments", bounding))
-    groups.append(("gons-and-containments", gons))
+    groups: Groups = [("bounding-segments", bounding), ("gons-and-containments", gons)]
 
     if not gon_mode:
         three: list[tuple[int, ...]] = []
@@ -412,13 +410,11 @@ def emit_hole_definitions(
     return groups
 
 
-def emit_disjointness(
-    problem: HoleProblem, reg: VarRegistry
-) -> list[tuple[str, Iterable[tuple[int, ...]]]]:
+def emit_disjointness(problem: HoleProblem, reg: VarRegistry) -> list[tuple[str, Iterator[str]]]:
     """Family (8): side-existence variables and their mutual exclusion.
 
-    The largest group, so its clauses are an iterator over one list per
-    side variable, made afresh by each call.
+    The largest group, so it is written straight as text, one piece per
+    side variable, made afresh by each call; no clause tuple is built.
 
     L(k, a, b) (R(k, a, b)) is implied by each k-hole x of the mode's schema
     with its labels, bar the skipped ones, strictly left (right) of a->b:
@@ -431,38 +427,35 @@ def emit_disjointness(
     interior = problem.mode == "two-interior-disjoint-holes"
     pairs = list(itertools.permutations(range(n), 2))
 
-    def lists() -> Iterator[list[tuple[int, ...]]]:
+    def pieces() -> Iterator[str]:
         for k in sorted(set(problem.sizes)):
-            # each k-subset once, with its negated hole literal (none for k = 2)
+            # each k-subset once, with a getter of its row entries and its
+            # negated hole literal (none for k = 2)
             subsets = [
-                (x, () if k == 2 else (-reg.hole_lit(k, x),))
+                (x, itemgetter(*x), "" if k == 2 else "%d " % -reg.hole_lit(k, x))
                 for x in itertools.combinations(range(n), k)
             ]
-            through = [[(x, h) for x, h in subsets if p in x] for p in range(n)]
+            through = [[s for s in subsets if p in s[0]] for p in range(n)]
             for a, b in pairs:
-                # body rows, "c is not left (right) of a->b", are 0 at a and b:
-                # the endpoints a subset of the schema may hold are the skipped
-                # ones, so the nonzero entries over x are the body
-                row_r = reg.lit[a][b]
-                row_l = [-l for l in row_r]
+                # body rows, "c is not left (right) of a->b" as "%d " strings,
+                # are "" at a and b: the endpoints a subset of the schema may
+                # hold are the skipped ones, so the joined entries are the body
+                row_r = ["%d " % l if l else "" for l in reg.lit[a][b]]
+                row_l = ["%d " % -l if l else "" for l in reg.lit[a][b]]
                 for fam, row, anchor, other in (("L", row_l, a, b), ("R", row_r, b, a)):
-                    side = reg.var(fam, k, a, b)
-                    get = row.__getitem__
+                    side = "%d " % reg.var(fam, k, a, b)
                     pool = subsets if interior or problem.relaxed_lr else through[anchor]
-                    yield [
-                        (side, *h, *filter(None, map(get, x)))
-                        for x, h in pool
-                        if interior or other not in x
-                    ]
+                    yield "".join([f"{side}{h}{''.join(get(row))}0\n"
+                                   for x, get, h in pool if interior or other not in x])
         for ka, kb in sorted({(k1, k2), (k2, k1)}):
-            yield [(-reg.var("L", ka, a, b), -reg.var("R", kb, a, b)) for a, b in pairs]
+            yield "".join([f"-{reg.var('L', ka, a, b)} -{reg.var('R', kb, a, b)} 0\n"
+                           for a, b in pairs])
 
-    return [("disjointness", itertools.chain.from_iterable(lists()))]
+    return [("disjointness", pieces())]
 
 
-def emit_hints(
-    problem: HoleProblem, reg: VarRegistry
-) -> list[tuple[str, list[tuple[int, ...]]]]:
+@as_dimacs
+def emit_hints(problem: HoleProblem, reg: VarRegistry) -> Groups:
     """Family (9): 10-point-window facts, plus end exclusions at n=17.
 
     Every 10 consecutive indices contain a 5-hole (sound because a hole of
@@ -483,9 +476,8 @@ def emit_hints(
     return [("hints", clauses)]
 
 
-def emit_cardinality(
-    problem: HoleProblem, reg: VarRegistry
-) -> list[tuple[str, list[tuple[int, ...]]]]:
+@as_dimacs
+def emit_cardinality(problem: HoleProblem, reg: VarRegistry) -> Groups:
     """Count mode: at most threshold-1 of the hole variables are true."""
     k = problem.sizes[0]
     xs = [reg.hole_lit(k, x) for x in itertools.combinations(range(problem.n), k)]
@@ -510,9 +502,8 @@ def emit_cardinality(
     return [("cardinality", clauses)]
 
 
-def emit_forbid(
-    problem: HoleProblem, reg: VarRegistry
-) -> list[tuple[str, list[tuple[int, ...]]]]:
+@as_dimacs
+def emit_forbid(problem: HoleProblem, reg: VarRegistry) -> Groups:
     """Unit clauses negating every hole (gon) variable of the target size."""
     k = problem.sizes[0]
     units = [(-reg.hole_lit(k, x),) for x in itertools.combinations(range(problem.n), k)]
@@ -601,12 +592,13 @@ def assignment_from_chirotope(sig, problem: HoleProblem) -> dict[int, bool]:
 def violated_clauses(
     inst: CnfInstance, assignment: dict[int, bool], limit: int = 10
 ) -> list[tuple[str, tuple[int, ...]]]:
-    """Up to ``limit`` (group label, clause) pairs the assignment falsifies."""
+    """Up to ``limit`` (group label, clause) pairs the assignment falsifies, read
+    from the written lines: no token of such a line is a literal made true."""
+    true = {str(v if value else -v) for v, value in assignment.items()}
     out = []
-    for label, chunks in inst._chunks():
-        for cl in itertools.chain.from_iterable(chunks):
-            if not any(assignment[abs(l)] == (l > 0) for l in cl):
-                out.append((label, cl))
-                if len(out) >= limit:
-                    return out
+    for label, line in inst._lines():
+        if true.isdisjoint(line.split()):
+            out.append((label, _parse(line)))
+            if len(out) >= limit:
+                return out
     return out

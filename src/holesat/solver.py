@@ -340,7 +340,9 @@ def run_solver(
     """One solver child process over an on-disk DIMACS file.
 
     Timeouts yield verdict UNKNOWN with a ``timeout`` detail; crashes and
-    unparsable output are likewise UNKNOWN but carry distinct details.
+    unparsable output are likewise UNKNOWN but carry distinct details. A
+    SAT model that gives a variable both signs is malformed: no model, and
+    a failed verification.
     """
     cfg = config or discover_solver()
     argv = cfg.argv(str(cnf_path), str(proof_path) if proof_path else None)
@@ -360,7 +362,10 @@ def run_solver(
         return report
     report.verdict = verdict
     if verdict == "SAT":
-        report.model = {abs(l): l > 0 for l in lits}
+        report.model = model = {abs(l): l > 0 for l in lits}
+        if both := sorted({abs(l) for l in lits if model[abs(l)] != (l > 0)}):
+            report.model, report.verification = None, "failed"
+            report.detail = f"{MODEL_DECODING_FAILED}: variables given both signs: {both[:5]}"
     if proof_path and verdict == "UNSAT":
         report.certificate_path = str(proof_path)
     return report
@@ -529,7 +534,7 @@ def solve_instance(
     proof = base / f"{key}.drat" if want_proof else None
     report = run_solver(cnf, cfg, timeout=timeout, proof_path=proof)
     report.instance = key
-    if report.verdict == "SAT":
+    if report.verdict == "SAT" and report.model is not None:
         try:
             sig = decode_model(report.model, instance.registry)
         except ValueError as exc:

@@ -430,6 +430,25 @@ def test_solve_replayed_model_with_forbidden_structure_fails(tmp_path, capsys):
     assert "detail: model verification failed: 4-hole present" in out
 
 
+def test_solve_model_with_a_variable_of_both_signs_is_malformed(tmp_path, capsys):
+    # the model is right once its last sign wins, but a solver that gives
+    # variable 1 both signs printed no model
+    problem = HoleProblem(n=5, mode="two-disjoint-holes", sizes=(3, 3))
+    model = assignment_from_chirotope(chirotope(canonicalize(PointSet(PENTAGON))), problem)
+    lits = " ".join(str(v if value else -v) for v, value in sorted(model.items()))
+    stub = tmp_path / "replay"
+    stub.write_text(f"#!/bin/sh\necho s SATISFIABLE\necho v {-1 if model[1] else 1} {lits} 0\n")
+    stub.chmod(0o755)
+    code = run([
+        "solve", "--n", "5", "--mode", "two-disjoint-holes", "--sizes", "3,3",
+        "--solver", str(stub), "--expect", "sat",
+    ])
+    assert code == cli.ERROR
+    out = capsys.readouterr().out
+    assert "verification: failed" in out
+    assert "detail: model decoding failed: variables given both signs: [1]" in out
+
+
 def _unsat_stub_config(tmp_path, monkeypatch, **extra) -> None:
     """Config naming a stub solver that writes a proof and answers UNSAT.
 

@@ -24,6 +24,7 @@ from holesat.encoder import (
     CnfInstance,
     HoleProblem,
     VarRegistry,
+    as_dimacs,
     assignment_from_chirotope,
     build_instance,
     emit_disjointness,
@@ -46,6 +47,11 @@ from holesat.holes import (
 from conftest import random_point_set
 
 C = math.comb
+
+
+def parsed(pieces) -> list[tuple[int, ...]]:
+    """The clauses of an emitter's DIMACS text pieces."""
+    return [tuple(map(int, line.split()[:-1])) for p in pieces for line in p.splitlines()]
 
 
 # --- problem validation ---------------------------------------------------
@@ -215,25 +221,31 @@ def test_group_clause_counts(p):
 def test_hint_clause_shapes():
     p = HoleProblem(n=11, mode="two-disjoint-holes", sizes=(5, 5), hints=True)
     reg = VarRegistry(p)
-    [(label, clauses)] = emit_hints(p, reg)
+    [(label, pieces)] = emit_hints(p, reg)
     assert label == "hints"
+    clauses = parsed(pieces)
     windows = [cl for cl in clauses if len(cl) > 1]
     assert len(windows) == 2 and all(len(cl) == C(10, 5) for cl in windows)
     assert all(lit > 0 for cl in windows for lit in cl)
 
     p17 = HoleProblem(n=17, mode="two-disjoint-holes", sizes=(5, 5), hints=True)
     reg17 = VarRegistry(p17)
-    [(_, clauses17)] = emit_hints(p17, reg17)
+    [(_, pieces17)] = emit_hints(p17, reg17)
+    clauses17 = parsed(pieces17)
     units = [cl for cl in clauses17 if len(cl) == 1]
     assert len(units) == 2 * C(7, 5)
     assert len(clauses17) == 8 + 42
 
 
 def test_side_definition_count_per_pair():
-    # strict schema at n=17, size 5: each side variable ranges over
-    # C(15,4) = 1365 candidate subsets through its anchor
+    # strict schema at n=17, size 5: each side variable heads one clause per
+    # candidate subset through its anchor, C(15,4) = 1365 of them
     p = HoleProblem(n=17, mode="two-disjoint-holes", sizes=(5, 5))
-    assert C(p.n - 2, 4) == 1365
+    reg = VarRegistry(p)
+    [(_, pieces)] = emit_disjointness(p, reg)
+    head = f"{reg.var('L', 5, 3, 11)} "
+    lines = [line for piece in pieces for line in piece.splitlines()]
+    assert sum(line.startswith(head) for line in lines) == 1365
 
 
 SCHEMA_PROBLEMS = [
@@ -256,8 +268,8 @@ def test_side_schema_clause_counts(p):
     else:
         per_side = lambda k: C(n - 2, k - 1)
     reg = VarRegistry(p)
-    [(_, clauses)] = emit_disjointness(p, reg)
-    clauses = list(clauses)
+    [(_, pieces)] = emit_disjointness(p, reg)
+    clauses = parsed(pieces)
     first = collections.Counter(cl[0] for cl in clauses)
     for k in sorted(set(p.sizes)):
         for fam in ("L", "R"):
@@ -380,6 +392,9 @@ PINNED = [
     (dict(n=9, mode="forbid-hole", sizes=(6,)),
      "06434f227cde2183d3777a955607b89190286510f8aef4284195a9f346a17c86",
      "b6197705e317944ade7f0659f91b63447e1329f7878cb83d2907c388fd80ec18"),
+    (dict(n=10, mode="two-interior-disjoint-holes", sizes=(4, 5)),
+     "6c8c927832b9ee62a9442fe14176a4e84a4eef928ecdb6557bd9223cb56b2a38",
+     "7953d11f446cbcabf17908651c907c03ce1058f7ecd47acb1f01b8dd5a92dcf8"),
 ]
 
 
@@ -398,8 +413,8 @@ def test_output_bytes_pinned(tmp_path, flags, cnf_digest, vars_digest):
 def test_n17_hints_pinned():
     # the end exclusions only exist at n=17; a registry there is cheap
     p = HoleProblem(n=17, mode="two-disjoint-holes", sizes=(5, 5), hints=True)
-    [(_, clauses)] = emit_hints(p, VarRegistry(p))
-    text = "".join(" ".join(map(str, cl)) + " 0\n" for cl in clauses)
+    [(_, pieces)] = emit_hints(p, VarRegistry(p))
+    text = "".join(pieces)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "192876697e6021362dff27a19f12394992454c6e53dfef29240884fe2cfa1596"
     )
@@ -421,9 +436,23 @@ def test_headline_instance_pinned(tmp_path):
     )
 
 
+def test_interior_benchmark_instance_pinned(tmp_path):
+    # the interior (5,5) n=14 instance of the sat-replay benchmark, whole
+    inst = build_instance(HoleProblem(n=14, mode="two-interior-disjoint-holes", sizes=(5, 5)))
+    inst.write_dimacs(tmp_path / "a.cnf")
+    inst.write_registry(tmp_path / "a.vars")
+    digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert (tmp_path / "a.cnf").stat().st_size == 23_602_614
+    assert (digest("a.cnf"), digest("a.vars")) == (
+        "91da1a603a8a8e75394ec4e81e412bf5382bbd75f52f6509dbd146a879518efc",
+        "e4da68be60cd577968b721d648218aaebb89de737fbf879501d67d39c5861365",
+    )
+
+
 def test_empty_emitted_clause_rejected_before_writing(tmp_path):
     p = HoleProblem(n=6, mode="forbid-hole", sizes=(5,))
-    inst = CnfInstance(p, VarRegistry(p), [lambda p, reg: [("broken", iter([(1,), ()]))]])
+    broken = as_dimacs(lambda p, reg: [("broken", [(1,), ()])])
+    inst = CnfInstance(p, VarRegistry(p), [broken])
     with pytest.raises(ValueError, match="empty clause in group broken"):
         inst.write_dimacs(tmp_path / "a.cnf")
     assert not (tmp_path / "a.cnf").exists()
