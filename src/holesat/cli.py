@@ -59,8 +59,10 @@ def _seeds_arg(text: str) -> list[int]:
     try:
         for part in text.split(","):
             if "-" in part:
-                lo, hi = part.split("-", 1)
-                seeds.extend(range(int(lo), int(hi) + 1))
+                lo, hi = map(int, part.split("-", 1))
+                if lo > hi:
+                    raise ValueError
+                seeds.extend(range(lo, hi + 1))
             else:
                 seeds.append(int(part))
     except ValueError:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -294,20 +295,16 @@ def project_normalize(s: PointSet) -> PointSet:
     equality is asserted internally, triple for triple — with strictly
     increasing x and point 0 still first.
 
-    The transform is assembled from exact integer/rational pieces:
-
-    1. translate point 0 to the origin;
-    2. apply an integer positive-determinant linear map sending the cone of
-       directions to the other points strictly into the half-plane x > 0
-       (possible because point 0 is extremal, so the cone spans < 180 deg);
-    3. reinsert point 0 as (eps, -K*eps) with K larger than every |slope| and
-       eps a small positive Fraction chosen so all triples through point 0
-       keep their sign;
-    4. map every point (x, y) -> (y/x, 1/x). Multiplying the transformed
-       determinant columns by the (positive) x-coordinates gives a cyclic row
-       permutation of the original determinant, so every orientation is
-       preserved; the new x-coordinate is the slope y/x, which increases
-       along the counterclockwise order.
+    With point 0 at the origin, u = point 1 and w = point n-1, the vector
+    v = (w.y - u.y, u.x - w.x) has v.q = u x q + q x w > 0 for every other
+    point q. Each q maps to (Y/X, 1/X) with X = v.q and Y = v x q. The frame
+    (X, Y) has determinant |v|^2 > 0, and the map permutes the rows of the
+    orientation determinant cyclically and scales its columns by 1/X > 0, so
+    every orientation is kept, and Y/X increases in counterclockwise order.
+    Point 0 comes back at (x0, h) left of every other point, where
+    orient((x0, h), a, b) = h(b.x - a.x) + (a.x - x0)b.y - a.y(b.x - x0)
+    for a left of b. The middle term is positive, and the first outweighs
+    the last once h > max y * (max x - x0) / (least gap between x's).
     """
     n = len(s)
     if n < 3:
@@ -320,51 +317,24 @@ def project_normalize(s: PointSet) -> PointSet:
                 f"around point 0 (triple (0,{a},{b}) is not positive)"
             )
 
-    origin = pts[0]
-    q = [Point(p.x - origin.x, p.y - origin.y) for p in pts[1:]]
-
-    # Widen the direction cone [u, w] slightly so its closure maps strictly
-    # inside the image cone, then send it into x > 0 with positive determinant.
-    u, w = q[0], q[-1]
-    up = Point(2 * u.x - w.x, 2 * u.y - w.y)
-    wp = Point(2 * w.x - u.x, 2 * w.y - u.y)
-    # A = B * adj(M) with M = [up wp] and B mapping e1->(1,-1), e2->(1,1);
-    # det A = det B * det M > 0.
-    m00, m01, m10, m11 = up.x, wp.x, up.y, wp.y
-    a00, a01, a10, a11 = m11, -m01, -m10, m00  # adj(M)
-    t00, t01 = a00 + a10, a01 + a11  # row 1 of B*adj(M), B = [[1,1],[-1,1]]
-    t10, t11 = a10 - a00, a11 - a01
-    r = [Point(t00 * p.x + t01 * p.y, t10 * p.x + t11 * p.y) for p in q]
-    assert all(p.x > 0 for p in r)
-
-    slope_bound = max(abs(p.y) // p.x for p in r) + 1
-    eps = _reinsertion_epsilon(r, slope_bound)
-    r0 = Point(eps, -slope_bound * eps)
-    transformed = [Point(Fraction(p.y, 1) / p.x, Fraction(1, 1) / p.x) for p in [r0] + r]
-    result = PointSet(transformed)
+    o = pts[0]
+    vx, vy = pts[-1].y - pts[1].y, pts[1].x - pts[-1].x
+    rest = []
+    for p in pts[1:]:
+        qx, qy = p.x - o.x, p.y - o.y
+        dot = vx * qx + vy * qy
+        rest.append(Point(Fraction(vx * qy - vy * qx, dot), Fraction(1, dot)))
+    xs = [p.x for p in rest]
+    x0 = math.floor(xs[0]) - 1
+    gap = min(b - a for a, b in zip(xs, xs[1:]))
+    h = max(p.y for p in rest) * (xs[-1] - x0) // gap + 1
+    result = PointSet([Point(Fraction(x0), Fraction(h))] + rest)
 
     for a, b, c in itertools.combinations(range(n), 3):
         if s.chi(a, b, c) != result.chi(a, b, c):
             raise AssertionError(f"projective step changed triple {(a, b, c)}")
     assert all(result[i].x < result[i + 1].x for i in range(n - 1))
     return result
-
-
-def _reinsertion_epsilon(r: Sequence[Point], slope_bound: int) -> Fraction:
-    """Largest-safe eps/2 for reinserting the apex as (eps, -K*eps).
-
-    Replacing the origin by (eps, -K*eps) perturbs each triple (0,a,b) by at
-    most eps*(K*|xb-xa| + |yb-ya|); keep that below |cross(a,b)|.
-    """
-    bound: Fraction | None = None
-    for pa, pb in itertools.combinations(r, 2):
-        cross = pa.x * pb.y - pa.y * pb.x
-        weight = slope_bound * abs(pb.x - pa.x) + abs(pb.y - pa.y) + 1
-        candidate = Fraction(abs(cross), weight)
-        if bound is None or candidate < bound:
-            bound = candidate
-    assert bound is not None and bound > 0
-    return bound / 2
 
 
 def read_points(path: str) -> PointSet:

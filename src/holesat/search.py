@@ -220,6 +220,8 @@ def search_witness(
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0 proposals, got {budget}")
+    if box < 1:
+        raise ValueError(f"box must be >= 1, got {box}")
     jobs = [(n, obj, seed, budget, box) for seed in seeds]
     if workers <= 1 or len(jobs) == 1:
         for job in jobs:

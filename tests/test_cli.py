@@ -262,6 +262,15 @@ def test_search_negative_budget_exits_two(monkeypatch, capsys):
     assert "1 restarts x 0 proposals" in capsys.readouterr().out
 
 
+def test_search_negative_box_exits_two(monkeypatch, capsys):
+    started = []
+    monkeypatch.setattr(search, "local_search", lambda *args, **kw: started.append(args))
+    code = run(["search", "--n", "8", "--mode", "forbid-gon", "--k", "5", "--box", "-5"])
+    assert code == cli.ERROR and started == []
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: box must be >= 1, got -5\n"
+
+
 def test_parallel_search_finds_witness(tmp_path):
     # several workers, so the first success terminates the pool; a hang
     # fails the test at the subprocess timeout instead of stalling the run
@@ -282,6 +291,8 @@ def test_search_seed_spec_parsing():
     import argparse
     with pytest.raises(argparse.ArgumentTypeError):
         cli._seeds_arg("three")
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli._seeds_arg("1,9-3")
 
 
 # --- solve / recipe (need a real solver) ----------------------------------

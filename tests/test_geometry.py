@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holesat.constructions import witness
 from holesat.geometry import (
     NEGATIVE,
     POSITIVE,
@@ -165,6 +167,42 @@ def test_project_normalize_sorts_x_preserving_orientations():
     t = project_normalize(s)
     assert all(t[i].x < t[i + 1].x for i in range(len(t) - 1))
     for tri in itertools.combinations(range(5), 3):
+        assert t.chi(*tri) == s.chi(*tri)
+
+
+def test_project_normalize_rejects_unsorted_points():
+    # (1, 7) comes after (5, -1) counterclockwise around the origin
+    s = PointSet([(0, 0), (1, 7), (5, -1), (6, 3)])
+    with pytest.raises(ValueError, match=r"triple \(0,1,2\) is not positive"):
+        project_normalize(s)
+
+
+def _sorted_around(points, first: int) -> PointSet:
+    """``points[first]`` at index 0, the rest counterclockwise around it."""
+    apex = Point(*points[first])
+    rest = [Point(*p) for i, p in enumerate(points) if i != first]
+    rest.sort(key=functools.cmp_to_key(lambda p, q: -orient(apex, p, q)))
+    return PointSet([apex] + rest)
+
+
+def _topmost(seed: int) -> PointSet:
+    pts = random_point_set(6 + seed, random.Random(500 + seed)).points
+    return _sorted_around(pts, max(range(len(pts)), key=lambda i: (pts[i].y, -pts[i].x)))
+
+
+@pytest.mark.parametrize("s", [
+    *(_topmost(seed) for seed in range(4)),
+    # canonical_order puts (0, 270), straight above the apex (0, 0), last
+    _sorted_around(witness("fig2-n16").points, 0),
+    # the other points span a cone of nearly 180 degrees around the apex
+    _sorted_around([(0, 0), (1000, 1), (50, 3), (3, 5), (-40, 7), (-1000, 2)], 0),
+], ids=["top-0", "top-1", "top-2", "top-3", "vertical", "near-180"])
+def test_project_normalize_general_precondition(s):
+    n = len(s)
+    assert all(s.chi(0, a, b) == POSITIVE for a, b in itertools.combinations(range(1, n), 2))
+    t = project_normalize(s)
+    assert all(t[i].x < t[i + 1].x for i in range(n - 1))
+    for tri in itertools.combinations(range(n), 3):
         assert t.chi(*tri) == s.chi(*tri)
 
 
