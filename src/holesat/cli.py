@@ -27,9 +27,9 @@ from . import __version__
 from .constructions import WITNESS_COORDS, generate_double_circle, generate_two_ring, witness
 from .encoder import MODES, HoleProblem, build_instance
 from .geometry import read_points, write_points
-from .holes import enumerate_holes, find_disjoint_tuple
+from .holes import enumerate_gons, enumerate_holes, find_disjoint_tuple
 from .recipes import RECIPE_NAMES, passed, run_recipe
-from .search import OBJECTIVE_MODES, SearchObjective, count_gons, search_witness
+from .search import OBJECTIVE_MODES, SearchObjective, search_witness
 from .solver import (
     MODEL_DECODING_FAILED,
     SolverError,
@@ -65,6 +65,8 @@ def _seeds_arg(text: str) -> list[int]:
                 seeds.extend(range(lo, hi + 1))
             else:
                 seeds.append(int(part))
+        if len(set(seeds)) < len(seeds):
+            raise ValueError
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected seeds like '0-7' or '1,5,9', got {text!r}")
     if not seeds:
@@ -182,6 +184,13 @@ def cmd_solve(args) -> int:
     return code
 
 
+def _claims(args, stem: str) -> list:
+    """(wanted, value) for each --STEM flag, then for each --no-STEM flag."""
+    dest = stem.replace("-", "_")
+    return [(want, x) for want, name in ((True, dest), (False, "no_" + dest))
+            for x in getattr(args, name) or []]
+
+
 def cmd_verify_witness(args) -> int:
     try:
         s = read_points(args.file)
@@ -193,32 +202,17 @@ def cmd_verify_witness(args) -> int:
             return FAIL
         raise
     checks: list[tuple[str, bool, str]] = []
-    for k in args.hole or []:
-        c = len(enumerate_holes(s, k))
-        checks.append((f"contains a {k}-hole", c >= 1, f"count={c}"))
-    for k in args.no_hole or []:
-        c = len(enumerate_holes(s, k))
-        checks.append((f"no {k}-hole", c == 0, f"count={c}"))
-    for k in args.gon or []:
-        c = count_gons(s, k)
-        checks.append((f"contains a {k}-gon", c >= 1, f"count={c}"))
-    for k in args.no_gon or []:
-        c = count_gons(s, k)
-        checks.append((f"no {k}-gon", c == 0, f"count={c}"))
-    for sizes, mode, want in (
-        [(x, "disjoint", True) for x in args.disjoint_holes or []]
-        + [(x, "disjoint", False) for x in args.no_disjoint_holes or []]
-        + [(x, "interior-disjoint", True) for x in args.interior_disjoint_holes or []]
-        + [(x, "interior-disjoint", False) for x in args.no_interior_disjoint_holes or []]
-    ):
-        tag = "/".join(map(str, sizes))
-        found = find_disjoint_tuple(s, sizes, mode)
-        if want:
-            note = " ".join(map(str, found)) if found else "none"
-            checks.append((f"contains {mode} {tag} holes", found is not None, note))
-        else:
-            note = "witness " + " ".join(map(str, found)) if found else "none"
-            checks.append((f"no {mode} {tag} holes", found is None, note))
+    for stem, structures in (("hole", enumerate_holes), ("gon", enumerate_gons)):
+        for want, k in _claims(args, stem):
+            c = len(structures(s, k))
+            desc = f"contains a {k}-{stem}" if want else f"no {k}-{stem}"
+            checks.append((desc, bool(c) == want, f"count={c}"))
+    for mode in ("disjoint", "interior-disjoint"):
+        for want, sizes in _claims(args, f"{mode}-holes"):
+            found = find_disjoint_tuple(s, sizes, mode)
+            note = ("" if want else "witness ") + " ".join(map(str, found)) if found else "none"
+            desc = f"{'contains' if want else 'no'} {mode} {'/'.join(map(str, sizes))} holes"
+            checks.append((desc, (found is not None) == want, note))
     if args.canonical:
         checks.append(("canonical form", s.is_canonical(), ""))
     if not checks:
@@ -347,18 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-witness", help="check structural properties of a point file (no solver)"
     )
     p.add_argument("file", help="point file: one 'x y' pair per line")
-    p.add_argument("--hole", type=int, action="append", metavar="K")
-    p.add_argument("--no-hole", type=int, action="append", metavar="K")
-    p.add_argument("--gon", type=int, action="append", metavar="K")
-    p.add_argument("--no-gon", type=int, action="append", metavar="K")
-    p.add_argument("--disjoint-holes", type=_sizes_arg, action="append", metavar="SIZES")
-    p.add_argument("--no-disjoint-holes", type=_sizes_arg, action="append", metavar="SIZES")
-    p.add_argument(
-        "--interior-disjoint-holes", type=_sizes_arg, action="append", metavar="SIZES"
-    )
-    p.add_argument(
-        "--no-interior-disjoint-holes", type=_sizes_arg, action="append", metavar="SIZES"
-    )
+    # --STEM claims at least one such structure, --no-STEM claims none
+    for stem in ("hole", "gon", "disjoint-holes", "interior-disjoint-holes"):
+        kind, metavar = (int, "K") if stem in ("hole", "gon") else (_sizes_arg, "SIZES")
+        for flag in (f"--{stem}", f"--no-{stem}"):
+            p.add_argument(flag, type=kind, action="append", metavar=metavar)
     p.add_argument("--canonical", action="store_true", help="require canonical form")
     p.set_defaults(func=cmd_verify_witness)
 

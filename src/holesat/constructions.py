@@ -32,23 +32,15 @@ def generate_double_circle(n: int, radius: int = DEFAULT_RADIUS) -> PointSet:
         raise ValueError("double circle needs even n >= 6")
     m = n // 2
     pull = 1.0 / (4 * m * m)  # small next to the edge sagitta ~ pi^2/(2 m^2)
-    for attempt in range(_MAX_ATTEMPTS):
-        r = radius << attempt
+
+    def place(r: int) -> list[tuple[int, int]]:
         outer = [_ring_point(r, 2 * math.pi * k / m) for k in range(m)]
-        inner = []
-        for k in range(m):
-            ax, ay = outer[k]
-            bx, by = outer[(k + 1) % m]
-            inner.append(
-                (round((ax + bx) / 2 * (1 - pull)), round((ay + by) / 2 * (1 - pull)))
-            )
-        try:
-            s = PointSet(outer + inner)
-        except ValueError:
-            continue
-        if _double_circle_valid(s, m):
-            return s
-    raise ValueError(f"double circle rounding failed for n={n} from radius {radius}")
+        return outer + [
+            (round((ax + bx) / 2 * (1 - pull)), round((ay + by) / 2 * (1 - pull)))
+            for (ax, ay), (bx, by) in zip(outer, outer[1:] + outer[:1])
+        ]
+
+    return _rounded("double circle", n, radius, place, lambda s: _double_circle_valid(s, m))
 
 
 def _double_circle_valid(s: PointSet, m: int) -> bool:
@@ -78,19 +70,26 @@ def generate_two_ring(n: int, radius: int = DEFAULT_RADIUS) -> PointSet:
     # the twist must not rotate any inner point out of the thinnest blocked
     # triangle; shrink/(m*tan(2pi/m)) leaves margin for every even m <= 40
     twist = shrink / (4 * m * math.tan(2 * math.pi / m)) if m % 2 == 0 else 0.0
-    for attempt in range(_MAX_ATTEMPTS):
-        r = radius << attempt
+
+    def place(r: int) -> list[tuple[int, int]]:
         outer = [_ring_point(r, 2 * math.pi * k / m) for k in range(m)]
-        inner = [
+        return outer + [
             _ring_point(r * (1 - shrink), 2 * math.pi * k / m + twist) for k in range(m)
         ]
+
+    return _rounded("two-ring", n, radius, place, lambda s: _two_ring_valid(s, m))
+
+
+def _rounded(name: str, n: int, radius: int, place, valid) -> PointSet:
+    """The first placement in general position that passes ``valid``, doubling the radius."""
+    for attempt in range(_MAX_ATTEMPTS):
         try:
-            s = PointSet(outer + inner)
+            s = PointSet(place(radius << attempt))
         except ValueError:
             continue
-        if _two_ring_valid(s, m):
+        if valid(s):
             return s
-    raise ValueError(f"two-ring rounding failed for n={n} from radius {radius}")
+    raise ValueError(f"{name} rounding failed for n={n} from radius {radius}")
 
 
 def _ring_point(r: float, angle: float) -> tuple[int, int]:

@@ -15,6 +15,7 @@ import logging
 import math
 import multiprocessing
 import random
+import signal
 from dataclasses import dataclass
 
 from .encoder import DISJOINT_FLAVOR, DISJOINT_MODES
@@ -38,6 +39,8 @@ T_FACTOR = 0.5
 MAX_DRAWS = 1000
 
 OBJECTIVE_MODES = DISJOINT_MODES + ("forbid-hole", "forbid-gon")
+# a pool worker's stop event (see search_witness); None in the calling process
+_stop = None
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,8 @@ def local_search(
     t_decay = (0.05 / temperature) ** (1.0 / epochs)
     step_decay = (2.0 / step) ** (1.0 / epochs)
     for proposal in range(budget):
+        if _stop is not None and _stop.is_set():
+            return None
         if proposal and proposal % EPOCH == 0:
             temperature = max(0.05, temperature * t_decay)
             step = max(2, int(step * step_decay))
@@ -205,6 +210,12 @@ def _search_job(args) -> tuple[int, list[tuple[int, int]] | None]:
     return seed, [(p.x, p.y) for p in found.points]
 
 
+def _init_worker(stop) -> None:
+    global _stop
+    _stop = stop
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C: the parent stops the pool
+
+
 def search_witness(
     n: int,
     obj: SearchObjective,
@@ -223,23 +234,18 @@ def search_witness(
     if box < 1:
         raise ValueError(f"box must be >= 1, got {box}")
     jobs = [(n, obj, seed, budget, box) for seed in seeds]
-    if workers <= 1 or len(jobs) == 1:
-        for job in jobs:
-            seed, coords = _search_job(job)
+    pool = None
+    if workers > 1 and len(jobs) > 1:
+        # losers stop at their next proposal: killing one mid-post can deadlock the pool
+        stop = multiprocessing.Event()
+        pool = multiprocessing.Pool(min(workers, len(jobs)), _init_worker, (stop,))
+    try:
+        for seed, coords in (pool.imap_unordered if pool else map)(_search_job, jobs):
             if coords is not None:
                 return PointSet(coords), seed
         return None
-    # Pool (not ProcessPoolExecutor) so the winner can terminate the losers
-    # instead of waiting out their budgets.
-    with multiprocessing.Pool(processes=min(workers, len(jobs))) as pool:
-        try:
-            for seed, coords in pool.imap_unordered(_search_job, jobs):
-                if coords is not None:
-                    pool.terminate()
-                    return PointSet(coords), seed
-        except Exception:
-            # drain first: terminating workers mid-post can deadlock the pool
+    finally:
+        if pool is not None:
+            stop.set()
             pool.close()
             pool.join()
-            raise
-    return None

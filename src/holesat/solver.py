@@ -378,15 +378,13 @@ def normalize_certificate(path) -> str:
     checkers reject; the cleaned copy is written next to the original.
     """
     p = Path(path)
+    cleaned = p.with_suffix(p.suffix + ".clean")
     with open(p, "rb") as f:
-        head = f.read(1)
-        if head != b"%":
+        if f.read(1) != b"%":
             return str(p)
         f.readline()
-        rest = f.read()
-    cleaned = p.with_suffix(p.suffix + ".clean")
-    with open(cleaned, "wb") as f:
-        f.write(rest)
+        with open(cleaned, "wb") as out:
+            shutil.copyfileobj(f, out)
     return str(cleaned)
 
 

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -167,6 +170,76 @@ def test_verify_witness_canonical_check(tmp_path, capsys):
     assert run(["verify-witness", str(shuffled), "--canonical"]) == cli.FAIL
 
 
+# Every flag on the bundled witnesses, each family with a passing and a
+# failing claim. Lines come out grouped by flag in declaration order, not in
+# command-line order, and a --no flag's note names the tuple it found.
+VERIFY_GOLDEN = [
+    ("fig2-n16",
+     "--hole 5 --hole 2 --no-hole 6 --gon 6 --no-gon 9 --disjoint-holes 4,4 "
+     "--no-disjoint-holes 5,5 --no-disjoint-holes 3,3 --interior-disjoint-holes 4,5 "
+     "--no-interior-disjoint-holes 5,5 --canonical", cli.FAIL, """\
+pass: contains a 5-hole (count=156)
+pass: contains a 2-hole (count=120)
+fail: no 6-hole (count=66)
+pass: contains a 6-gon (count=532)
+pass: no 9-gon (count=0)
+pass: contains disjoint 4/4 holes ((0, 1, 4, 5) (2, 3, 6, 7))
+pass: no disjoint 5/5 holes (none)
+fail: no disjoint 3/3 holes (witness (0, 1, 4) (2, 3, 6))
+pass: contains interior-disjoint 4/5 holes ((0, 1, 4, 5) (0, 3, 8, 11, 12))
+fail: no interior-disjoint 5/5 holes (witness (0, 8, 12, 13, 15) (3, 11, 12, 14, 15))
+fail: canonical form
+result: fail
+"""),
+    ("fig6-n14",
+     "--hole 5 --no-hole 8 --no-gon 9 --disjoint-holes 4,4 --no-interior-disjoint-holes 5,5",
+     cli.PASS, """\
+pass: contains a 5-hole (count=34)
+pass: no 8-hole (count=0)
+pass: no 9-gon (count=0)
+pass: contains disjoint 4/4 holes ((0, 1, 2, 3) (4, 5, 6, 7))
+pass: no interior-disjoint 5/5 holes (none)
+result: pass
+"""),
+    ("fig4-n21", "--gon 6 --no-disjoint-holes 5,5,5 --interior-disjoint-holes 5,5", cli.PASS, """\
+pass: contains a 6-gon (count=5641)
+pass: no disjoint 5/5/5 holes (none)
+pass: contains interior-disjoint 5/5 holes ((0, 7, 8, 9, 10) (0, 12, 13, 14, 15))
+result: pass
+"""),
+    ("fig6-n14",
+     "--interior-disjoint-holes 5,5 --disjoint-holes 5,5 --gon 9 --hole 8 --no-gon 5 --no-hole 3",
+     cli.FAIL, """\
+fail: contains a 8-hole (count=0)
+fail: no 3-hole (count=154)
+fail: contains a 9-gon (count=0)
+fail: no 5-gon (count=276)
+fail: contains disjoint 5/5 holes (none)
+fail: contains interior-disjoint 5/5 holes (none)
+result: fail
+"""),
+    ("fig4-n21",
+     "--no-disjoint-holes 5,5 --disjoint-holes 5,5,5 --no-interior-disjoint-holes 4,4 "
+     "--no-gon 6 --no-hole 5", cli.FAIL, """\
+fail: no 5-hole (count=961)
+fail: no 6-gon (count=5641)
+fail: contains disjoint 5/5/5 holes (none)
+fail: no disjoint 5/5 holes (witness (0, 7, 8, 9, 10) (11, 12, 13, 14, 15))
+fail: no interior-disjoint 4/4 holes (witness (0, 1, 2, 3) (0, 3, 4, 5))
+result: fail
+"""),
+    ("fig4-n21", "", cli.PASS, "pass: general position (21 points)\nresult: pass\n"),
+]
+
+
+@pytest.mark.parametrize("name, flags, code, text", VERIFY_GOLDEN)
+def test_verify_witness_outputs_are_pinned(tmp_path, capsys, name, flags, code, text):
+    path = tmp_path / f"{name}.txt"
+    write_points(path, witness(name))
+    assert run(["verify-witness", str(path)] + flags.split()) == code
+    assert capsys.readouterr().out == text
+
+
 def test_sizes_above_n_count_zero(tmp_path, capsys):
     path = tmp_path / "fig6.txt"
     write_points(path, witness("fig6-n14"))
@@ -285,6 +358,28 @@ def test_parallel_search_finds_witness(tmp_path):
     assert run(["verify-witness", str(out), "--no-hole", "5"]) == 0
 
 
+def test_interrupted_parallel_search_exits():
+    # Ctrl-C reaches every process in the group: the workers must leave the
+    # shutdown to the parent, or the pool waits forever for their lost jobs
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "holesat.cli", "search", "--n", "12", "--mode",
+         "two-disjoint-holes", "--sizes", "4,5", "--seeds", "0-3", "--workers", "2",
+         "--budget", "100000"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env={"PYTHONPATH": str(src)},
+        start_new_session=True,
+    )
+    time.sleep(3)  # long enough for the workers to be annealing
+    os.killpg(proc.pid, signal.SIGINT)
+    try:
+        proc.wait(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        pytest.fail("interrupted search did not exit")
+    assert proc.returncode == -signal.SIGINT
+
+
 def test_search_seed_spec_parsing():
     assert cli._seeds_arg("0-3,7") == [0, 1, 2, 3, 7]
     assert cli._seeds_arg("4") == [4]
@@ -293,6 +388,8 @@ def test_search_seed_spec_parsing():
         cli._seeds_arg("three")
     with pytest.raises(argparse.ArgumentTypeError):
         cli._seeds_arg("1,9-3")
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli._seeds_arg("0-3,2")
 
 
 # --- solve / recipe (need a real solver) ----------------------------------

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import multiprocessing
 import random
+import signal
+import threading
 
 import pytest
 
+from holesat import search
 from holesat.constructions import generate_double_circle, witness
 from holesat.geometry import PointSet
 from holesat.holes import enumerate_holes, hulls_disjoint, hulls_interior_disjoint, is_gon
@@ -183,3 +188,47 @@ def test_search_witness_pool_raises_when_box_too_small():
     obj = SearchObjective("forbid-gon", (5,))
     with pytest.raises(ValueError, match="box 1 too small for n=8"):
         search_witness(8, obj, seeds=range(4), box=1, workers=2)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    # a hung pool fails the test instead of stalling the run
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_pooled_success_matches_serial_run_and_leaves_no_workers():
+    # four workers: more processes than a 2-core host has cores
+    obj = SearchObjective("forbid-gon", (5,))
+    with _deadline(120):
+        hit = search_witness(8, obj, seeds=range(8), budget=20000, workers=4)
+    assert multiprocessing.active_children() == []
+    assert hit is not None
+    found, seed = hit
+    serial = local_search(8, obj, seed=seed, budget=20000)
+    assert [(p.x, p.y) for p in found.points] == [(p.x, p.y) for p in serial.points]
+
+
+def test_pooled_error_leaves_no_workers():
+    obj = SearchObjective("forbid-gon", (5,))
+    with _deadline(120), pytest.raises(ValueError, match="box 1 too small"):
+        search_witness(8, obj, seeds=range(4), box=1, workers=4)
+    assert multiprocessing.active_children() == []
+
+
+def test_local_search_returns_at_a_set_stop_event(monkeypatch):
+    # the restart that would find a witness gives up once another has won
+    obj = SearchObjective("forbid-gon", (5,))
+    assert local_search(8, obj, seed=0, budget=20000) is not None
+    stop = threading.Event()
+    stop.set()
+    monkeypatch.setattr(search, "_stop", stop)
+    assert local_search(8, obj, seed=0, budget=20000) is None

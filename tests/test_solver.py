@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
 import stat
 import tempfile
+import tracemalloc
 
 import pytest
 
@@ -170,6 +172,30 @@ def test_normalize_certificate_strips_percent_header(tmp_path):
     cleaned = normalize_certificate(decorated)
     assert cleaned.endswith(".clean")
     assert open(cleaned).read() == "1 2 0\n"
+
+
+def test_normalize_certificate_streams_a_large_proof(tmp_path):
+    # the cleaned copy of a 32 MB proof is exact, and it is not read whole
+    decorated = tmp_path / "large.drat"
+    block = b"".join(b"%d -%d %d 0\n" % (i, i + 1, i + 2) for i in range(1, 40001))
+    digest = hashlib.sha256()
+    with open(decorated, "wb") as f:
+        f.write(b"%RUPD32 header\n")
+        while f.tell() < 32 * 2**20:
+            f.write(block)
+            digest.update(block)
+    tracemalloc.start()
+    try:
+        cleaned = normalize_certificate(decorated)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    copied = hashlib.sha256()
+    with open(cleaned, "rb") as f:
+        for chunk in iter(lambda: f.read(2**20), b""):
+            copied.update(chunk)
+    assert copied.hexdigest() == digest.hexdigest()
+    assert peak < 4 * 2**20
 
 
 def test_proof_check_needs_positive_verdict(tmp_path):
