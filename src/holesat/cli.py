@@ -21,6 +21,7 @@ import logging
 import shutil
 import sys
 import tempfile
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from . import __version__
@@ -396,7 +397,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (SolverError, OSError, ValueError) as exc:
+    except (SolverError, OSError, ValueError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
 

@@ -37,8 +37,11 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import add
 from typing import Iterator, Literal, Sequence, get_args
 
 from .abstract import enumerate_gons, enumerate_holes, in_triangle, is_gon
@@ -219,8 +222,8 @@ class VarRegistry:
 class CnfInstance:
     """A compiled problem: the registry and the emitters of its clause groups.
 
-    Each consumer runs the emitters afresh and reads their DIMACS lines;
-    ``groups`` is recorded by a write, or counted when read before.
+    Each consumer runs the emitters afresh and reads their DIMACS pieces as they
+    come, never the whole text; ``groups`` is recorded by the first full pass.
     """
 
     def __init__(self, problem: HoleProblem, registry: VarRegistry, emitters):
@@ -235,7 +238,8 @@ class CnfInstance:
     @property
     def groups(self) -> list[tuple[str, int]]:
         if self._groups is None:
-            self._text()
+            for _ in self._pieces():
+                pass
         return self._groups
 
     @property
@@ -249,35 +253,38 @@ class CnfInstance:
             self._clauses = [_parse(line) for _, line in self._lines()]
         return self._clauses
 
-    def _text(self) -> list[tuple[str, list[str]]]:
-        """(label, its DIMACS text pieces) per group, each emitter run afresh; sets ``groups``."""
-        text = [(label, list(pieces)) for emit in self._emitters
-                for label, pieces in emit(self.problem, self.registry)]
-        self._groups = [(label, sum(p.count("\n") for p in pieces)) for label, pieces in text]
-        return text
+    def _pieces(self) -> Iterator[tuple[str, str]]:
+        """(label, DIMACS piece) from each emitter, run afresh; a full pass records ``groups``."""
+        groups = []
+        for emit in self._emitters:
+            for label, pieces in emit(self.problem, self.registry):
+                count = 0
+                for piece in pieces:
+                    count += piece.count("\n")
+                    yield label, piece
+                groups.append((label, count))
+        self._groups = groups
 
     def _lines(self) -> Iterator[tuple[str, str]]:
         """(label, clause line) per clause: the lines the writer writes."""
-        return ((label, line) for label, pieces in self._text()
-                for piece in pieces for line in piece.splitlines())
+        return ((label, line) for label, piece in self._pieces() for line in piece.splitlines())
 
     def write_dimacs(self, path) -> None:
-        """Collect the body text as the emitters produce it, then write header and body."""
-        text = self._text()
-        with open(path, "w") as f:
-            f.write(f"c holesat instance {self.problem.key()}\n")
-            switches = (
-                (fd.name.replace("_", "-"), getattr(self.problem, fd.name))
-                for fd in dataclasses.fields(HoleProblem)
-            )
-            f.write("c " + " ".join(f"{k}={_header_value(v)}" for k, v in switches) + "\n")
-            fams = " ".join(f"{k}={v}" for k, v in self.registry.family_counts.items())
-            f.write(f"c vars {fams} total={self.num_vars}\n")
-            for label, count in self._groups:
-                f.write(f"c group {label} {count}\n")
-            f.write(f"p cnf {self.num_vars} {self.num_clauses}\n")
-            for _, pieces in text:
-                f.writelines(pieces)
+        """Spool the body into an unnamed file beside ``path``, then write the header,
+        which needs the counts, and copy the body in; a failing emitter writes nothing."""
+        with tempfile.TemporaryFile("w+", dir=os.path.dirname(os.path.abspath(path))) as body:
+            body.writelines(piece for _, piece in self._pieces())
+            body.seek(0)
+            with open(path, "w") as f:
+                f.write(f"c holesat instance {self.problem.key()}\n")
+                switches = dataclasses.asdict(self.problem).items()
+                f.write("c " + " ".join(_header_switch(*kv) for kv in switches) + "\n")
+                fams = " ".join(f"{k}={v}" for k, v in self.registry.family_counts.items())
+                f.write(f"c vars {fams} total={self.num_vars}\n")
+                for label, count in self._groups:
+                    f.write(f"c group {label} {count}\n")
+                f.write(f"p cnf {self.num_vars} {self.num_clauses}\n")
+                shutil.copyfileobj(body, f)
 
     def write_registry(self, path) -> None:
         with open(path, "w") as f:
@@ -288,22 +295,16 @@ class CnfInstance:
 
 def load_registry(path) -> dict[int, tuple]:
     """Sidecar registry file back into an id -> tag mapping."""
-    out: dict[int, tuple] = {}
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            out[int(parts[0])] = (parts[1], *map(int, parts[2:]))
-    return out
+        rows = (line.split() for line in f)
+        return {int(r[0]): (r[1], *map(int, r[2:])) for r in rows if r and r[0][0] != "#"}
 
 
-def _header_value(value) -> str:
-    """A problem field as the DIMACS header spells it: bools 0/1, sizes a,b."""
+def _header_switch(name: str, value) -> str:
+    """A problem field as the DIMACS header spells it: dashes, bools 0/1, sizes a,b."""
     if isinstance(value, tuple):
-        return ",".join(map(str, value))
-    return str(int(value) if isinstance(value, bool) else value)
+        value = ",".join(map(str, value))
+    return f"{name.replace('_', '-')}={int(value) if isinstance(value, bool) else value}"
 
 
 def _parse(line: str) -> tuple[int, ...]:
@@ -414,7 +415,7 @@ def emit_disjointness(problem: HoleProblem, reg: VarRegistry) -> list[tuple[str,
     """Family (8): side-existence variables and their mutual exclusion.
 
     The largest group, so it is written straight as text, one piece per
-    side variable, made afresh by each call; no clause tuple is built.
+    side variable, made afresh by each call; no Python code runs per clause.
 
     L(k, a, b) (R(k, a, b)) is implied by each k-hole x of the mode's schema
     with its labels, bar the skipped ones, strictly left (right) of a->b:
@@ -423,31 +424,38 @@ def emit_disjointness(problem: HoleProblem, reg: VarRegistry) -> list[tuple[str,
     both skipping the anchor; interior = every subset, skipping a and b.
     """
     n = problem.n
-    k1, k2 = problem.sizes
     interior = problem.mode == "two-interior-disjoint-holes"
+    through = not (interior or problem.relaxed_lr)  # the default schema
     pairs = list(itertools.permutations(range(n), 2))
 
     def pieces() -> Iterator[str]:
         for k in sorted(set(problem.sizes)):
-            # each k-subset once, with a getter of its row entries and its
-            # negated hole literal (none for k = 2)
-            subsets = [
-                (x, itemgetter(*x), "" if k == 2 else "%d " % -reg.hole_lit(k, x))
-                for x in itertools.combinations(range(n), k)
-            ]
-            through = [[s for s in subsets if p in s[0]] for p in range(n)]
+            subsets = list(itertools.combinations(range(n), k))
+            holes = ["" if k == 2 else "%d " % -reg.hole_lit(k, x) for x in subsets]
+            # per anchor, the hole strings of its schema's subsets (by default the anchor
+            # and m = k - 1 of the n - 1 others), and which of them miss the i-th other
+            m, others = k - through, range(n - through)
+            if not interior:
+                pools = [[h for x, h in zip(subsets, holes) if p in x] if through else holes
+                         for p in range(n)]
+                misses = [bytes(i not in y for y in itertools.combinations(others, m))
+                          for i in others]
             for a, b in pairs:
-                # body rows, "c is not left (right) of a->b" as "%d " strings,
-                # are "" at a and b: the endpoints a subset of the schema may
-                # hold are the skipped ones, so the joined entries are the body
+                # body rows, "c is not left (right) of a->b" as "%d " strings, are ""
+                # at a and b, the labels the schema skips: joined entries are the body
                 row_r = ["%d " % l if l else "" for l in reg.lit[a][b]]
                 row_l = ["%d " % -l if l else "" for l in reg.lit[a][b]]
                 for fam, row, anchor, other in (("L", row_l, a, b), ("R", row_r, b, a)):
+                    if interior:
+                        hole, free = holes, row
+                    else:  # bodies come in the order of the subsets that miss other
+                        i = other - (through and other > anchor)
+                        hole = itertools.compress(pools[anchor], misses[i])
+                        free = [s for s in row if s] if through else row[:other] + row[other + 1:]
+                    clauses = list(map(add, hole, map("".join, itertools.combinations(free, m))))
                     side = "%d " % reg.var(fam, k, a, b)
-                    pool = subsets if interior or problem.relaxed_lr else through[anchor]
-                    yield "".join([f"{side}{h}{''.join(get(row))}0\n"
-                                   for x, get, h in pool if interior or other not in x])
-        for ka, kb in sorted({(k1, k2), (k2, k1)}):
+                    yield side + ("0\n" + side).join(clauses) + "0\n" if clauses else ""
+        for ka, kb in sorted({problem.sizes, problem.sizes[::-1]}):
             yield "".join([f"-{reg.var('L', ka, a, b)} -{reg.var('R', kb, a, b)} 0\n"
                            for a, b in pairs])
 

@@ -16,6 +16,7 @@ import math
 import multiprocessing
 import random
 import signal
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
 from .encoder import DISJOINT_FLAVOR, DISJOINT_MODES
@@ -205,9 +206,7 @@ def _reverify(points: list[Point], obj: SearchObjective) -> PointSet:
 def _search_job(args) -> tuple[int, list[tuple[int, int]] | None]:
     n, obj, seed, budget, box = args
     found = local_search(n, obj, seed=seed, budget=budget, box=box)
-    if found is None:
-        return seed, None
-    return seed, [(p.x, p.y) for p in found.points]
+    return seed, None if found is None else [(p.x, p.y) for p in found.points]
 
 
 def _init_worker(stop) -> None:
@@ -236,16 +235,16 @@ def search_witness(
     jobs = [(n, obj, seed, budget, box) for seed in seeds]
     pool = None
     if workers > 1 and len(jobs) > 1:
-        # losers stop at their next proposal: killing one mid-post can deadlock the pool
-        stop = multiprocessing.Event()
-        pool = multiprocessing.Pool(min(workers, len(jobs)), _init_worker, (stop,))
+        ctx = multiprocessing.get_context("spawn")  # a fork of a threaded caller can deadlock
+        stop = ctx.Event()  # losers stop at their next proposal; a dead worker breaks the pool
+        pool = ProcessPoolExecutor(min(workers, len(jobs)), ctx, _init_worker, (stop,))
     try:
-        for seed, coords in (pool.imap_unordered if pool else map)(_search_job, jobs):
+        todo = as_completed([pool.submit(_search_job, job) for job in jobs]) if pool else jobs
+        for seed, coords in map(Future.result if pool else _search_job, todo):
             if coords is not None:
                 return PointSet(coords), seed
         return None
     finally:
         if pool is not None:
             stop.set()
-            pool.close()
-            pool.join()
+            pool.shutdown(cancel_futures=True)

@@ -380,6 +380,39 @@ def test_interrupted_parallel_search_exits():
     assert proc.returncode == -signal.SIGINT
 
 
+def test_search_with_a_dead_worker_exits_with_an_error(tmp_path):
+    # a worker killed mid-job (the OOM killer, say) breaks the pool: the search
+    # reports it instead of waiting for ever on the lost job's result. Spawned
+    # workers import this script too, so they find the job it substitutes.
+    script = tmp_path / "dying.py"
+    script.write_text("\n".join([
+        "import os, sys",
+        "from holesat import cli, search",
+        "job = search._search_job",
+        "def dying(args):",
+        "    if args[2] == 1:",
+        "        os._exit(1)",
+        "    return job(args)",
+        "search._search_job = dying",
+        "if __name__ == '__main__':",
+        "    sys.exit(cli.main(['search', '--n', '12', '--mode', 'two-disjoint-holes', '--sizes',"
+        " '4,5', '--seeds', '0-3', '--workers', '2', '--budget', '100000']))",
+    ]) + "\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, str(script)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env={"PYTHONPATH": str(src)}, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("search with a dead worker did not exit")
+    assert (proc.returncode, out) == (cli.ERROR, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_search_seed_spec_parsing():
     assert cli._seeds_arg("0-3,7") == [0, 1, 2, 3, 7]
     assert cli._seeds_arg("4") == [4]

@@ -12,6 +12,7 @@ import collections
 import hashlib
 import itertools
 import math
+import os
 import random
 import tracemalloc
 
@@ -285,6 +286,25 @@ def test_side_schema_clause_counts(p):
     assert len(exclusions) == n * (n - 1) * len(pairings)
 
 
+@pytest.mark.parametrize(
+    "p", SCHEMA_PROBLEMS + [HoleProblem(n=10, mode="two-interior-disjoint-holes", sizes=(5, 5))],
+    ids=lambda p: p.key(),
+)
+def test_left_and_right_sides_share_their_bodies(p):
+    # R(k,b,a) is anchored at a as L(k,a,b) is, and right of b->a is left of
+    # a->b: both stand for the same k-holes of the schema, clause for clause
+    reg = VarRegistry(p)
+    [(_, pieces)] = emit_disjointness(p, reg)
+    bodies = collections.defaultdict(list)
+    for cl in parsed(pieces):
+        if cl[0] > 0:
+            bodies[cl[0]].append(cl[1:])
+    for k in sorted(set(p.sizes)):
+        for a, b in itertools.permutations(range(p.n), 2):
+            left = bodies[reg.var("L", k, a, b)]
+            assert left and left == bodies[reg.var("R", k, b, a)], (k, a, b)
+
+
 # --- the orientation-literal table ------------------------------------------
 
 @pytest.mark.parametrize("orient_vars", ["compact", "explicit"])
@@ -449,6 +469,20 @@ def test_interior_benchmark_instance_pinned(tmp_path):
     )
 
 
+def test_h55_full_benchmark_instance_pinned(tmp_path):
+    # the disjoint (5,5) n=16 instance with hints of the sat-replay benchmark, whole
+    p = HoleProblem(n=16, mode="two-disjoint-holes", sizes=(5, 5), hints=True)
+    inst = build_instance(p)
+    inst.write_dimacs(tmp_path / "a.cnf")
+    inst.write_registry(tmp_path / "a.vars")
+    digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert (tmp_path / "a.cnf").stat().st_size == 17_647_955
+    assert (digest("a.cnf"), digest("a.vars")) == (
+        "7768d0c6a2fd8a7a8d9f4b670d8088900d1eac91c0604a314de1cde875d3a8d0",
+        "523e9f48b146f2dcacade8ca9d1ca40858ee51356899d6827f4363d6b5d9233a",
+    )
+
+
 def test_empty_emitted_clause_rejected_before_writing(tmp_path):
     p = HoleProblem(n=6, mode="forbid-hole", sizes=(5,))
     broken = as_dimacs(lambda p, reg: [("broken", [(1,), ()])])
@@ -475,6 +509,73 @@ def test_emission_memory_tracks_cnf_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 3 * (tmp_path / "a.cnf").stat().st_size
+
+
+# a stand-in emitter of about 20 MB in 41.6 KB pieces; its one literal has
+# 100 digits, so a reader that parses lines has 200,000 of them to read
+BIG = 10**99
+
+
+def _big_group(problem, reg):
+    return [("big", (f"{BIG} 0\n" * 400 for _ in range(500)))]
+
+
+def _stand_in(*emitters) -> CnfInstance:
+    p = HoleProblem(n=6, mode="forbid-hole", sizes=(5,))
+    return CnfInstance(p, VarRegistry(p), emitters)
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_reader_holds_the_whole_body(tmp_path):
+    inst = _stand_in(_big_group)
+    assert _traced_peak(lambda: inst.write_dimacs(tmp_path / "a.cnf")) < 4_000_000
+    assert (tmp_path / "a.cnf").stat().st_size > 20_000_000
+    assert inst.groups == [("big", 200_000)]
+    violated = []
+    assert _traced_peak(lambda: violated.extend(violated_clauses(inst, {BIG: True}))) < 4_000_000
+    assert violated == []
+
+
+def test_lines_come_before_a_later_emitter_runs():
+    def failing(problem, reg):
+        raise ValueError("second emitter ran")
+
+    lines = _stand_in(lambda problem, reg: [("one", ["1 0\n"])], failing)._lines()
+    assert next(lines) == ("one", "1 0")
+    with pytest.raises(ValueError, match="second emitter ran"):
+        next(lines)
+
+
+def test_groups_after_a_write_run_no_emitter(tmp_path):
+    calls = []
+
+    def counted(problem, reg):
+        calls.append(problem)
+        return [("one", ["1 0\n", "-1 0\n"])]
+
+    inst = _stand_in(counted)
+    inst.write_dimacs(tmp_path / "a.cnf")
+    assert (inst.groups, inst.num_clauses, len(calls)) == ([("one", 2)], 2, 1)
+
+
+def test_a_write_leaves_only_the_cnf(tmp_path):
+    (tmp_path / "ok").mkdir()
+    _stand_in(_big_group).write_dimacs(tmp_path / "ok" / "a.cnf")
+    assert os.listdir(tmp_path / "ok") == ["a.cnf"]
+    # the first group is spooled when the second fails
+    broken = as_dimacs(lambda p, reg: [("broken", [(1,), ()])])
+    (tmp_path / "failed").mkdir()
+    with pytest.raises(ValueError, match="empty clause in group broken"):
+        _stand_in(_big_group, broken).write_dimacs(tmp_path / "failed" / "a.cnf")
+    assert os.listdir(tmp_path / "failed") == []
 
 
 @pytest.mark.parametrize("p", PROBLEMS, ids=lambda p: p.key())
