@@ -9,10 +9,11 @@ hole and gon enumeration, the tuple search) are shared with
 :mod:`holesat.holes` and re-exported here. The deciders here read only
 ``sig.chi``: ``is_hole`` checks the definition directly, and disjointness
 is decided through separator pairs instead of polygon intersection, which
-keeps the two modules independent oracles; nothing of the coordinate
-side's hull or disjointness code is imported here. The test suite
-cross-checks the two on signotopes derived from actual point sets and on
-random signotopes.
+keeps the two modules independent oracles: of the coordinate side's own
+code only the member check ``_members`` is imported, no hull or
+disjointness code. Members come in any order; only :func:`is_hole` sorts
+them, for its label-range test. The test suite cross-checks the two on
+signotopes derived from actual point sets and on random signotopes.
 
 Precondition throughout: ``sig`` satisfies the signotope axioms
 (``check_signotope(sig) == []``). Under the axioms a label contained in a
@@ -31,7 +32,7 @@ from .geometry import NEGATIVE, POSITIVE, Signotope
 # table and the enumerations are re-exported for callers of this module
 from .holes import (
     DisjointMode,
-    _normalize,
+    _members,
     disjoint_tuples,
     enumerate_gons,
     enumerate_holes,
@@ -49,17 +50,17 @@ def is_hole(sig: Signotope, x: Iterable[int]) -> bool:
     members); :func:`enumerate_holes` takes the shared triple-table path
     instead, and the two are cross-checked in the test suite.
     """
-    xs = _normalize(sig, x)
+    xs, mask = _members(sig, x)
     if len(xs) < 2:
         raise ValueError("a hole needs at least 2 points")
     if len(xs) == 2:
         return True
     if len(xs) > 3 and not is_gon(sig, xs):
         return False
-    members = set(xs)
-    for a, b, c in itertools.combinations(xs, 3):
+    # the label-range test below needs a < b < c
+    for a, b, c in itertools.combinations(sorted(xs), 3):
         for i in range(a + 1, c):
-            if i not in members and in_triangle(sig, i, a, b, c):
+            if not mask >> i & 1 and in_triangle(sig, i, a, b, c):
                 return False
     return True
 
@@ -72,11 +73,11 @@ def holes_disjoint(sig: Signotope, x1: Iterable[int], x2: Iterable[int]) -> bool
     realizable signotopes this matches disjointness of the convex hulls
     (a separating line can be rotated onto an inner common tangent).
     """
-    a1 = _normalize(sig, x1)
-    a2 = _normalize(sig, x2)
+    a1, m1 = _members(sig, x1)
+    a2, m2 = _members(sig, x2)
     if not a1 or not a2:
         raise ValueError("subsets must be nonempty")
-    if set(a1) & set(a2):
+    if m1 & m2:
         return False
     for a in a1:
         for b in a2:
@@ -119,25 +120,18 @@ def holes_interior_disjoint(
     matches disjointness of the open polygon interiors: a line separating
     the interiors can be rotated until it passes through two of the points.
     """
-    a1 = _normalize(sig, x1)
-    a2 = _normalize(sig, x2)
+    a1, m1 = _members(sig, x1)
+    a2, m2 = _members(sig, x2)
     if len(a1) < 3 or len(a2) < 3:
         raise ValueError("interior-disjointness needs at least 3 points each")
-    if len(set(a1) & set(a2)) >= 3:
+    if (m1 & m2).bit_count() >= 3:
         return False
-    union = sorted(set(a1) | set(a2))
-    rest1 = {a: [x for x in a1 if x != a] for a in union}
-    rest2 = {b: [x for x in a2 if x != b] for b in union}
-    for a in union:
-        for b in union:
-            if a == b:
-                continue
-            t1 = [x for x in rest1[a] if x != b]
-            t2 = [x for x in rest2[b] if x != a]
-            if all(sig.chi(a, b, x) == POSITIVE for x in t1) and all(
-                sig.chi(a, b, x) == NEGATIVE for x in t2
-            ):
-                return True
+    union = [i for i in range(sig.n) if (m1 | m2) >> i & 1]
+    for a, b in itertools.permutations(union, 2):
+        if all(sig.chi(a, b, x) == POSITIVE for x in a1 if x != a and x != b) and all(
+            sig.chi(a, b, x) == NEGATIVE for x in a2 if x != a and x != b
+        ):
+            return True
     return False
 
 

@@ -7,7 +7,8 @@ alike fill on construction: ``s.chi`` one sign at a time, the bitmasks
 labeling. A *k-gon* is a subset in convex position; a *k-hole* is a k-gon
 whose hull contains no other point of the set. A 2-subset is always a
 (degenerate) hole under general position. Enumerations and tuple searches
-return holes and gons as sorted index tuples.
+return holes and gons as sorted index tuples. Predicates take members in
+any order; :func:`_members` checks them and builds the mask they read.
 
 The orientation-only predicates, the 4-gon table, the hole and gon
 enumerations and the tuple search (one generator, :func:`disjoint_tuples`,
@@ -28,13 +29,17 @@ from .geometry import POSITIVE, PointSet
 DisjointMode = Literal["disjoint", "interior-disjoint"]
 
 
-def _normalize(s: PointSet, x: Iterable[int]) -> tuple[int, ...]:
-    xs = tuple(sorted(x))
-    if len(set(xs)) != len(xs):
+def _members(s: PointSet, x: Iterable[int]) -> tuple[tuple[int, ...], int]:
+    """The members of x in the order given and their bitmask; bad indices raise."""
+    xs = tuple(x)
+    mask, n = 0, s.n
+    for i in xs:
+        if not 0 <= i < n:
+            raise IndexError(f"index {i} out of range in {xs}")
+        mask |= 1 << i
+    if mask.bit_count() != len(xs):
         raise ValueError(f"duplicate indices in {xs}")
-    if xs and (xs[0] < 0 or xs[-1] >= s.n):
-        raise IndexError(f"index out of range in {xs}")
-    return xs
+    return xs, mask
 
 
 def in_triangle(s: PointSet, i: int, a: int, b: int, c: int) -> bool:
@@ -48,10 +53,10 @@ def in_triangle(s: PointSet, i: int, a: int, b: int, c: int) -> bool:
 
 def is_gon(s: PointSet, x: Iterable[int]) -> bool:
     """True iff the subset is in convex position: no member inside its hull."""
-    xs = _normalize(s, x)
+    xs, mask = _members(s, x)
     if len(xs) < 3:
         raise ValueError("a gon needs at least 3 points")
-    return not _hull_interior(s.left, xs) & sum(1 << i for i in xs)
+    return not _hull_interior(s.left, xs) & mask
 
 
 def hull_order(s: PointSet, x: Iterable[int]) -> list[int]:
@@ -60,11 +65,11 @@ def hull_order(s: PointSet, x: Iterable[int]) -> list[int]:
     Members of x strictly inside the hull are dropped, so the result works
     for arbitrary subsets, not only gons.
     """
-    xs = _normalize(s, x)
-    if len(xs) <= 2:
-        return list(xs)
+    xs, _ = _members(s, x)
     inside = _hull_interior(s.left, xs)
     vertices = [i for i in xs if not inside >> i & 1]
+    if not vertices:
+        return []
     anchor = min(vertices, key=lambda i: s.points[i])
     rest = [i for i in vertices if i != anchor]
     rest.sort(
@@ -88,7 +93,7 @@ def is_hole(s: PointSet, x: Iterable[int]) -> bool:
 
     For |x| = 2 the condition is vacuous under general position.
     """
-    xs = _normalize(s, x)
+    xs, mask = _members(s, x)
     if len(xs) < 2:
         raise ValueError("a hole needs at least 2 points")
     if len(xs) == 2:
@@ -96,11 +101,10 @@ def is_hole(s: PointSet, x: Iterable[int]) -> bool:
     if len(xs) > 3 and not is_gon(s, xs):
         return False
     hull = hull_order(s, xs)
-    outside = set(xs)
     xlo = min(s.points[i].x for i in xs)
     xhi = max(s.points[i].x for i in xs)
     for i in range(len(s)):
-        if i in outside:
+        if mask >> i & 1:
             continue
         p = s.points[i]
         if p.x < xlo or p.x > xhi:
@@ -188,15 +192,10 @@ def hulls_disjoint(s: PointSet, x1: Iterable[int], x2: Iterable[int]) -> bool:
     such that every other point of x1 is strictly on one side of line a->b
     and every other point of x2 strictly on the other.
     """
-    a1 = _normalize(s, x1)
-    a2 = _normalize(s, x2)
+    a1, m1 = _members(s, x1)
+    a2, m2 = _members(s, x2)
     if not a1 or not a2:
         raise ValueError("subsets must be nonempty")
-    m1 = m2 = 0
-    for a in a1:
-        m1 |= 1 << a
-    for b in a2:
-        m2 |= 1 << b
     if m1 & m2:
         return False
     left = s.left
@@ -222,14 +221,12 @@ def hulls_interior_disjoint(s: PointSet, x1: Iterable[int], x2: Iterable[int]) -
     edges all witness overlapping interiors; under general position nothing
     else can. Subsets with fewer than 3 points have empty planar interior.
     """
-    a1 = _normalize(s, x1)
-    a2 = _normalize(s, x2)
+    a1, m1 = _members(s, x1)
+    a2, m2 = _members(s, x2)
     if not a1 or not a2:
         raise ValueError("subsets must be nonempty")
     if len(a1) < 3 or len(a2) < 3:
         return True
-    m1 = sum(1 << i for i in a1)
-    m2 = sum(1 << i for i in a2)
     if (m1 & m2).bit_count() >= 3:
         return False
     left = s.left
@@ -277,8 +274,7 @@ def _hull_edges(left, xs: Sequence[int], members: int) -> list[tuple[int, int]]:
 
 def hull_vertices(s: PointSet, x: Iterable[int] | None = None) -> list[int]:
     """Sorted indices of the extremal points of x (default: the whole set)."""
-    xs = _normalize(s, range(len(s)) if x is None else x)
-    return sorted(hull_order(s, xs))
+    return sorted(hull_order(s, range(len(s)) if x is None else x))
 
 
 def find_disjoint_tuple(

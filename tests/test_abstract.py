@@ -172,3 +172,82 @@ def test_disjointness_deciders_stay_independent():
                 imported |= names
     assert imported, "expected the shared predicates to come from holes"
     assert not imported & (banned | {"*"})
+
+
+# (predicate, reads the signotope, takes two sets, members too few for it,
+# its size error or None)
+_PREDICATES = [
+    (geo.is_gon, False, False, [0, 1], "a gon needs"),
+    (geo.hull_order, False, False, None, None),
+    (geo.is_hole, False, False, [0], "a hole needs"),
+    (geo.hulls_disjoint, False, True, [], "nonempty"),
+    (geo.hulls_interior_disjoint, False, True, [], "nonempty"),
+    (geo.hull_vertices, False, False, None, None),
+    (abstract.is_hole, True, False, [0], "a hole needs"),
+    (abstract.holes_disjoint, True, True, [], "nonempty"),
+    (abstract.holes_interior_disjoint, True, True, [0, 1], "at least 3 points each"),
+]
+
+
+@pytest.mark.parametrize(
+    "predicate, on_sig, pair, too_few, size_error", _PREDICATES,
+    ids=[f"{p[0].__module__.rsplit('.', 1)[1]}.{p[0].__name__}" for p in _PREDICATES],
+)
+def test_bad_members_raise_the_same_errors_everywhere(
+    predicate, on_sig, pair, too_few, size_error
+):
+    n = 8
+    s, sig = _canonical(3, n)
+    table = sig if on_sig else s
+    other = (5, 6, 7)
+    # a two-set decider sees the members under test in either slot
+    calls = [
+        lambda x: predicate(table, x, other), lambda x: predicate(table, other, x)
+    ] if pair else [lambda x: predicate(table, x)]
+    for run in calls:
+        with pytest.raises(ValueError, match="duplicate"):
+            run([0, 2, 2, 3])
+        for bad in (n, -1):
+            with pytest.raises(IndexError, match="out of range"):
+                run([0, 2, bad])
+        if size_error is None:
+            assert run([]) == []
+        else:
+            with pytest.raises(ValueError, match=size_error):
+                run(too_few)
+
+
+@given(st.integers(0, 10**6), st.integers(min_value=6, max_value=11))
+@settings(max_examples=30, deadline=None)
+def test_member_order_does_not_matter(seed, n):
+    s, sig = _canonical(seed, n)
+    rng = random.Random(seed)
+
+    def orders(x):
+        shuffled = list(x)
+        rng.shuffle(shuffled)
+        return [sorted(x), sorted(x, reverse=True), shuffled]
+
+    holes = [h for k in (3, 4, 5) for h in geo.enumerate_holes(s, k)]
+    subsets = [rng.sample(range(n), rng.randint(3, 6)) for _ in range(10)]
+    for x in subsets + rng.sample(holes, min(10, len(holes))):
+        for name, got in (
+            ("is_gon", [geo.is_gon(s, xs) for xs in orders(x)]),
+            ("is_gon(sig)", [abstract.is_gon(sig, xs) for xs in orders(x)]),
+            ("holes.is_hole", [geo.is_hole(s, xs) for xs in orders(x)]),
+            ("abstract.is_hole", [abstract.is_hole(sig, xs) for xs in orders(x)]),
+            ("hull_order", [geo.hull_order(s, xs) for xs in orders(x)]),
+            ("hull_vertices", [geo.hull_vertices(s, xs) for xs in orders(x)]),
+        ):
+            assert got.count(got[0]) == len(got), (name, x, got)
+    deciders = (
+        lambda a, b: geo.hulls_disjoint(s, a, b),
+        lambda a, b: geo.hulls_interior_disjoint(s, a, b),
+        lambda a, b: abstract.holes_disjoint(sig, a, b),
+        lambda a, b: abstract.holes_interior_disjoint(sig, a, b),
+    )
+    for _ in range(20):
+        x1, x2 = rng.sample(holes + subsets, 2)
+        for decide in deciders:
+            got = [decide(a, b) for a, b in zip(orders(x1), orders(x2))]
+            assert got.count(got[0]) == len(got), (x1, x2, got)
