@@ -41,8 +41,8 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass
-from operator import add
-from typing import Iterator, Literal, Sequence, get_args
+from operator import add, neg
+from typing import Iterable, Iterator, Literal, Sequence, get_args
 
 from .abstract import enumerate_gons, enumerate_holes, in_triangle, is_gon
 
@@ -62,6 +62,8 @@ DISJOINT_FLAVOR = {
 }
 DISJOINT_MODES = tuple(DISJOINT_FLAVOR)
 Groups = list[tuple[str, list[tuple[int, ...]]]]  # (label, clauses) per group
+Text = list[tuple[str, Iterable[str]]]  # (label, DIMACS pieces) per group
+PIECE = 256  # subsets per text piece of the orientation and definition groups
 
 @dataclass(frozen=True)
 class HoleProblem:
@@ -141,64 +143,61 @@ class HoleProblem:
 class VarRegistry:
     """Deterministic bijection between variable tags and DIMACS ids.
 
-    ``lit[a][b][c]`` is the signed O literal asserting that (a, b, c) is
-    positively oriented, for every ordered triple of distinct indices, and
-    0 where indices repeat.
+    ``ids[name][tail]`` is the id of the tag ``(name, *tail)``. ``lit[a][b][c]``
+    is the signed O literal asserting that (a, b, c) is positively oriented,
+    for every ordered triple of distinct indices, and 0 where indices repeat.
     """
 
     def __init__(self, problem: HoleProblem):
         self.problem = problem
-        self._ids: dict[tuple, int] = {}
+        self.ids: dict[str, dict[tuple, int]] = {}
         self._tags: list[tuple] = []
         self.family_counts: dict[str, int] = {}
         n = problem.n
         triples = list(itertools.combinations(range(n), 3))
         quads = list(itertools.combinations(range(n), 4))
-        explicit = problem.orient_vars == "explicit"
         lit = [[[0] * n for _ in range(n)] for _ in range(n)]
-        for a, b, c in triples:
-            if explicit:  # the cyclic (positive) images first, then the transpositions
-                for p, q, r in ((a, b, c), (b, c, a), (c, a, b), (b, a, c), (a, c, b), (c, b, a)):
-                    lit[p][q][r] = self._add(("O", p, q, r), "O")
-            else:
-                v = self._add(("O", a, b, c), "O")
+        if problem.orient_vars == "explicit":  # cyclic (positive) images, then transpositions
+            perms = [t for a, b, c in triples
+                     for t in ((a, b, c), (b, c, a), (c, a, b), (b, a, c), (a, c, b), (c, b, a))]
+            for (p, q, r), v in zip(perms, self._add("O", perms)):
+                lit[p][q][r] = v
+        else:
+            for (a, b, c), v in zip(triples, self._add("O", triples)):
                 lit[a][b][c] = lit[b][c][a] = lit[c][a][b] = v
                 lit[b][a][c] = lit[a][c][b] = lit[c][b][a] = -v
         self.lit: list[list[list[int]]] = lit
-        for a, b, c, d in quads:
-            self._add(("E", a, b, c, d), "E")
-            self._add(("E", c, d, a, b), "E")
-        for q in quads:
-            self._add(("G4", *q), "G4")
+        self._add("E", [t for a, b, c, d in quads for t in ((a, b, c, d), (c, d, a, b))])
+        self._add("G4", quads)
         if problem.mode != "forbid-gon":
-            for a, b, c, d in quads:
-                self._add(("I", b, a, c, d), "I")
-                self._add(("I", c, a, b, d), "I")
-            for t in triples:
-                self._add(("H3", *t), "H3")
+            self._add("I", [t for a, b, c, d in quads for t in ((b, a, c, d), (c, a, b, d))])
+            self._add("H3", triples)
         for k in problem.hole_sizes:
-            for x in itertools.combinations(range(n), k):
-                self._add(("H", k, *x), f"H{k}")
+            self._add("H", [(k, *x) for x in itertools.combinations(range(n), k)], f"H{k}")
         if problem.mode in DISJOINT_MODES:
-            for k in sorted(set(problem.sizes)):
-                for fam, (a, b) in itertools.product("LR", itertools.permutations(range(n), 2)):
-                    self._add((fam, k, a, b), f"{fam}{k}")
+            for k, name in itertools.product(sorted(set(problem.sizes)), "LR"):
+                pairs = itertools.permutations(range(n), 2)
+                self._add(name, [(k, a, b) for a, b in pairs], f"{name}{k}")
         if problem.mode == "count-holes" and problem.threshold >= 2:
-            for i in range(1, math.comb(n, problem.sizes[0])):
-                for j in range(1, problem.threshold):
-                    self._add(("C", i, j), "C")
+            m = math.comb(n, problem.sizes[0])
+            self._add("C", list(itertools.product(range(1, m), range(1, problem.threshold))))
 
-    def _add(self, tag: tuple, family: str) -> int:
-        self._ids[tag] = ident = len(self._tags) + 1
-        self._tags.append(tag)
-        self.family_counts[family] = self.family_counts.get(family, 0) + 1
-        return ident
+    def _add(self, name: str, tails: list[tuple], family: str = "") -> range:
+        """The ids of new tags (name, *tail), one per tail in order, counted as ``family``
+        (by default ``name``)."""
+        first = len(self._tags) + 1
+        self.ids.setdefault(name, {}).update(zip(tails, itertools.count(first)))
+        self._tags += [(name, *t) for t in tails]
+        if tails:
+            family = family or name
+            self.family_counts[family] = self.family_counts.get(family, 0) + len(tails)
+        return range(first, len(self._tags) + 1)
 
     def __len__(self) -> int:
         return len(self._tags)
 
     def var(self, *tag) -> int:
-        return self._ids[tag]
+        return self.ids[tag[0]][tag[1:]]
 
     def olit(self, a: int, b: int, c: int) -> int:
         """Signed literal asserting that (a,b,c) is positively oriented, from ``lit``."""
@@ -210,10 +209,10 @@ class VarRegistry:
     def hole_lit(self, k: int, x: Sequence[int]) -> int:
         """Variable standing for 'x is a k-hole' (a k-gon in forbid-gon mode), k >= 3."""
         if k == 3:
-            return self._ids[("H3", *x)]
+            return self.ids["H3"][tuple(x)]
         if k == 4 and self.problem.mode == "forbid-gon":
-            return self._ids[("G4", *x)]
-        return self._ids[("H", k, *x)]
+            return self.ids["G4"][tuple(x)]
+        return self.ids["H"][(k, *x)]
 
     def items(self) -> Iterator[tuple[int, tuple]]:
         return enumerate(self._tags, start=1)
@@ -271,8 +270,13 @@ class CnfInstance:
 
     def write_dimacs(self, path) -> None:
         """Spool the body into an unnamed file beside ``path``, then write the header,
-        which needs the counts, and copy the body in; a failing emitter writes nothing."""
-        with tempfile.TemporaryFile("w+", dir=os.path.dirname(os.path.abspath(path))) as body:
+        which needs the counts, and copy the body in; a failing emitter writes nothing,
+        and a spool that cannot be made raises an ``OSError`` naming ``path``."""
+        try:
+            spool = tempfile.TemporaryFile("w+", dir=os.path.dirname(os.path.abspath(path)))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+        with spool as body:
             body.writelines(piece for _, piece in self._pieces())
             body.seek(0)
             with open(path, "w") as f:
@@ -327,91 +331,96 @@ def as_dimacs(emit):
     return text
 
 
-def _and_def(a: int, conj: Sequence[int], directional: str = "both") -> list[tuple[int, ...]]:
-    """CNF for a = AND(conj); ``directional`` keeps one implication only.
-
-    ``"fwd"`` keeps a -> AND(conj) (the binary clauses), ``"bwd"`` keeps
-    AND(conj) -> a (the long clause), ``"both"`` keeps the biconditional.
-    """
-    out: list[tuple[int, ...]] = []
-    if directional in ("both", "fwd"):
-        out.extend((-a, lit) for lit in conj)
-    if directional in ("both", "bwd"):
-        out.append((a, *(-lit for lit in conj)))
-    return out
+def _pieces(text_of, n: int, k: int) -> Iterator[str]:
+    """``text_of(x)`` per k-subset x of range(n), joined PIECE subsets at a time, as read."""
+    subsets = itertools.combinations(range(n), k)
+    while chunk := list(itertools.islice(subsets, PIECE)):
+        yield "".join(map(text_of, chunk))
 
 
-@as_dimacs
-def emit_orientation_axioms(problem: HoleProblem, reg: VarRegistry) -> Groups:
-    """Families (1)-(3): alternation, signotope axioms, sortedness units."""
-    n = problem.n
-    lit = reg.lit
-    groups: Groups = []  # the alternating axioms, in explicit mode
-    if problem.orient_vars == "explicit":
-        # lit holds each ordered triple's own variable: cyclic images are
-        # equal, and a transposition differs
-        alt: list[tuple[int, ...]] = []
-        for a, b, c in itertools.combinations(range(n), 3):
-            p0, p1, p2 = lit[a][b][c], lit[b][c][a], lit[c][a][b]
-            q0, q1, q2 = lit[b][a][c], lit[a][c][b], lit[c][b][a]
-            for u, v in ((p0, p1), (p1, p2), (q0, q1), (q1, q2)):
-                alt += [(-u, v), (u, -v)]
-            alt += [(p0, q0), (-p0, -q0)]
-        groups.append(("alternating", alt))
-    # at most one sign change along (abc, abd, acd, bcd) per sorted 4-tuple
-    sig: list[tuple[int, ...]] = []
-    for a, b, c, d in itertools.combinations(range(n), 4):
-        s = (lit[a][b][c], lit[a][b][d], lit[a][c][d], lit[b][c][d])
-        for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-            sig.append((s[i], -s[j], s[k]))
-            sig.append((-s[i], s[j], -s[k]))
-    units = [(reg.olit(0, a, b),) for a, b in itertools.combinations(range(1, n), 2)]
-    return groups + [("signotope", sig), ("sorted-around-first", units)]
+def _template(clauses: str):
+    """A writer of fixed-shape clauses, given as DIMACS over the variables 1..m: called
+    with m literals, it returns those lines with the literals in place, by ``str.format``."""
+    lines = [list(map(int, cl.split())) for cl in clauses.split(",")]
+    m = max(abs(l) for cl in lines for l in cl)
+    at = lambda l: "{%d}" % (abs(l) - 1 + m * (l < 0))  # the literals, then their negations
+    fmt = "".join(" ".join(map(at, cl)) + " 0\n" for cl in lines)
+    return lambda *lits: fmt.format(*lits, *map(neg, lits))
 
 
-@as_dimacs
-def emit_hole_definitions(problem: HoleProblem, reg: VarRegistry) -> Groups:
-    """Families (4)-(7): E, G4/I, H3, and the per-size hole variables."""
-    n = problem.n
-    gon_mode = problem.mode == "forbid-gon"
-    # directional definitions keep the implication each use of a variable needs
-    fwd, bwd = ("fwd", "bwd") if problem.directional_defs else ("both", "both")
+def _and_text(head: str, conj: list[str], negated: str, direction: str) -> str:
+    """Lines of head = AND(conj) from ``"%d "`` strings, ``negated`` the conjuncts' negations
+    joined; ``"fwd"`` keeps only the lines head -> lit, ``"bwd"`` only AND(conj) -> head."""
+    fwd = "-" + head + ("0\n-" + head).join(conj) + "0\n" if conj and direction != "bwd" else ""
+    return fwd + (head + negated + "0\n" if direction != "fwd" else "")
 
-    bounding: list[tuple[int, ...]] = []
-    gons: list[tuple[int, ...]] = []
-    for a, b, c, d in itertools.combinations(range(n), 4):
-        e1, e2 = reg.var("E", a, b, c, d), reg.var("E", c, d, a, b)
-        for e, p, q, r, s in ((e1, a, b, c, d), (e2, c, d, a, b)):
-            u, v = reg.lit[p][q][r], reg.lit[p][q][s]
-            bounding += [(-e, u, -v), (-e, -u, v), (e, u, v), (e, -u, -v)]
-        gons += _and_def(reg.var("G4", a, b, c, d), (e1, e2), bwd)
-        if not gon_mode:
-            gons += _and_def(reg.var("I", b, a, c, d), (-e1, e2), fwd)
-            gons += _and_def(reg.var("I", c, a, b, d), (e1, -e2), fwd)
-    groups: Groups = [("bounding-segments", bounding), ("gons-and-containments", gons)]
 
-    if not gon_mode:
-        three: list[tuple[int, ...]] = []
-        for a, b, c in itertools.combinations(range(n), 3):
-            conj = [-reg.var("I", i, a, b, c) for i in range(a + 1, c) if i != b]
-            three += _and_def(reg.hole_lit(3, (a, b, c)), conj, bwd)
-        groups.append(("three-holes", three))
+# over the permutations abc acb bac bca cab cba: abc = bca = cab, bac = acb = cba, abc != bac
+ALTERNATING = _template("-1 4, 1 -4, -4 5, 4 -5, -3 2, 3 -2, -2 6, 2 -6, 1 3, -1 -3")
+# at most one sign change along abc, abd, acd, bcd
+SIGNOTOPE = _template("1 -2 3, -1 2 -3, 1 -2 4, -1 2 -4, 1 -3 4, -1 3 -4, 2 -3 4, -2 3 -4")
+BOUNDING = _template("-1 2 -3, -1 -2 3, 1 2 3, 1 -2 -3")  # E <-> (pqr and pqs agree)
 
-    # a k-subset is a k-gon iff each 4-subset is a 4-gon, a k-hole iff each
-    # 3-subset is a 3-hole
-    base = 4 if gon_mode else 3
-    for k in problem.hole_sizes:
-        holes: list[tuple[int, ...]] = []
-        for x in itertools.combinations(range(n), k):
-            conj = [reg.hole_lit(base, t) for t in itertools.combinations(x, base)]
-            if k == 5 and not gon_mode and not problem.simplified_h5:
-                conj = [reg.var("G4", *q) for q in itertools.combinations(x, 4)] + conj
-            holes += _and_def(reg.hole_lit(k, x), conj, bwd)
-        groups.append((f"{k}-gons" if gon_mode else f"{k}-holes", holes))
+
+def emit_orientation_axioms(problem: HoleProblem, reg: VarRegistry) -> Text:
+    """Families (1)-(3): alternation, signotope axioms, sortedness units; the first two
+    as a template over the O literals of each subset's triples (``order(x, 3)``)."""
+    n, lit = problem.n, reg.lit
+    over = lambda fill, order: lambda x: fill(*[lit[a][b][c] for a, b, c in order(x, 3)])
+    units = "".join("%d 0\n" % reg.olit(0, a, b) for a, b in itertools.combinations(range(1, n), 2))
+    groups: Text = [("signotope", _pieces(over(SIGNOTOPE, itertools.combinations), n, 4)),
+                    ("sorted-around-first", [units])]
+    if problem.orient_vars == "explicit":  # lit holds each ordered triple's own variable
+        groups.insert(0, ("alternating", _pieces(over(ALTERNATING, itertools.permutations), n, 3)))
     return groups
 
 
-def emit_disjointness(problem: HoleProblem, reg: VarRegistry) -> list[tuple[str, Iterator[str]]]:
+def emit_hole_definitions(problem: HoleProblem, reg: VarRegistry) -> Text:
+    """Families (4)-(7): E, G4/I, H3, and the per-size hole variables, as text: each
+    definition is two joins of "%d " strings, those of G4 and H3 made once per call."""
+    n, lit, gon_mode = problem.n, reg.lit, problem.mode == "forbid-gon"
+    # directional definitions keep the implication each use of a variable needs
+    fwd, bwd = ("fwd", "bwd") if problem.directional_defs else ("both", "both")
+    E, I, H = (reg.ids.get(name, {}) for name in ("E", "I", "H"))
+    member = {x: "%d " % v for name in ("G4", "H3") for x, v in reg.ids.get(name, {}).items()}
+
+    def bounding(q):
+        a, b, c, d = q
+        return (BOUNDING(E[q], lit[a][b][c], lit[a][b][d])
+                + BOUNDING(E[c, d, a, b], lit[c][d][a], lit[c][d][b]))
+
+    def gons(q):
+        a, b, c, d = q
+        e1, e2 = "%d " % E[q], "%d " % E[c, d, a, b]
+        n1, n2 = "-" + e1, "-" + e2
+        text = _and_text(member[q], [e1, e2], n1 + n2, bwd)
+        if not gon_mode:
+            text += _and_text("%d " % I[b, a, c, d], [n1, e2], e1 + n2, fwd)
+            text += _and_text("%d " % I[c, a, b, d], [e1, n2], n1 + e2, fwd)
+        return text
+
+    def three_hole(t):
+        a, b, c = t
+        inside = ["%d " % I[i, a, b, c] for i in range(a + 1, c) if i != b]
+        return _and_text(member[t], ["-" + v for v in inside], "".join(inside), bwd)
+
+    def hole(k, sizes, x):  # a k-hole (k-gon) is the AND of its members of these sizes
+        conj = [member[t] for m in sizes for t in itertools.combinations(x, m)]
+        # the members are variables, so a "-" before each one is its negation
+        return _and_text("%d " % H[(k, *x)], conj, "-" + "-".join(conj), bwd)
+
+    groups: Text = [("bounding-segments", _pieces(bounding, n, 4)),
+                    ("gons-and-containments", _pieces(gons, n, 4))]
+    if not gon_mode:
+        groups.append(("three-holes", _pieces(three_hole, n, 3)))
+    for k in problem.hole_sizes:  # 4-gons, or 3-holes and (unless simplified) 4-gons of a 5-hole
+        sizes = (4,) if gon_mode else (4, 3) if k == 5 and not problem.simplified_h5 else (3,)
+        groups.append((f"{k}-gons" if gon_mode else f"{k}-holes",
+                       _pieces(functools.partial(hole, k, sizes), n, k)))
+    return groups
+
+
+def emit_disjointness(problem: HoleProblem, reg: VarRegistry) -> Text:
     """Family (8): side-existence variables and their mutual exclusion.
 
     The largest group, so it is written straight as text, one piece per

@@ -88,6 +88,15 @@ def test_encode_count_holes_with_one_subset(tmp_path, threshold):
     assert code == 0
 
 
+def test_encode_into_a_missing_directory_names_the_target(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.cnf"
+    code = run(["encode", "--n", "6", "--mode", "forbid-hole", "--sizes", "5", "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == cli.ERROR
+    assert str(out) in err and "tmp" not in err.replace(str(tmp_path), "")
+    assert os.listdir(tmp_path) == []
+
+
 def test_encode_rejects_hints_with_directional_defs(tmp_path, capsys):
     out = tmp_path / "x.cnf"
     code = run([

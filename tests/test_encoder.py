@@ -30,6 +30,7 @@ from holesat.encoder import (
     build_instance,
     emit_disjointness,
     emit_hints,
+    emit_hole_definitions,
     load_registry,
     violated_clauses,
 )
@@ -446,10 +447,12 @@ def test_headline_instance_pinned(tmp_path):
         n=17, mode="two-disjoint-holes", sizes=(5, 5), orient_vars="explicit", hints=True
     )
     inst = build_instance(p)
-    inst.write_dimacs(tmp_path / "a.cnf")
+    # the write holds pieces of the text, never a whole group of it
+    peak = _traced_peak(lambda: inst.write_dimacs(tmp_path / "a.cnf"))
     inst.write_registry(tmp_path / "a.vars")
     digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert (tmp_path / "a.cnf").stat().st_size == 29_960_859
+    assert peak < 29_960_859 / 4
     assert (digest("a.cnf"), digest("a.vars")) == (
         "491914287f4add4a7d4bd7c82dc6680848d3a846fb4e0398ef01e282104cf104",
         "281464ff99ffded0be9f8a01f9b1e13f39ffbbf6609df8dc9aec1ceb2349bfdb",
@@ -542,6 +545,14 @@ def test_no_reader_holds_the_whole_body(tmp_path):
     violated = []
     assert _traced_peak(lambda: violated.extend(violated_clauses(inst, {BIG: True}))) < 4_000_000
     assert violated == []
+
+
+def test_hole_definitions_come_in_bounded_pieces():
+    # the n = 16 instance of the sat-replay benchmark: 256 5-subsets of 16 lines each
+    p = HoleProblem(n=16, mode="two-disjoint-holes", sizes=(5, 5), hints=True)
+    counts = [piece.count("\n") for _, pieces in emit_hole_definitions(p, VarRegistry(p))
+              for piece in pieces]
+    assert max(counts) <= 4096 and sum(counts) == 105_028
 
 
 def test_lines_come_before_a_later_emitter_runs():
