@@ -27,8 +27,10 @@ per triple exist and are chained by equality clauses; the default
 orderings to possibly negated literals. Either way the registry holds one
 table of O literals by ordered triple, ``lit[a][b][c]``, and clause
 emission reads it (and per-pair rows of it) instead of resolving each
-literal per clause. Clauses exist only as DIMACS text: each emitter returns
+literal per clause. Clauses exist only as DIMACS text, joined from ``"%d "``
+strings of their literals, never from clause tuples: each emitter returns
 (label, pieces of whole ``... 0`` lines), read by the writer and the checks.
+Every line opens with a literal, so no emitter can write an empty clause.
 """
 
 from __future__ import annotations
@@ -61,9 +63,8 @@ DISJOINT_FLAVOR = {
     "two-interior-disjoint-holes": "interior-disjoint",
 }
 DISJOINT_MODES = tuple(DISJOINT_FLAVOR)
-Groups = list[tuple[str, list[tuple[int, ...]]]]  # (label, clauses) per group
 Text = list[tuple[str, Iterable[str]]]  # (label, DIMACS pieces) per group
-PIECE = 256  # subsets per text piece of the orientation and definition groups
+PIECE = 256  # subsets per text piece of the orientation, definition and forbid groups
 
 @dataclass(frozen=True)
 class HoleProblem:
@@ -316,21 +317,6 @@ def _parse(line: str) -> tuple[int, ...]:
     return tuple(map(int, line.split()[:-1]))
 
 
-def as_dimacs(emit):
-    """An emitter of clause tuples, made to return each group as one DIMACS text
-    piece, its lines from one ``%d`` format per length; an empty clause raises."""
-
-    @functools.wraps(emit)
-    def text(problem: HoleProblem, reg: VarRegistry) -> Iterator[tuple[str, list[str]]]:
-        for label, clauses in emit(problem, reg):
-            if not all(clauses):
-                raise ValueError(f"empty clause in group {label}")
-            fmt = ["%d " * m + "0\n" for m in range(max(map(len, clauses), default=0) + 1)]
-            yield label, ["".join([fmt[len(cl)] % cl for cl in clauses])]
-
-    return text
-
-
 def _pieces(text_of, n: int, k: int) -> Iterator[str]:
     """``text_of(x)`` per k-subset x of range(n), joined PIECE subsets at a time, as read."""
     subsets = itertools.combinations(range(n), k)
@@ -471,8 +457,7 @@ def emit_disjointness(problem: HoleProblem, reg: VarRegistry) -> Text:
     return [("disjointness", pieces())]
 
 
-@as_dimacs
-def emit_hints(problem: HoleProblem, reg: VarRegistry) -> Groups:
+def emit_hints(problem: HoleProblem, reg: VarRegistry) -> Text:
     """Family (9): 10-point-window facts, plus end exclusions at n=17.
 
     Every 10 consecutive indices contain a 5-hole (sound because a hole of
@@ -481,50 +466,45 @@ def emit_hints(problem: HoleProblem, reg: VarRegistry) -> Groups:
     with the 5-hole guaranteed in the remaining 10 to form a disjoint pair,
     so those are excluded outright.
     """
-    n = problem.n
-    clauses = [  # one per window of 10 consecutive indices
-        tuple(reg.hole_lit(5, x) for x in itertools.combinations(range(i, i + 10), 5))
-        for i in range(n - 9)
-    ]
-    if n == 17:
-        for block in (range(0, 7), range(10, 17)):
-            for x in itertools.combinations(block, 5):
-                clauses.append((-reg.hole_lit(5, x),))
-    return [("hints", clauses)]
+    n, H = problem.n, reg.ids["H"]
+    windows = ["".join(["%d " % H[(5, *x)] for x in itertools.combinations(range(i, i + 10), 5)])
+               + "0\n" for i in range(n - 9)]  # one per window of 10 consecutive indices
+    ends = [] if n != 17 else ["-%d 0\n" % H[(5, *x)] for block in (range(0, 7), range(10, 17))
+                               for x in itertools.combinations(block, 5)]
+    return [("hints", ["".join(windows + ends)])]
 
 
-@as_dimacs
-def emit_cardinality(problem: HoleProblem, reg: VarRegistry) -> Groups:
-    """Count mode: at most threshold-1 of the hole variables are true."""
-    k = problem.sizes[0]
-    xs = [reg.hole_lit(k, x) for x in itertools.combinations(range(problem.n), k)]
-    r = problem.threshold - 1
+def emit_cardinality(problem: HoleProblem, reg: VarRegistry) -> Text:
+    """Count mode: at most threshold-1 of the hole variables are true; the sequential
+    counter comes one piece per input, made as the writer reads it."""
+    k, r = problem.sizes[0], problem.threshold - 1
+    # every hole variable occurs negated: one "-%d " string per k-subset
+    xs = ["-%d " % reg.hole_lit(k, x) for x in itertools.combinations(range(problem.n), k)]
     if r == 0:
-        return [("cardinality", [(-x,) for x in xs])]
-    m = len(xs)
-    if m == 1:
-        # one k-subset (k = n): at most r >= 1 of one variable always holds
-        return [("cardinality", [])]
-    # sequential counter: C(i,j) means at least j of the first i inputs hold
-    s = lambda i, j: reg.var("C", i, j)
-    clauses = [(-xs[0], s(1, 1))] + [(-s(1, j),) for j in range(2, r + 1)]
-    for i in range(2, m):
-        clauses.append((-xs[i - 1], s(i, 1)))
-        clauses.append((-s(i - 1, 1), s(i, 1)))
-        for j in range(2, r + 1):
-            clauses.append((-xs[i - 1], -s(i - 1, j - 1), s(i, j)))
-            clauses.append((-s(i - 1, j), s(i, j)))
-        clauses.append((-xs[i - 1], -s(i - 1, r)))
-    clauses.append((-xs[m - 1], -s(m - 1, r)))
-    return [("cardinality", clauses)]
+        return [("cardinality", ["".join([x + "0\n" for x in xs])])]
+    C = reg.ids["C"]
+
+    def counter() -> Iterator[str]:  # C(i,j) means at least j of the first i inputs hold
+        prev = ["%d " % C[1, j] for j in range(1, r + 1)]
+        yield xs[0] + prev[0] + "0\n" + "".join(["-" + c + "0\n" for c in prev[1:]])
+        # C(i-1,j) sets C(i,j), and so does input i with C(i-1,j-1); with C(i-1,r) it is refused
+        for i, x in enumerate(xs[1:-1], start=2):
+            cur = ["%d " % C[i, j] for j in range(1, r + 1)]
+            yield (x + cur[0] + "0\n-" + prev[0] + cur[0] + "0\n"
+                   + "".join([x + "-" + p + c + "0\n-" + q + c + "0\n"
+                              for p, q, c in zip(prev, prev[1:], cur[1:])])
+                   + x + "-" + prev[-1] + "0\n")
+            prev = cur
+        yield xs[-1] + "-" + prev[-1] + "0\n"
+
+    # one k-subset (k = n): at most r >= 1 of one variable always holds
+    return [("cardinality", counter() if len(xs) > 1 else [])]
 
 
-@as_dimacs
-def emit_forbid(problem: HoleProblem, reg: VarRegistry) -> Groups:
+def emit_forbid(problem: HoleProblem, reg: VarRegistry) -> Text:
     """Unit clauses negating every hole (gon) variable of the target size."""
     k = problem.sizes[0]
-    units = [(-reg.hole_lit(k, x),) for x in itertools.combinations(range(problem.n), k)]
-    return [("forbid", units)]
+    return [("forbid", _pieces(lambda x: "-%d 0\n" % reg.hole_lit(k, x), problem.n, k))]
 
 
 def build_instance(problem: HoleProblem) -> CnfInstance:

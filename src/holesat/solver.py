@@ -411,35 +411,26 @@ def run_proof_check(
     return False, f"checker {cfg.identity()} exit {proc.returncode}: {_tail(proc)}"
 
 
-def decode_model(
-    model: Mapping[int, bool], registry: VarRegistry | Mapping[int, tuple]
-) -> Signotope:
-    """Signotope from the orientation variables of a satisfying assignment.
+def decode_model(model: Mapping[int, bool], registry: VarRegistry) -> Signotope:
+    """Signotope on ``registry.problem.n`` points from the orientation variables,
+    ``registry.ids["O"]``, of a satisfying assignment.
 
     With explicit per-permutation variables, all six values of a triple
     must be consistent (the alternating clauses guarantee it; a mismatch
     means the model or registry is corrupt).
     """
-    items = registry.items()
     signs: dict[tuple[int, int, int], int] = {}
-    n = 0
-    for ident, tag in items:
-        if tag[0] != "O":
-            continue
-        a, b, c = tag[1], tag[2], tag[3]
-        n = max(n, a + 1, b + 1, c + 1)
+    for (a, b, c), ident in registry.ids["O"].items():
         if ident not in model:
-            raise ValueError(f"model does not cover orientation variable {tag}")
+            raise ValueError(f"model does not cover orientation variable {('O', a, b, c)}")
         key = tuple(sorted((a, b, c)))
         sign = 1 if model[ident] else -1
         # an odd permutation of the sorted triple (odd inversion count) flips it
         resolved = -sign if ((a > b) + (a > c) + (b > c)) % 2 else sign
         if key in signs and signs[key] != resolved:
-            raise ValueError(
-                f"inconsistent orientation variables for triple {key}"
-            )
+            raise ValueError(f"inconsistent orientation variables for triple {key}")
         signs[key] = resolved
-    return Signotope(n=n, signs=signs)
+    return Signotope(n=registry.problem.n, signs=signs)
 
 
 @dataclass

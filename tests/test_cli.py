@@ -367,17 +367,22 @@ def test_parallel_search_finds_witness(tmp_path):
     assert run(["verify-witness", str(out), "--no-hole", "5"]) == 0
 
 
-def test_interrupted_parallel_search_exits():
+def test_interrupted_parallel_search_exits(tmp_path):
     # Ctrl-C reaches every process in the group: the workers must leave the
     # shutdown to the parent, or the pool waits forever for their lost jobs
     src = Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "holesat.cli", "search", "--n", "12", "--mode",
-         "two-disjoint-holes", "--sizes", "4,5", "--seeds", "0-3", "--workers", "2",
-         "--budget", "100000"],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env={"PYTHONPATH": str(src)},
-        start_new_session=True,
-    )
+    stderr = tmp_path / "stderr.txt"
+    with open(stderr, "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "holesat.cli", "search", "--n", "12", "--mode",
+             "two-disjoint-holes", "--sizes", "4,5", "--seeds", "0-3", "--workers", "2",
+             "--budget", "100000"],
+            stdout=subprocess.DEVNULL, stderr=err, env={"PYTHONPATH": str(src)},
+            start_new_session=True,
+            # a shell that starts the tests in the background hands them SIGINT ignored,
+            # which the child would inherit: give it the default a Ctrl-C meets
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
     time.sleep(3)  # long enough for the workers to be annealing
     os.killpg(proc.pid, signal.SIGINT)
     try:
@@ -385,7 +390,9 @@ def test_interrupted_parallel_search_exits():
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
-        pytest.fail("interrupted search did not exit")
+        # what the parent and its workers printed before they were killed
+        tail = "\n".join(stderr.read_text().splitlines()[-20:])
+        pytest.fail(f"interrupted search did not exit; last lines of its stderr:\n{tail}")
     assert proc.returncode == -signal.SIGINT
 
 

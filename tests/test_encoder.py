@@ -25,7 +25,6 @@ from holesat.encoder import (
     CnfInstance,
     HoleProblem,
     VarRegistry,
-    as_dimacs,
     assignment_from_chirotope,
     build_instance,
     emit_disjointness,
@@ -416,6 +415,17 @@ PINNED = [
     (dict(n=10, mode="two-interior-disjoint-holes", sizes=(4, 5)),
      "6c8c927832b9ee62a9442fe14176a4e84a4eef928ecdb6557bd9223cb56b2a38",
      "7953d11f446cbcabf17908651c907c03ce1058f7ecd47acb1f01b8dd5a92dcf8"),
+    # the count-16 steps and the g6 UNSAT step at recipe size (CNFs of 3.8, 4.0 and
+    # 4.6 MB), pinned when cardinality and forbid were formatted from clause tuples
+    (dict(n=16, mode="count-holes", sizes=(5,), threshold=11),
+     "3d3a68507c8eb968137546869186c49cb7ea607da22d9e9ef10af53734935c5c",
+     "559a56f005c7953f07560042b9aec76ec16ee90244128c1140dd87707efec9e6"),
+    (dict(n=16, mode="count-holes", sizes=(5,), threshold=12),
+     "b7a4e4946decc8f1934224d6f10a747818597a1d44af99d2ee94c3204f8458b8",
+     "79a1d0b24e9e57f19092bb4a788e3e0ceb2b52e472136c08ca3f1aac0505c799"),
+    (dict(n=17, mode="forbid-gon", sizes=(6,)),
+     "3060a89a549d06caba256aeac273fe77ee2ff08738512f050d33abb9ab33d286",
+     "15beee3395700c55a0e0abf7bf46907dce5b5c5f46a6bd72b90645c1ef54c563"),
 ]
 
 
@@ -484,15 +494,6 @@ def test_h55_full_benchmark_instance_pinned(tmp_path):
         "7768d0c6a2fd8a7a8d9f4b670d8088900d1eac91c0604a314de1cde875d3a8d0",
         "523e9f48b146f2dcacade8ca9d1ca40858ee51356899d6827f4363d6b5d9233a",
     )
-
-
-def test_empty_emitted_clause_rejected_before_writing(tmp_path):
-    p = HoleProblem(n=6, mode="forbid-hole", sizes=(5,))
-    broken = as_dimacs(lambda p, reg: [("broken", [(1,), ()])])
-    inst = CnfInstance(p, VarRegistry(p), [broken])
-    with pytest.raises(ValueError, match="empty clause in group broken"):
-        inst.write_dimacs(tmp_path / "a.cnf")
-    assert not (tmp_path / "a.cnf").exists()
 
 
 # --- clauses on demand ------------------------------------------------------
@@ -582,9 +583,11 @@ def test_a_write_leaves_only_the_cnf(tmp_path):
     _stand_in(_big_group).write_dimacs(tmp_path / "ok" / "a.cnf")
     assert os.listdir(tmp_path / "ok") == ["a.cnf"]
     # the first group is spooled when the second fails
-    broken = as_dimacs(lambda p, reg: [("broken", [(1,), ()])])
+    def broken(problem, reg):
+        raise ValueError("broken emitter")
+
     (tmp_path / "failed").mkdir()
-    with pytest.raises(ValueError, match="empty clause in group broken"):
+    with pytest.raises(ValueError, match="broken emitter"):
         _stand_in(_big_group, broken).write_dimacs(tmp_path / "failed" / "a.cnf")
     assert os.listdir(tmp_path / "failed") == []
 
