@@ -34,6 +34,7 @@ from .holes import (
     DisjointMode,
     _members,
     disjoint_tuples,
+    enumerate_from_table,
     enumerate_gons,
     enumerate_holes,
     first_tuple,

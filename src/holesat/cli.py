@@ -28,7 +28,7 @@ from . import __version__
 from .constructions import WITNESS_COORDS, generate_double_circle, generate_two_ring, witness
 from .encoder import MODES, HoleProblem, build_instance
 from .geometry import read_points, write_points
-from .holes import enumerate_gons, enumerate_holes, find_disjoint_tuple
+from .holes import enumerate_from_table, enumerate_holes, find_disjoint_tuple
 from .recipes import RECIPE_NAMES, passed, run_recipe
 from .search import OBJECTIVE_MODES, SearchObjective, search_witness
 from .solver import (
@@ -134,10 +134,12 @@ def _exit_code(judged) -> int:
 
 def cmd_encode(args) -> int:
     problem = _problem_from_args(args)
-    inst = build_instance(problem)
     out = Path(args.output or f"{problem.key()}.cnf")
-    inst.write_dimacs(out)
     reg = Path(args.registry) if args.registry else out.with_suffix(".vars")
+    if out.resolve() == reg.resolve():
+        raise ValueError(f"the CNF and the registry would both be written to {out}")
+    inst = build_instance(problem)
+    inst.write_dimacs(out)
     inst.write_registry(reg)
     print(f"wrote {out} ({inst.num_vars} variables, {inst.num_clauses} clauses)")
     print(f"wrote {reg}")
@@ -203,10 +205,10 @@ def cmd_verify_witness(args) -> int:
             return FAIL
         raise
     checks: list[tuple[str, bool, str]] = []
-    for stem, structures in (("hole", enumerate_holes), ("gon", enumerate_gons)):
-        for want, k in _claims(args, stem):
-            c = len(structures(s, k))
-            desc = f"contains a {k}-{stem}" if want else f"no {k}-{stem}"
+    for kind in ("hole", "gon"):
+        for want, k in _claims(args, kind):
+            c = len(enumerate_from_table(s, k, kind))
+            desc = f"contains a {k}-{kind}" if want else f"no {k}-{kind}"
             checks.append((desc, bool(c) == want, f"count={c}"))
     for mode in ("disjoint", "interior-disjoint"):
         for want, sizes in _claims(args, f"{mode}-holes"):

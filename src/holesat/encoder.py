@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from operator import add, neg
 from typing import Iterable, Iterator, Literal, Sequence, get_args
 
-from .abstract import enumerate_gons, enumerate_holes, in_triangle, is_gon
+from .abstract import enumerate_from_table, in_triangle, is_gon
 
 Mode = Literal[
     "two-disjoint-holes",
@@ -63,6 +63,8 @@ DISJOINT_FLAVOR = {
     "two-interior-disjoint-holes": "interior-disjoint",
 }
 DISJOINT_MODES = tuple(DISJOINT_FLAVOR)
+# what each mode's sizes count: k-gons in forbid-gon mode, k-holes in every other
+SIZE_KIND = {mode: "gon" if mode == "forbid-gon" else "hole" for mode in MODES}
 Text = list[tuple[str, Iterable[str]]]  # (label, DIMACS pieces) per group
 PIECE = 256  # subsets per text piece of the orientation, definition and forbid groups
 
@@ -364,7 +366,8 @@ def emit_orientation_axioms(problem: HoleProblem, reg: VarRegistry) -> Text:
 def emit_hole_definitions(problem: HoleProblem, reg: VarRegistry) -> Text:
     """Families (4)-(7): E, G4/I, H3, and the per-size hole variables, as text: each
     definition is two joins of "%d " strings, those of G4 and H3 made once per call."""
-    n, lit, gon_mode = problem.n, reg.lit, problem.mode == "forbid-gon"
+    n, lit, kind = problem.n, reg.lit, SIZE_KIND[problem.mode]
+    gon_mode = kind == "gon"
     # directional definitions keep the implication each use of a variable needs
     fwd, bwd = ("fwd", "bwd") if problem.directional_defs else ("both", "both")
     E, I, H = (reg.ids.get(name, {}) for name in ("E", "I", "H"))
@@ -401,8 +404,7 @@ def emit_hole_definitions(problem: HoleProblem, reg: VarRegistry) -> Text:
         groups.append(("three-holes", _pieces(three_hole, n, 3)))
     for k in problem.hole_sizes:  # 4-gons, or 3-holes and (unless simplified) 4-gons of a 5-hole
         sizes = (4,) if gon_mode else (4, 3) if k == 5 and not problem.simplified_h5 else (3,)
-        groups.append((f"{k}-gons" if gon_mode else f"{k}-holes",
-                       _pieces(functools.partial(hole, k, sizes), n, k)))
+        groups.append((f"{k}-{kind}s", _pieces(functools.partial(hole, k, sizes), n, k)))
     return groups
 
 
@@ -541,10 +543,9 @@ def assignment_from_chirotope(sig, problem: HoleProblem) -> dict[int, bool]:
         raise ValueError(f"signotope has n={sig.n}, problem n={problem.n}")
     n, left, chi = problem.n, sig.left, sig.chi
     reg = VarRegistry(problem)
-    gon_mode = problem.mode == "forbid-gon"
     # the k-subsets the H, L/R and C families count (gons in forbid-gon mode)
-    family = enumerate_gons if gon_mode else enumerate_holes
-    holes = {k: set(family(sig, k)) for k in set(problem.sizes)}
+    holes = {k: set(enumerate_from_table(sig, k, SIZE_KIND[problem.mode]))
+             for k in set(problem.sizes)}
     masks = {k: [sum(1 << i for i in x) for x in xs] for k, xs in holes.items()}
     interior = problem.mode == "two-interior-disjoint-holes"
     through_anchor = not (interior or problem.relaxed_lr)

@@ -19,12 +19,12 @@ import signal
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
-from .encoder import DISJOINT_FLAVOR, DISJOINT_MODES
+from .encoder import DISJOINT_FLAVOR, DISJOINT_MODES, SIZE_KIND
 from .geometry import Point, PointSet
 from .holes import (
     count_tuples,
     disjoint_tuples,
-    enumerate_gons,
+    enumerate_from_table,
     enumerate_holes,
     hulls_disjoint,
     hulls_interior_disjoint,
@@ -59,7 +59,7 @@ class SearchObjective:
         object.__setattr__(self, "sizes", tuple(self.sizes))
         if self.mode not in OBJECTIVE_MODES:
             raise ValueError(f"unknown objective mode {self.mode!r}")
-        if self.mode in ("forbid-hole", "forbid-gon"):
+        if self.mode not in DISJOINT_FLAVOR:
             if len(self.sizes) != 1:
                 raise ValueError(f"{self.mode} takes a single size")
         elif len(self.sizes) < 2:
@@ -69,25 +69,16 @@ class SearchObjective:
             raise ValueError(f"sizes {self.sizes} below minimum {minimum}")
 
     def describe(self) -> str:
-        if self.mode == "forbid-hole":
-            return f"{self.sizes[0]}-holes"
-        if self.mode == "forbid-gon":
-            return f"{self.sizes[0]}-gons"
+        if self.mode not in DISJOINT_FLAVOR:
+            return f"{self.sizes[0]}-{SIZE_KIND[self.mode]}s"
         tag = "/".join(map(str, self.sizes))
         return f"{DISJOINT_FLAVOR[self.mode]} {tag}-hole tuples"
 
 
-def count_gons(s: PointSet, k: int) -> int:
-    """Number of k-gons in the point set."""
-    return len(enumerate_gons(s, k))
-
-
 def objective_count(s: PointSet, obj: SearchObjective) -> int:
     """Exact number of forbidden structures in the point set."""
-    if obj.mode == "forbid-hole":
-        return len(enumerate_holes(s, obj.sizes[0]))
-    if obj.mode == "forbid-gon":
-        return count_gons(s, obj.sizes[0])
+    if obj.mode not in DISJOINT_FLAVOR:
+        return len(enumerate_from_table(s, obj.sizes[0], SIZE_KIND[obj.mode]))
     return count_tuples(disjoint_tuples(
         s, obj.sizes, DISJOINT_FLAVOR[obj.mode],
         enumerate_holes, hulls_disjoint, hulls_interior_disjoint,

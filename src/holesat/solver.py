@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Literal, Mapping, Sequence
 
 from . import abstract
-from .encoder import DISJOINT_FLAVOR, CnfInstance, HoleProblem, VarRegistry
+from .encoder import DISJOINT_FLAVOR, SIZE_KIND, CnfInstance, HoleProblem, VarRegistry
 from .geometry import Signotope, check_signotope
 
 DEFAULT_TIMEOUT = 600.0
@@ -333,7 +333,7 @@ def _tail(proc) -> str:
 
 def run_solver(
     cnf_path,
-    config: SolverConfig | None = None,
+    config: SolverConfig,
     timeout: float | None = None,
     proof_path=None,
 ) -> SolveReport:
@@ -344,10 +344,9 @@ def run_solver(
     SAT model that gives a variable both signs is malformed: no model, and
     a failed verification.
     """
-    cfg = config or discover_solver()
-    argv = cfg.argv(str(cnf_path), str(proof_path) if proof_path else None)
+    argv = config.argv(str(cnf_path), str(proof_path) if proof_path else None)
     proc, limit, wall = _run(argv, timeout)
-    report = SolveReport(verdict="UNKNOWN", wall_time=wall, solver=cfg.identity())
+    report = SolveReport(verdict="UNKNOWN", wall_time=wall, solver=config.identity())
     if proc is None:
         report.detail = f"timeout after {limit:.0f}s"
         return report
@@ -391,15 +390,14 @@ def normalize_certificate(path) -> str:
 def run_proof_check(
     cnf_path,
     certificate_path,
-    checker: CheckerConfig | None = None,
+    checker: CheckerConfig,
     timeout: float | None = None,
 ) -> tuple[bool, str]:
     """(passed, detail) from the configured proof checker.
 
     Passes only on exit code 0 together with an ``s VERIFIED`` line.
     """
-    cfg = checker or discover_checker()
-    argv = cfg.argv(str(cnf_path), normalize_certificate(certificate_path))
+    argv = checker.argv(str(cnf_path), normalize_certificate(certificate_path))
     proc, limit, _ = _run(argv, timeout)
     if proc is None:
         return False, f"checker timeout after {limit:.0f}s"
@@ -408,7 +406,7 @@ def run_proof_check(
     out = proc.stdout + proc.stderr
     if proc.returncode == 0 and any(line.strip() == "s VERIFIED" for line in out.splitlines()):
         return True, ""
-    return False, f"checker {cfg.identity()} exit {proc.returncode}: {_tail(proc)}"
+    return False, f"checker {checker.identity()} exit {proc.returncode}: {_tail(proc)}"
 
 
 def decode_model(model: Mapping[int, bool], registry: VarRegistry) -> Signotope:
@@ -466,25 +464,15 @@ def verify_model(sig: Signotope, problem: HoleProblem) -> VerifyResult:
                 f"{mode} holes of sizes {problem.sizes} present",
             )
         return VerifyResult(True)
-    k = problem.sizes[0]
-    if problem.mode == "forbid-hole":
-        holes = abstract.enumerate_holes(sig, k)
-        if holes:
-            return VerifyResult(False, holes[0], f"{k}-hole present")
+    k, kind, threshold = problem.sizes[0], SIZE_KIND[problem.mode], problem.threshold
+    found = abstract.enumerate_from_table(sig, k, kind)
+    if len(found) < (threshold or 1):
         return VerifyResult(True)
-    if problem.mode == "forbid-gon":
-        gons = abstract.enumerate_gons(sig, k)
-        if gons:
-            return VerifyResult(False, gons[0], f"{k}-gon present")
-        return VerifyResult(True)
-    if problem.mode == "count-holes":
-        count = len(abstract.enumerate_holes(sig, k))
-        if count >= problem.threshold:
-            return VerifyResult(
-                False, (count,), f"{count} {k}-holes >= threshold {problem.threshold}"
-            )
-        return VerifyResult(True)
-    raise ValueError(f"unknown mode {problem.mode!r}")
+    if threshold:
+        return VerifyResult(
+            False, (len(found),), f"{len(found)} {k}-{kind}s >= threshold {threshold}"
+        )
+    return VerifyResult(False, found[0], f"{k}-{kind} present")
 
 
 def solve_instance(

@@ -24,8 +24,8 @@ from holesat.encoder import (
     build_instance,
 )
 from holesat.geometry import canonicalize, chirotope
-from holesat.holes import enumerate_holes, find_disjoint_tuple, is_hole
-from holesat.search import SearchObjective, count_gons, local_search, objective_count
+from holesat.holes import enumerate_gons, enumerate_holes, find_disjoint_tuple, is_hole
+from holesat.search import SearchObjective, local_search, objective_count
 from holesat.solver import discover_checker, solve_instance
 
 from conftest import random_point_set, requires_checker, requires_solver
@@ -171,7 +171,7 @@ def test_criterion_06_five_gon_threshold_with_search_oracle():
     t0 = time.time()
     # independent oracle first: anneal an 8-point set with no 5-gon
     oracle = local_search(8, SearchObjective("forbid-gon", (5,)), seed=0, budget=20000)
-    oracle_ok = oracle is not None and count_gons(oracle, 5) == 0
+    oracle_ok = oracle is not None and len(enumerate_gons(oracle, 5)) == 0
     sat, unsat = _pair("forbid-gon", (5,), 9)
     elapsed = time.time() - t0
     ok = (
@@ -251,7 +251,7 @@ def test_criterion_08_model_verification_property_suite():
             present = bool(enumerate_holes(s, sizes[0]))
             semantic = "forbid"
         elif mode == "forbid-gon":
-            present = count_gons(s, sizes[0]) > 0
+            present = len(enumerate_gons(s, sizes[0])) > 0
             semantic = "forbid"
         else:
             present = len(enumerate_holes(s, sizes[0])) >= threshold

@@ -107,6 +107,16 @@ def test_encode_rejects_hints_with_directional_defs(tmp_path, capsys):
     assert "hints" in capsys.readouterr().err and not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["-o", "x.vars"], ["-o", "x.cnf", "--registry", "x.cnf"]])
+def test_encode_refuses_one_path_for_cnf_and_registry(tmp_path, capsys, monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    code = run(["encode", "--n", "6", "--mode", "forbid-hole", "--k", "5", *flags])
+    err = capsys.readouterr().err
+    assert code == cli.ERROR
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("command", ["encode", "solve"])
 def test_hints_below_ten_points_rejected(tmp_path, capsys, command):
     out = tmp_path / "x.cnf"

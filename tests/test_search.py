@@ -14,10 +14,15 @@ import pytest
 from holesat import search
 from holesat.constructions import generate_double_circle, witness
 from holesat.geometry import PointSet
-from holesat.holes import enumerate_holes, hulls_disjoint, hulls_interior_disjoint, is_gon
+from holesat.holes import (
+    enumerate_gons,
+    enumerate_holes,
+    hulls_disjoint,
+    hulls_interior_disjoint,
+    is_gon,
+)
 from holesat.search import (
     SearchObjective,
-    count_gons,
     local_search,
     objective_count,
     search_witness,
@@ -59,7 +64,7 @@ def test_count_gons_matches_brute_force(k):
     brute = sum(
         1 for xs in itertools.combinations(range(8), k) if is_gon(s, xs)
     )
-    assert count_gons(s, k) == brute
+    assert len(enumerate_gons(s, k)) == brute
 
 
 def test_objective_counts_on_convex_pentagon():
@@ -158,7 +163,7 @@ def test_local_search_finds_gon_free_set():
     found = local_search(8, obj, seed=0, budget=20000)
     assert found is not None
     assert len(found) == 8
-    assert count_gons(found, 5) == 0
+    assert len(enumerate_gons(found, 5)) == 0
 
 
 def test_local_search_finds_interior_disjoint_free_set():

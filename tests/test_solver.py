@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -15,7 +16,7 @@ import pytest
 from holesat.cli import main as cli_main
 from holesat.encoder import MODES, HoleProblem, assignment_from_chirotope, build_instance
 from holesat.geometry import PointSet, Signotope, canonicalize, chirotope
-from holesat.holes import enumerate_holes, find_disjoint_tuple
+from holesat.holes import enumerate_holes, find_disjoint_tuple, is_gon, is_hole
 from holesat.solver import (
     KNOWN_CHECKERS,
     KNOWN_SOLVERS,
@@ -404,6 +405,28 @@ def test_verify_model_rejects_forbidden_structure(mode, described):
     assert not result.passed
     assert described in result.description
     assert (result.counterexample is None) == (mode == "unsorted")
+
+
+@pytest.mark.parametrize("mode, k, threshold", [
+    ("forbid-hole", 5, 0), ("forbid-gon", 5, 0), ("count-holes", 4, 12),
+])
+def test_verify_model_counterexample_is_a_real_structure(mode, k, threshold):
+    # the coordinate predicates, one k-subset at a time, are the oracle
+    real = is_gon if mode == "forbid-gon" else is_hole
+    rejected = 0
+    for seed in range(40):
+        s, sig = _canonical(seed, 7 + seed % 3)
+        found = [x for x in itertools.combinations(range(s.n), k) if real(s, x)]
+        problem = HoleProblem(n=s.n, mode=mode, sizes=(k,), threshold=threshold)
+        result = verify_model(sig, problem)
+        assert result.passed == (len(found) < (threshold or 1)), seed
+        if not result.passed:
+            rejected += 1
+            if threshold:
+                assert result.counterexample == (len(enumerate_holes(s, k)),) == (len(found),)
+            else:
+                assert len(result.counterexample) == k and real(s, result.counterexample)
+    assert 10 <= rejected < 40  # both verdicts occur
 
 
 def test_verify_model_rejects_wrong_size():
