@@ -35,6 +35,7 @@ Every line opens with a literal, so no emitter can write an empty clause.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -419,30 +420,41 @@ def emit_disjointness(problem: HoleProblem, reg: VarRegistry) -> Text:
     default = subsets through the anchor (a for L, b for R) avoiding the
     other endpoint, ``relaxed_lr`` = subsets avoiding the other endpoint,
     both skipping the anchor; interior = every subset, skipping a and b.
+
+    In compact mode R(k, b, a) has L(k, a, b)'s body and L(k, b, a) R(k, a, b)'s,
+    so pair a < b also joins each body for its twin into an unnamed temporary
+    file, read back at (b, a); explicit mode's twins name other O variables.
     """
     n = problem.n
     interior = problem.mode == "two-interior-disjoint-holes"
     through = not (interior or problem.relaxed_lr)  # the default schema
+    twins = problem.orient_vars == "compact"
     pairs = list(itertools.permutations(range(n), 2))
 
     def pieces() -> Iterator[str]:
-        for k in sorted(set(problem.sizes)):
-            subsets = list(itertools.combinations(range(n), k))
-            holes = ["" if k == 2 else "%d " % -reg.hole_lit(k, x) for x in subsets]
-            # per anchor, the hole strings of its schema's subsets (by default the anchor
-            # and m = k - 1 of the n - 1 others), and which of them miss the i-th other
-            m, others = k - through, range(n - through)
-            if not interior:
-                pools = [[h for x, h in zip(subsets, holes) if p in x] if through else holes
-                         for p in range(n)]
-                misses = [bytes(i not in y for y in itertools.combinations(others, m))
-                          for i in others]
-            for a, b in pairs:
-                # body rows, "c is not left (right) of a->b" as "%d " strings, are ""
-                # at a and b, the labels the schema skips: joined entries are the body
-                row_r = ["%d " % l if l else "" for l in reg.lit[a][b]]
-                row_l = ["%d " % -l if l else "" for l in reg.lit[a][b]]
-                for fam, row, anchor, other in (("L", row_l, a, b), ("R", row_r, b, a)):
+        with tempfile.TemporaryFile("w+") if twins else contextlib.nullcontext() as spill:
+            for k in sorted(set(problem.sizes)):
+                subsets = list(itertools.combinations(range(n), k))
+                holes = ["" if k == 2 else "%d " % -reg.hole_lit(k, x) for x in subsets]
+                # per anchor, the hole strings of its schema's subsets (by default the anchor
+                # and m = k - 1 of the n - 1 others), and which of them miss the i-th other
+                m, others = k - through, range(n - through)
+                if not interior:
+                    pools = [[h for x, h in zip(subsets, holes) if p in x] if through else holes
+                             for p in range(n)]
+                    misses = [bytes(i not in y for y in itertools.combinations(others, m))
+                              for i in others]
+                spilled = {}  # (anchor, other) -> (offset, length) of its block in the spill
+                for (a, b), (fam, sign) in itertools.product(pairs, (("L", -1), ("R", 1))):
+                    anchor, other = (a, b) if fam == "L" else (b, a)
+                    if (anchor, other) in spilled:  # written at (b, a) for this side
+                        offset, length = spilled[anchor, other]
+                        spill.seek(offset)
+                        yield spill.read(length)
+                        continue
+                    # the body row, "c is not left (right) of a->b" as "%d " strings, is ""
+                    # at a and b, the labels the schema skips: joined entries are the body
+                    row = ["%d " % (sign * l) if l else "" for l in reg.lit[a][b]]
                     if interior:
                         hole, free = holes, row
                     else:  # bodies come in the order of the subsets that miss other
@@ -450,8 +462,11 @@ def emit_disjointness(problem: HoleProblem, reg: VarRegistry) -> Text:
                         hole = itertools.compress(pools[anchor], misses[i])
                         free = [s for s in row if s] if through else row[:other] + row[other + 1:]
                     clauses = list(map(add, hole, map("".join, itertools.combinations(free, m))))
-                    side = "%d " % reg.var(fam, k, a, b)
-                    yield side + ("0\n" + side).join(clauses) + "0\n" if clauses else ""
+                    block = lambda s: s + ("0\n" + s).join(clauses) + "0\n" if clauses else ""
+                    if twins:  # the twin: the other side of b->a, with the same body
+                        twin = block("%d " % reg.var("LR"[fam == "L"], k, b, a))
+                        spilled[anchor, other] = spill.seek(0, 2), spill.write(twin)
+                    yield block("%d " % reg.var(fam, k, a, b))
         for ka, kb in sorted({problem.sizes, problem.sizes[::-1]}):
             yield "".join([f"-{reg.var('L', ka, a, b)} -{reg.var('R', kb, a, b)} 0\n"
                            for a, b in pairs])

@@ -318,7 +318,7 @@ def _run(argv: list[str], timeout: float | None):
     limit = resolve_timeout(timeout)
     start = time.monotonic()
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=limit)
+        proc = subprocess.run(argv, capture_output=True, text=True, errors="replace", timeout=limit)
     except subprocess.TimeoutExpired:
         proc = None
     except OSError as exc:

@@ -9,12 +9,16 @@ geometric truth.
 from __future__ import annotations
 
 import collections
+import gc
 import hashlib
 import itertools
 import math
 import os
 import random
+import sys
+import tempfile
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -426,6 +430,22 @@ PINNED = [
     (dict(n=17, mode="forbid-gon", sizes=(6,)),
      "3060a89a549d06caba256aeac273fe77ee2ff08738512f050d33abb9ab33d286",
      "15beee3395700c55a0e0abf7bf46907dce5b5c5f46a6bd72b90645c1ef54c563"),
+    # side blocks that are empty (k = n, in the default and relaxed schemas),
+    # which a compact twin must reuse as nothing
+    (dict(n=5, mode="two-disjoint-holes", sizes=(2, 5)),
+     "a0373eddcf25bdbd752460057fa17b59e6773c9ee4d5c6aa5e1b970ebd873d4d",
+     "d34423e2fece4c88104048e80fca3a94d0251eb22da19b35369ec5a4dfd229ff"),
+    (dict(n=5, mode="two-disjoint-holes", sizes=(5, 5), relaxed_lr=True),
+     "5090d3668c68d8a9aff99176383e5789101b3a1514dfbb43c41fe6d511e236b0",
+     "b76d7bcc81c8eea2e66dbe19baaa1b808f6eb9a183e2af6b34f66505ffb3f719"),
+    (dict(n=6, mode="two-disjoint-holes", sizes=(5, 6)),
+     "5ccaa9197ca2296d7474bb9a313451b2070581dbed8c4627aba20a5d4b7800f9",
+     "c12231d982e6c77934f352793b6e5177c7fe0ed4b9887810a65f38d13abce577"),
+    # the compact n=17 (5,5) headline instance with hints (27,106,170 bytes), whose
+    # side blocks are half built and half reused
+    (dict(n=17, mode="two-disjoint-holes", sizes=(5, 5), hints=True),
+     "d89878d62eb3fcf1049cefe189e39b56f23f37dd38c67bb9a390d2a56e694069",
+     "81cb0c68e08df895f95a4b4101f8f0eb4da07f11d260ab6a0499c687b92469c3"),
 ]
 
 
@@ -513,6 +533,26 @@ def test_emission_memory_tracks_cnf_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 3 * (tmp_path / "a.cnf").stat().st_size
+
+
+def test_disjointness_spill_is_always_closed(tmp_path, monkeypatch):
+    # a reader that stops inside the side blocks and a full pass both close the
+    # unnamed file the compact twins are spilled to, and it leaves no name behind
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    p = HoleProblem(n=8, mode="two-disjoint-holes", sizes=(4, 5))
+    inst = build_instance(p)
+    s = canonicalize(random_point_set(p.n, random.Random(1)))
+    assignment = assignment_from_chirotope(chirotope(s), p)
+    # every side variable false: the first k-hole's side line is violated
+    assignment.update((v, False) for v, tag in inst.registry.items() if tag[0] in ("L", "R"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        [(label, _)] = violated_clauses(inst, assignment, limit=1)
+        assert label == "disjointness" and inst.groups[-1][0] == "disjointness"
+        gc.collect()
+    assert unraisable == [] and list(tmp_path.iterdir()) == []
 
 
 # a stand-in emitter of about 20 MB in 41.6 KB pieces; its one literal has

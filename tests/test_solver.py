@@ -294,6 +294,25 @@ def test_run_batch_keeps_reports_when_one_solve_raises(tmp_path):
     assert second.instance == problems[1].key()
 
 
+def test_output_that_is_not_utf8_keeps_the_verdict(tmp_path, capsys):
+    # a comment line of bytes that do not decode must not lose the answer
+    junk = _stub(tmp_path, "junk", "printf 'c \\377\\376 junk\\n'; echo s UNSATISFIABLE; exit 20")
+    code = cli_main([
+        "solve", "--n", "5", "--mode", "forbid-hole", "--k", "4", "--solver", junk,
+        "--workdir", str(tmp_path / "w"),
+    ])
+    assert code == 0 and "verdict: UNSAT" in capsys.readouterr().out
+    problems = [
+        HoleProblem(n=5, mode="forbid-hole", sizes=(4,)),
+        HoleProblem(n=6, mode="forbid-gon", sizes=(4,)),
+    ]
+    reports = run_batch(
+        [build_instance(p) for p in problems],
+        solver=SolverConfig(path=junk, name="junk"), workers=1, workdir=tmp_path,
+    )
+    assert [reports[p.key()].verdict for p in problems] == ["UNSAT", "UNSAT"]
+
+
 def test_run_batch_marks_a_raised_solve_not_run(tmp_path, monkeypatch):
     # the malformed checker entry raises inside the solve, before any launch
     cfg = tmp_path / "holesat.json"
