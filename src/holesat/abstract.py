@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .geometry import NEGATIVE, POSITIVE, Signotope
+from .geometry import Signotope
 # orientation-only predicates shared with the coordinate oracle; the 4-gon
 # table and the enumerations are re-exported for callers of this module
 from .holes import (
@@ -66,6 +66,26 @@ def is_hole(sig: Signotope, x: Iterable[int]) -> bool:
     return True
 
 
+def _separated(sig: Signotope, pairs, x1: Sequence[int], x2: Sequence[int]) -> bool:
+    """True iff for some (a, b) in pairs the labels of x1 other than a and b
+    lie strictly on one side of a->b and those of x2 strictly on the other."""
+    chi = sig.chi
+    signed = [(x, 1) for x in x1] + [(y, -1) for y in x2]
+    for a, b in pairs:
+        side = 0  # taken from the first label tested
+        for x, s in signed:
+            if x == a or x == b:
+                continue
+            c = chi(a, b, x) * s
+            if not side:
+                side = c
+            elif c != side:
+                break
+        else:
+            return True
+    return False
+
+
 def holes_disjoint(sig: Signotope, x1: Iterable[int], x2: Iterable[int]) -> bool:
     """True iff a separating pair a in x1, b in x2 exists.
 
@@ -78,36 +98,7 @@ def holes_disjoint(sig: Signotope, x1: Iterable[int], x2: Iterable[int]) -> bool
     a2, m2 = _members(sig, x2)
     if not a1 or not a2:
         raise ValueError("subsets must be nonempty")
-    if m1 & m2:
-        return False
-    for a in a1:
-        for b in a2:
-            if _separates(sig, a, b, a1, a2):
-                return True
-    return False
-
-
-def _separates(
-    sig: Signotope, a: int, b: int, x1: Sequence[int], x2: Sequence[int]
-) -> bool:
-    side = 0
-    for x in x1:
-        if x == a:
-            continue
-        c = sig.chi(a, b, x)
-        if side == 0:
-            side = c
-        elif c != side:
-            return False
-    for y in x2:
-        if y == b:
-            continue
-        c = sig.chi(a, b, y)
-        if side == 0:
-            side = -c
-        elif c == side:
-            return False
-    return True
+    return not m1 & m2 and _separated(sig, itertools.product(a1, a2), a1, a2)
 
 
 def holes_interior_disjoint(
@@ -128,12 +119,7 @@ def holes_interior_disjoint(
     if (m1 & m2).bit_count() >= 3:
         return False
     union = [i for i in range(sig.n) if (m1 | m2) >> i & 1]
-    for a, b in itertools.permutations(union, 2):
-        if all(sig.chi(a, b, x) == POSITIVE for x in a1 if x != a and x != b) and all(
-            sig.chi(a, b, x) == NEGATIVE for x in a2 if x != a and x != b
-        ):
-            return True
-    return False
+    return _separated(sig, itertools.combinations(union, 2), a1, a2)
 
 
 def find_disjoint_tuple(

@@ -27,7 +27,7 @@ from pathlib import Path
 from . import __version__
 from .constructions import WITNESS_COORDS, generate_double_circle, generate_two_ring, witness
 from .encoder import MODES, HoleProblem, build_instance
-from .geometry import read_points, write_points
+from .geometry import GeneralPositionError, read_points, write_points
 from .holes import enumerate_from_table, enumerate_holes, find_disjoint_tuple
 from .recipes import RECIPE_NAMES, passed, run_recipe
 from .search import OBJECTIVE_MODES, SearchObjective, search_witness
@@ -197,13 +197,10 @@ def _claims(args, stem: str) -> list:
 def cmd_verify_witness(args) -> int:
     try:
         s = read_points(args.file)
-    except ValueError as exc:
-        message = str(exc)
-        if "collinear" in message or "duplicate" in message:
-            print(f"fail: general position ({message})")
-            print("result: fail")
-            return FAIL
-        raise
+    except GeneralPositionError as exc:
+        print(f"fail: general position ({exc})")
+        print("result: fail")
+        return FAIL
     checks: list[tuple[str, bool, str]] = []
     for kind in ("hole", "gon"):
         for want, k in _claims(args, kind):

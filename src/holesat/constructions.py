@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .geometry import PointSet
+from .geometry import GeneralPositionError, PointSet
 from .holes import in_triangle
 
 DEFAULT_RADIUS = 10**6
@@ -85,7 +85,7 @@ def _rounded(name: str, n: int, radius: int, place, valid) -> PointSet:
     for attempt in range(_MAX_ATTEMPTS):
         try:
             s = PointSet(place(radius << attempt))
-        except ValueError:
+        except GeneralPositionError:
             continue
         if valid(s):
             return s

@@ -35,6 +35,10 @@ NEGATIVE = -1
 ZERO = 0
 
 
+class GeneralPositionError(ValueError):
+    """A point set with a repeated point or three collinear points."""
+
+
 class Point(NamedTuple):
     """A planar point with exact (integer or rational) coordinates."""
 
@@ -57,6 +61,10 @@ def orient(p: Point, q: Point, r: Point) -> int:
     right, 0 iff the three points are collinear.
     """
     return _sign((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
+
+
+def _x_increasing(points: Sequence[Point]) -> bool:
+    return all(p.x < q.x for p, q in zip(points, points[1:]))
 
 
 def _check_coord(value: Coord) -> Coord:
@@ -105,6 +113,11 @@ class OrientationTable:
             raise IndexError(f"index {c} out of range for n={self.n}")
         return POSITIVE if self.left[a][b] >> c & 1 else NEGATIVE
 
+    def unsorted_triple(self) -> tuple[int, int, int] | None:
+        """The first (0, a, b), a < b, not positive; None iff 1..n-1 run ccw around 0."""
+        pairs = itertools.combinations(range(1, self.n), 2)
+        return next(((0, a, b) for a, b in pairs if self.chi(0, a, b) != POSITIVE), None)
+
 
 class PointSet(OrientationTable):
     """An ordered list of points in general position (no three collinear).
@@ -119,7 +132,7 @@ class PointSet(OrientationTable):
     def __init__(self, points: Iterable[Sequence[Coord]]):
         pts = tuple(Point(_check_coord(p[0]), _check_coord(p[1])) for p in points)
         if len(set(pts)) != len(pts):
-            raise ValueError("duplicate points")
+            raise GeneralPositionError("duplicate points")
         self.points: tuple[Point, ...] = pts
         # a plain slot, not a property: hot predicates read it per call
         self.n = n = len(pts)
@@ -128,7 +141,7 @@ class PointSet(OrientationTable):
             a, b, c = t
             sign = orient(pts[a], pts[b], pts[c])
             if sign == ZERO:
-                raise ValueError(f"points {t} are collinear")
+                raise GeneralPositionError(f"points {t} are collinear")
             triples.append((t, t if sign == POSITIVE else (b, a, c)))
         self._fill(triples)
 
@@ -151,13 +164,7 @@ class PointSet(OrientationTable):
         return f"PointSet({list(self.points)!r})"
 
     def is_canonical(self) -> bool:
-        pts = self.points
-        if any(pts[i].x >= pts[i + 1].x for i in range(len(pts) - 1)):
-            return False
-        return all(
-            self.chi(0, a, b) == POSITIVE
-            for a, b in itertools.combinations(range(1, len(pts)), 2)
-        )
+        return _x_increasing(self.points) and self.unsorted_triple() is None
 
 
 @dataclass(frozen=True)
@@ -195,8 +202,7 @@ def chirotope(s: PointSet) -> Signotope:
     monotone sign-change axioms checked by :func:`check_signotope` only hold
     relative to that labeling.
     """
-    pts = s.points
-    if any(pts[i].x >= pts[i + 1].x for i in range(len(pts) - 1)):
+    if not _x_increasing(s.points):
         raise ValueError("chirotope requires strictly increasing x-coordinates")
     left = s.left
     signs = {
@@ -255,12 +261,7 @@ def canonicalize(s: PointSet) -> PointSet:
         return _canonicalize_small(s)
     order = canonical_order(s)
     relabeled = PointSet(s.points[i] for i in order)
-    if all(
-        relabeled[i].x < relabeled[i + 1].x for i in range(len(relabeled) - 1)
-    ):
-        result = relabeled
-    else:
-        result = project_normalize(relabeled)
+    result = relabeled if _x_increasing(relabeled.points) else project_normalize(relabeled)
     assert result.is_canonical()
     _assert_same_order_type(s, result, order)
     return result
@@ -310,12 +311,11 @@ def project_normalize(s: PointSet) -> PointSet:
     if n < 3:
         return _canonicalize_small(s)
     pts = s.points
-    for a, b in itertools.combinations(range(1, n), 2):
-        if s.chi(0, a, b) != POSITIVE:
-            raise ValueError(
-                "project_normalize requires points 1..n-1 sorted counterclockwise "
-                f"around point 0 (triple (0,{a},{b}) is not positive)"
-            )
+    if (bad := s.unsorted_triple()) is not None:
+        raise ValueError(
+            "project_normalize requires points 1..n-1 sorted counterclockwise "
+            "around point 0 (triple (%d,%d,%d) is not positive)" % bad
+        )
 
     o = pts[0]
     vx, vy = pts[-1].y - pts[1].y, pts[1].x - pts[-1].x
@@ -333,7 +333,7 @@ def project_normalize(s: PointSet) -> PointSet:
     for a, b, c in itertools.combinations(range(n), 3):
         if s.chi(a, b, c) != result.chi(a, b, c):
             raise AssertionError(f"projective step changed triple {(a, b, c)}")
-    assert all(result[i].x < result[i + 1].x for i in range(n - 1))
+    assert _x_increasing(result.points)
     return result
 
 

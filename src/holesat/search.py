@@ -20,7 +20,7 @@ from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
 from .encoder import DISJOINT_FLAVOR, DISJOINT_MODES, SIZE_KIND
-from .geometry import Point, PointSet
+from .geometry import GeneralPositionError, Point, PointSet
 from .holes import (
     count_tuples,
     disjoint_tuples,
@@ -96,7 +96,7 @@ def _random_general_position(
             try:
                 PointSet(points)
                 break
-            except ValueError:  # a duplicate or a collinear triple
+            except GeneralPositionError:
                 points.pop()
         else:
             raise ValueError(
@@ -167,7 +167,7 @@ def local_search(
         points[idx] = Point(nx, ny)
         try:
             moved = PointSet(points)
-        except ValueError:  # the move broke general position
+        except GeneralPositionError:  # the move broke general position
             points[idx] = old
             continue
         value = objective_count(moved, obj)

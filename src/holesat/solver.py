@@ -452,7 +452,7 @@ def verify_model(sig: Signotope, problem: HoleProblem) -> VerifyResult:
         return VerifyResult(
             False, (sig.n, problem.n), "signotope size mismatch"
         )
-    if any(sig.chi(0, a, b) != 1 for a in range(1, sig.n) for b in range(a + 1, sig.n)):
+    if sig.unsorted_triple() is not None:
         return VerifyResult(False, None, "not sorted around first point")
     if problem.mode in DISJOINT_FLAVOR:
         mode = DISJOINT_FLAVOR[problem.mode]

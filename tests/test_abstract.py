@@ -132,6 +132,18 @@ def test_interior_disjointness_matches_geometry(seed):
             assert abstract.holes_interior_disjoint(sig, x1, x2) == geo.hulls_interior_disjoint(s, x1, x2)
 
 
+@given(st.integers(0, 10**6))
+@settings(max_examples=12, deadline=None)
+def test_interior_disjointness_matches_geometry_above_3_holes(seed):
+    # pairs of 3-, 4- and 5-holes sharing at most 2 vertices, (3, 3) left to the test above
+    n = 9
+    s, sig = _canonical(seed, n)
+    holes = [h for k in (3, 4, 5) for h in geo.enumerate_holes(s, k)]
+    for x1, x2 in itertools.combinations(holes, 2):
+        if len(x1) + len(x2) > 6 and len(set(x1) & set(x2)) <= 2:
+            assert abstract.holes_interior_disjoint(sig, x1, x2) == geo.hulls_interior_disjoint(s, x1, x2)
+
+
 @given(st.integers(0, 10**6), st.sampled_from(["disjoint", "interior-disjoint"]))
 @settings(max_examples=20, deadline=None)
 def test_find_disjoint_tuple_matches_geometry(seed, mode):

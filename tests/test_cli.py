@@ -173,9 +173,15 @@ def test_verify_witness_rejects_collinear(tmp_path, capsys):
 
 
 def test_verify_witness_garbage_file_is_infrastructure_error(tmp_path, capsys):
-    path = tmp_path / "garbage.txt"
-    path.write_text("zero zero\n")
-    assert run(["verify-witness", str(path), "--hole", "3"]) == cli.ERROR
+    # a malformed file is an error whatever its name or its bad line says
+    for name, text in [
+        ("garbage.txt", "zero zero\n"),
+        ("duplicate-run.txt", "0 0\n1 2 3\n"),
+        ("plain.txt", "0 0\ncollinear\n"),
+    ]:
+        path = tmp_path / name
+        path.write_text(text)
+        assert run(["verify-witness", str(path), "--hole", "3"]) == cli.ERROR
     assert run(["verify-witness", str(tmp_path / "absent.txt"), "--hole", "3"]) == cli.ERROR
 
 

@@ -15,6 +15,7 @@ from holesat.constructions import witness
 from holesat.geometry import (
     NEGATIVE,
     POSITIVE,
+    GeneralPositionError,
     Point,
     PointSet,
     Signotope,
@@ -54,9 +55,9 @@ def test_orient_translation_invariant(p, q, r, dx, dy):
 
 
 def test_pointset_rejects_degeneracies():
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(GeneralPositionError, match="duplicate"):
         PointSet([(0, 0), (1, 1), (0, 0)])
-    with pytest.raises(ValueError, match="collinear"):
+    with pytest.raises(GeneralPositionError, match="collinear"):
         PointSet([(0, 0), (1, 1), (2, 2)])
     with pytest.raises(TypeError):
         PointSet([(0.5, 1), (2, 3), (4, 0)])
@@ -207,6 +208,7 @@ def test_project_normalize_general_precondition(s):
 
 
 def test_canonicalize_tiny_sets():
+    assert canonicalize(PointSet([])).points == ()
     assert canonicalize(PointSet([(3, 4)])).points == (Point(3, 4),)
     two = canonicalize(PointSet([(2, 5), (2, 1)]))
     assert two[0].x < two[1].x

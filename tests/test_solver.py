@@ -172,7 +172,8 @@ def test_normalize_certificate_strips_percent_header(tmp_path):
     decorated.write_text("%SOME HEADER\n1 2 0\n")
     cleaned = normalize_certificate(decorated)
     assert cleaned.endswith(".clean")
-    assert open(cleaned).read() == "1 2 0\n"
+    with open(cleaned) as fh:
+        assert fh.read() == "1 2 0\n"
 
 
 def test_normalize_certificate_streams_a_large_proof(tmp_path):
