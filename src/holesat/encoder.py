@@ -432,7 +432,12 @@ def emit_disjointness(problem: HoleProblem, reg: VarRegistry) -> Text:
     pairs = list(itertools.permutations(range(n), 2))
 
     def pieces() -> Iterator[str]:
-        with tempfile.TemporaryFile("w+") if twins else contextlib.nullcontext() as spill:
+        try:
+            spilling = tempfile.TemporaryFile("w+") if twins else contextlib.nullcontext()
+        except OSError as exc:  # name the directory, not the random file in it
+            raise OSError(exc.errno, f"cannot make a temporary file: {exc.strerror}",
+                          tempfile.gettempdir()) from None
+        with spilling as spill:
             for k in sorted(set(problem.sizes)):
                 subsets = list(itertools.combinations(range(n), k))
                 holes = ["" if k == 2 else "%d " % -reg.hole_lit(k, x) for x in subsets]

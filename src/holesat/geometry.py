@@ -4,9 +4,10 @@ Everything here is computed with arbitrary-precision integers (or
 `fractions.Fraction` after projective normalization); no floating point
 enters any predicate. Both orientation maps, a :class:`PointSet` and a
 :class:`Signotope`, fill the same tables on construction, through one
-routine: the bitmasks ``left[a][b]`` (the indices strictly left of a->b)
-and the 3-holes ``three_holes``. One ``chi`` reads ``left`` for both;
-nothing is computed lazily.
+routine: the bitmasks ``left[a][b]`` (the indices strictly left of a->b),
+the 3-holes ``three_holes`` and their rows ``hole_ext``. One ``chi`` reads
+``left`` for both; only hole and gon lists are kept lazily, in ``memo``.
+``PointSet.moved`` re-orients only the triples through the moved point.
 
 Conventions used throughout the package:
 
@@ -79,31 +80,45 @@ def _check_coord(value: Coord) -> Coord:
 class OrientationTable:
     """The orientation table shared by point sets and signotopes.
 
-    Subclasses set ``n`` and call :meth:`_fill`, which sets ``left`` and
-    ``three_holes``. ``left[a][b]`` is the bitmask of the indices c with
-    (a, b, c) positively oriented, i.e. strictly left of the directed line
-    a->b; ``three_holes`` holds the sorted triples whose triangle is empty.
+    Subclasses set ``n`` and call :meth:`_fill`, which sets ``left``,
+    ``three_holes``, ``hole_ext`` and an empty ``memo``. ``left[a][b]`` is
+    the bitmask of the indices c with (a, b, c) positively oriented, i.e.
+    strictly left of the directed line a->b; ``three_holes`` holds the
+    sorted triples whose triangle is empty, and ``hole_ext[a][b]``, for
+    a < b, the bitmask of the c > b that make (a, b, c) one of them.
+    ``memo`` keeps what :func:`holesat.holes.enumerate_from_table` found.
     """
 
     __slots__ = ()
     n: int
     left: tuple[tuple[int, ...], ...]
     three_holes: frozenset[tuple[int, int, int]]
+    hole_ext: tuple[tuple[int, ...], ...]
+    memo: dict[str, list[list[tuple[int, ...]]]]
 
-    def _fill(self, triples: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> None:
-        """Set both tables from (sorted triple, the same triple ccw) pairs."""
-        left = [[0] * self.n for _ in range(self.n)]
-        for _, (a, b, c) in triples:
+    def _fill(self, ccw: Iterable[tuple[int, int, int]], left=None) -> None:
+        """Set the tables from counterclockwise triples, added to ``left`` if given."""
+        n = self.n
+        left = left or [[0] * n for _ in range(n)]
+        for a, b, c in ccw:
             # each point of a ccw triple is left of the edge opposite it
             left[a][b] |= 1 << c
             left[b][c] |= 1 << a
             left[c][a] |= 1 << b
+        holes, ext = [], [[0] * n for _ in range(n)]
+        for t in itertools.combinations(range(n), 3):
+            a, b, c = t
+            if not left[a][b] >> c & 1:
+                a, b = b, a  # (b, a, c) is ccw
+            # the open triangle is the AND of the three half-planes that
+            # hold the opposite vertex
+            if not left[a][b] & left[b][c] & left[c][a]:
+                holes.append(t)
+                ext[t[0]][t[1]] |= 1 << c
         object.__setattr__(self, "left", tuple(map(tuple, left)))
-        # the open triangle is the AND of the three half-planes that hold
-        # the opposite vertex
-        object.__setattr__(self, "three_holes", frozenset(
-            t for t, (a, b, c) in triples if not left[a][b] & left[b][c] & left[c][a]
-        ))
+        object.__setattr__(self, "three_holes", frozenset(holes))
+        object.__setattr__(self, "hole_ext", tuple(map(tuple, ext)))
+        object.__setattr__(self, "memo", {})
 
     def chi(self, a: int, b: int, c: int) -> int:
         """Orientation of the indexed triple, read from the table."""
@@ -123,27 +138,45 @@ class PointSet(OrientationTable):
     """An ordered list of points in general position (no three collinear).
 
     General position is checked on construction, over all triples, before
-    the orientation table ``left`` and the 3-hole table ``three_holes`` are
-    filled.
+    the tables of :class:`OrientationTable` are filled. :meth:`moved` makes
+    the set with one point replaced and orients only the triples through it.
     """
 
-    __slots__ = ("points", "n", "left", "three_holes")
+    __slots__ = ("points", "n", "left", "three_holes", "hole_ext", "memo")
 
     def __init__(self, points: Iterable[Sequence[Coord]]):
         pts = tuple(Point(_check_coord(p[0]), _check_coord(p[1])) for p in points)
+        self._place(pts, itertools.combinations(range(len(pts)), 3))
+
+    def moved(self, i: int, point: Sequence[Coord]) -> PointSet:
+        """This set with point i replaced, raising what a fresh construction
+        would; only the triples through i are oriented."""
+        n, i = self.n, range(self.n)[i]  # IndexError out of range, like points[i]
+        p = Point(_check_coord(point[0]), _check_coord(point[1]))
+        keep = ~(1 << i)  # the table without the triples through i
+        left = [[m & keep for m in row] for row in self.left]
+        for row in left:
+            row[i] = 0
+        left[i] = [0] * n
+        new = PointSet.__new__(PointSet)
+        through = (t for t in itertools.combinations(range(n), 3) if i in t)
+        new._place(self.points[:i] + (p,) + self.points[i + 1:], through, left)
+        return new
+
+    def _place(self, pts: tuple[Point, ...], triples, left=None) -> None:
+        # orient the given sorted triples of pts, then fill the tables
         if len(set(pts)) != len(pts):
             raise GeneralPositionError("duplicate points")
-        self.points: tuple[Point, ...] = pts
+        self.points = pts
         # a plain slot, not a property: hot predicates read it per call
-        self.n = n = len(pts)
-        triples = []
-        for t in itertools.combinations(range(n), 3):
+        self.n = len(pts)
+        ccw = []
+        for t in triples:
             a, b, c = t
-            sign = orient(pts[a], pts[b], pts[c])
-            if sign == ZERO:
+            if (sign := orient(pts[a], pts[b], pts[c])) == ZERO:
                 raise GeneralPositionError(f"points {t} are collinear")
-            triples.append((t, t if sign == POSITIVE else (b, a, c)))
-        self._fill(triples)
+            ccw.append(t if sign == POSITIVE else (b, a, c))
+        self._fill(ccw, left)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -186,10 +219,7 @@ class Signotope(OrientationTable):
             raise ValueError("signs must cover exactly the sorted triples of 0..n-1")
         if any(s not in (POSITIVE, NEGATIVE) for s in self.signs.values()):
             raise ValueError("signs must be +1 or -1")
-        self._fill([
-            (t, t if sign == POSITIVE else (t[1], t[0], t[2]))
-            for t, sign in self.signs.items()
-        ])
+        self._fill(t if sign == POSITIVE else (t[1], t[0], t[2]) for t, sign in self.signs.items())
 
     def triples(self) -> Iterator[tuple[int, int, int]]:
         return itertools.combinations(range(self.n), 3)
@@ -204,12 +234,7 @@ def chirotope(s: PointSet) -> Signotope:
     """
     if not _x_increasing(s.points):
         raise ValueError("chirotope requires strictly increasing x-coordinates")
-    left = s.left
-    signs = {
-        (a, b, c): POSITIVE if left[a][b] >> c & 1 else NEGATIVE
-        for a, b, c in itertools.combinations(range(s.n), 3)
-    }
-    return Signotope(s.n, signs)
+    return Signotope(s.n, {t: s.chi(*t) for t in itertools.combinations(range(s.n), 3)})
 
 
 def check_signotope(sig: Signotope) -> list[tuple[int, int, int, int]]:
@@ -329,10 +354,7 @@ def project_normalize(s: PointSet) -> PointSet:
     gap = min(b - a for a, b in zip(xs, xs[1:]))
     h = max(p.y for p in rest) * (xs[-1] - x0) // gap + 1
     result = PointSet([Point(Fraction(x0), Fraction(h))] + rest)
-
-    for a, b, c in itertools.combinations(range(n), 3):
-        if s.chi(a, b, c) != result.chi(a, b, c):
-            raise AssertionError(f"projective step changed triple {(a, b, c)}")
+    _assert_same_order_type(s, result, range(n))
     assert _x_increasing(result.points)
     return result
 
@@ -348,13 +370,11 @@ def read_points(path: str) -> PointSet:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two integers, got {line!r}")
             try:
-                points.append((int(parts[0]), int(parts[1])))
-            except ValueError as exc:
+                x, y = map(int, line.split())
+            except ValueError as exc:  # not two fields, or not integers
                 raise ValueError(f"{path}:{lineno}: expected two integers, got {line!r}") from exc
+            points.append((x, y))
     return PointSet(points)
 
 

@@ -2,8 +2,9 @@
 
 Predicates read ``s.n`` and the tables that point sets and signotopes
 alike fill on construction: ``s.chi`` one sign at a time, the bitmasks
-``s.left`` (the hull and disjointness deciders), or the 3-holes
-``s.three_holes`` (hole enumeration). Nothing here assumes a canonical
+``s.left`` (the hull and disjointness deciders), or the 3-hole rows
+``s.hole_ext`` (hole enumeration: one walk per set finds every size up to
+the largest asked, kept in ``s.memo``). Nothing here assumes a canonical
 labeling. A *k-gon* is a subset in convex position; a *k-hole* is a k-gon
 whose hull contains no other point of the set. A 2-subset is always a
 (degenerate) hole under general position. Enumerations and tuple searches
@@ -127,61 +128,57 @@ def enumerate_from_table(s: PointSet, k: int, kind: str) -> list[tuple[int, ...]
     Every 2-subset is a hole and every 3-subset a gon. Above that, a subset
     is a hole iff every 3-subset is a 3-hole, and a gon iff every 4-subset
     is a 4-gon, so one table (the 3-holes or the 4-gons) decides all larger
-    sizes. Sizes above n have none; sizes below the least are an error.
+    sizes. One walk finds every size up to k and keeps them in ``s.memo``,
+    so a smaller size asked later costs a copy. Sizes above n have none;
+    sizes below the least are an error.
     """
     least = 2 if kind == "hole" else 3
     if k < least:
         raise ValueError(f"{kind} size {k} is below {least}")
     if k > s.n:
         return []
-    if k == least:
-        return list(itertools.combinations(range(s.n), k))
-    table = s.three_holes if kind == "hole" else four_gon_table(s)
-    if k == least + 1:
-        return sorted(table)
-    # ext[u]: bitmask of the points c such that u + (c,) is in the table
-    ext: dict[tuple[int, ...], int] = {}
-    for t in table:
-        ext[t[:-1]] = ext.get(t[:-1], 0) | 1 << t[-1]
-    found = []
-    _grow(found, ext, least, k, (), (1 << s.n) - 1)
-    return found
+    found = s.memo.get(kind, ())
+    if len(found) <= k:
+        # ext[u][j]: bitmask of the points c such that u + (j, c) is in the
+        # table, u a point (holes) or a pair of points (gons)
+        if kind == "hole":
+            ext = s.hole_ext
+        else:
+            ext = {u: [0] * s.n for u in itertools.combinations(range(s.n), 2)}
+            for a, b, c, d in four_gon_table(s):
+                ext[a, b][c] |= 1 << d
+        found = s.memo[kind] = [[] for _ in range(k + 1)]
+        _grow(found, ext, kind == "gon", (), (1 << s.n) - 1)
+    return list(found[k])
 
 
-def _grow(found, ext, least: int, k: int, xs: tuple[int, ...], candidates: int) -> None:
-    # depth-first in lexicographic order; candidates are the points c after
-    # xs[-1] for which every subset of xs + (c,) of the table's size that
-    # contains c is in the table. Not a closure: a recursive closure is a
-    # reference cycle, which leaves every call's tables to the cyclic GC.
+def _grow(found, ext, pairs: bool, xs: tuple[int, ...], candidates: int) -> None:
+    # depth-first in lexicographic order, so each found[m] comes out sorted;
+    # candidates are the points c after xs[-1] for which every subset of
+    # xs + (c,) of the table's size that contains c is in the table. Not a
+    # closure: a recursive closure is a reference cycle, which leaves every
+    # call's tables to the cyclic GC.
     while candidates:
         low = candidates & -candidates
         candidates ^= low
         j = low.bit_length() - 1
-        if len(xs) == k - 1:
-            found.append(xs + (j,))
-            continue
-        nxt = candidates
-        for u in itertools.combinations(xs, least - 1):
-            nxt &= ext.get(u + (j,), 0)
-        if nxt.bit_count() >= k - 1 - len(xs):
-            _grow(found, ext, least, k, xs + (j,), nxt)
+        ys = xs + (j,)
+        found[len(ys)].append(ys)
+        if len(ys) < len(found) - 1:
+            nxt = candidates
+            for u in itertools.combinations(xs, 2) if pairs else xs:
+                nxt &= ext[u][j]
+            if nxt:
+                _grow(found, ext, pairs, ys, nxt)
 
 
 def enumerate_holes(s: PointSet, k: int) -> list[tuple[int, ...]]:
-    """All k-holes in lexicographic index order.
-
-    For k >= 4 this uses the triple-emptiness characterization (a subset is a
-    hole iff every 3-subset is a 3-hole), which agrees with :func:`is_hole`;
-    the test suite cross-checks the two paths.
-    """
+    """All k-holes in lexicographic index order; see :func:`enumerate_from_table`."""
     return enumerate_from_table(s, k, "hole")
 
 
 def enumerate_gons(s: PointSet, k: int) -> list[tuple[int, ...]]:
-    """All k-gons in lexicographic index order.
-
-    For k >= 5 a subset is in convex position iff every 4-subset is.
-    """
+    """All k-gons in lexicographic index order; see :func:`enumerate_from_table`."""
     return enumerate_from_table(s, k, "gon")
 
 
@@ -189,8 +186,10 @@ def hulls_disjoint(s: PointSet, x1: Iterable[int], x2: Iterable[int]) -> bool:
     """True iff conv(x1) and conv(x2) are disjoint.
 
     Decided by the existence of a separating pair: points a in x1, b in x2
-    such that every other point of x1 is strictly on one side of line a->b
-    and every other point of x2 strictly on the other.
+    such that every other point of x1 is strictly left of line a->b and
+    every other point of x2 strictly right. Disjoint hulls have two inner
+    common tangents; directed from x1's vertex to x2's, one has x1 on its
+    left and the other on its right, so one side is enough.
     """
     a1, m1 = _members(s, x1)
     a2, m2 = _members(s, x2)
@@ -200,14 +199,10 @@ def hulls_disjoint(s: PointSet, x1: Iterable[int], x2: Iterable[int]) -> bool:
         return False
     left = s.left
     for a in a1:
-        rest1 = m1 ^ (1 << a)
         row = left[a]
         for b in a2:
-            rest2 = m2 ^ (1 << b)
-            on_left = row[b]
             # general position: every point off the line is left or right
-            in1, in2 = rest1 & on_left, rest2 & on_left
-            if (in1 == rest1 and not in2) or (not in1 and in2 == rest2):
+            if not (m2 & row[b] or m1 & left[b][a]):
                 return True
     return False
 
@@ -311,8 +306,9 @@ def disjoint_tuples(
 
     The oracle's own hole enumeration and disjointness deciders are
     arguments, so each oracle decides with its own predicates. Each size
-    class is enumerated once, and compatibility is decided once per ordered
-    size pair of two slots, as bitmask rows (:func:`_compat_rows`).
+    class is enumerated once, largest first, so one walk finds them all
+    (:func:`enumerate_from_table`), and compatibility is decided once per
+    ordered size pair of two slots, as bitmask rows (:func:`_compat_rows`).
     Yields, in search order, the holes chosen for all slots but the last
     (a list reused between yields), the nonzero bitmask of the last slot's
     candidates, and that slot's hole list. Equal-size slots take
@@ -326,7 +322,7 @@ def disjoint_tuples(
     decide = {"disjoint": disjoint, "interior-disjoint": interior_disjoint}.get(mode)
     if decide is None:
         raise ValueError(f"unknown mode {mode!r}")
-    by_size = {k: enumerate_holes(s, k) for k in sorted(set(sizes))}
+    by_size = {k: enumerate_holes(s, k) for k in sorted(set(sizes), reverse=True)}
     classes = [by_size[k] for k in sizes]
     if not all(classes):
         return

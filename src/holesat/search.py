@@ -2,11 +2,12 @@
 
 A :class:`SearchObjective` counts forbidden structures (k-holes, k-gons,
 tuples of pairwise disjoint holes); a point set with objective zero is a
-witness for the corresponding lower bound. The annealer perturbs one point
-at a time with a geometrically cooling step size, rejects any move that
-breaks general position, and is fully deterministic for a given seed.
-Returned witnesses are re-verified from scratch with exact arithmetic
-before being handed back.
+witness for the corresponding lower bound. The annealer moves one point at
+a time (:meth:`PointSet.moved`, which re-orients only the triples through
+it) with a geometrically cooling step size, rejects any move that breaks
+general position, and is fully deterministic for a given seed. Returned
+witnesses are built and counted afresh, with exact arithmetic, before
+being handed back.
 """
 
 from __future__ import annotations
@@ -125,12 +126,11 @@ def local_search(
         raise ValueError(f"n={n} below structure size {max(obj.sizes)}")
     rng = random.Random(seed)
     span = min(box, 4 * n * n)
-    points = _random_general_position(n, rng, box)
-    current = objective_count(PointSet(points), obj)
+    s = PointSet(_random_general_position(n, rng, box))
+    current = objective_count(s, obj)
     if current == 0:
-        return _reverify(points, obj)
-    best = current
-    best_points = list(points)
+        return _reverify(s, obj)
+    best, best_set = current, s
     last_improvement = 0
     start_temp = temperature = max(1.0, T_FACTOR * current)
     start_step = step = max(4, span // 2)
@@ -149,13 +149,12 @@ def local_search(
             )
         if proposal - last_improvement >= 8 * EPOCH:
             # stagnant: back to the best configuration seen, reheat
-            points = list(best_points)
-            current = best
+            s, current = best_set, best
             temperature = max(temperature, start_temp / 2)
             step = max(step, start_step // 2)
             last_improvement = proposal
         idx = rng.randrange(n)
-        old = points[idx]
+        old = s.points[idx]
         if rng.random() < 0.1:
             nx = rng.randint(-span, span)
             ny = rng.randint(-span, span)
@@ -164,30 +163,25 @@ def local_search(
             ny = max(-box, min(box, old.y + rng.randint(-step, step)))
         if (nx, ny) == (old.x, old.y):
             continue
-        points[idx] = Point(nx, ny)
         try:
-            moved = PointSet(points)
+            moved = s.moved(idx, (nx, ny))
         except GeneralPositionError:  # the move broke general position
-            points[idx] = old
             continue
         value = objective_count(moved, obj)
         delta = value - current
         if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-            current = value
+            s, current = moved, value
             if value < best:
-                best = value
-                best_points = list(points)
+                best, best_set = value, s
                 last_improvement = proposal
             if current == 0:
-                return _reverify(points, obj)
-        else:
-            points[idx] = old
+                return _reverify(s, obj)
     return None
 
 
-def _reverify(points: list[Point], obj: SearchObjective) -> PointSet:
+def _reverify(s: PointSet, obj: SearchObjective) -> PointSet:
     # fresh construction re-checks general position; recount from scratch
-    witness = PointSet([(p.x, p.y) for p in points])
+    witness = PointSet([(p.x, p.y) for p in s.points])
     count = objective_count(witness, obj)
     if count != 0:
         raise AssertionError(f"witness re-verification failed: {count} left")

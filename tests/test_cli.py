@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -95,6 +96,20 @@ def test_encode_into_a_missing_directory_names_the_target(tmp_path, capsys):
     assert code == cli.ERROR
     assert str(out) in err and "tmp" not in err.replace(str(tmp_path), "")
     assert os.listdir(tmp_path) == []
+
+
+def test_unusable_temporary_directory_is_named(tmp_path, capsys, monkeypatch):
+    # compact disjointness emission spills twin bodies to an unnamed
+    # temporary file; a missing temporary directory must be named as such
+    missing = tmp_path / "no-such-tmp"
+    monkeypatch.setattr(tempfile, "tempdir", str(missing))
+    out = tmp_path / "a.cnf"
+    code = run(["encode", "--n", "8", "--mode", "two-disjoint-holes", "--sizes", "4,4",
+                "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == cli.ERROR
+    assert f"temporary file: No such file or directory: '{missing}'" in err
+    assert err.count("\n") == 1 and os.listdir(tmp_path) == []
 
 
 def test_encode_rejects_hints_with_directional_defs(tmp_path, capsys):

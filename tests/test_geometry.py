@@ -63,6 +63,48 @@ def test_pointset_rejects_degeneracies():
         PointSet([(0.5, 1), (2, 3), (4, 0)])
 
 
+def _tables(build):
+    try:
+        s = build()
+    except (GeneralPositionError, TypeError) as exc:
+        return type(exc), str(exc)
+    return s.points, s.left, s.three_holes, s.hole_ext
+
+
+@given(st.integers(0, 10**6), st.integers(min_value=6, max_value=12))
+@settings(max_examples=40, deadline=None)
+def test_moved_set_equals_a_fresh_construction(seed, n):
+    # a chain of moves on a small grid, so that duplicate and collinear
+    # moves come up; each must give the tables, or the error, of a fresh set
+    rng = random.Random(seed)
+    s = random_point_set(n, rng, span=9)
+    raised = set()
+    for _ in range(25):
+        i = rng.randrange(n)
+        a, b = rng.sample([p for j, p in enumerate(s.points) if j != i], 2)
+        point = rng.choice([
+            (rng.randint(-9, 9), rng.randint(-9, 9)),
+            a,
+            (2 * b.x - a.x, 2 * b.y - a.y),
+            (rng.randint(-9, 9), rng.randint(-9, 9) + 0.5),
+        ])
+        pts = list(s.points)
+        pts[i] = point
+        got = _tables(lambda: s.moved(i, point))
+        assert got == _tables(lambda: PointSet(pts))
+        if got[0] in (TypeError, GeneralPositionError):
+            raised.add(got[0])
+        else:
+            s = s.moved(i, point)
+    assert raised == {TypeError, GeneralPositionError}
+    with pytest.raises(IndexError):
+        s.moved(n, (0, 0))
+    assert s.moved(-1, s.points[-1]).left == s.left
+    ext = s.hole_ext
+    for a, b, c in itertools.combinations(range(n), 3):
+        assert ((a, b, c) in s.three_holes) == bool(ext[a][b] >> c & 1)
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=25)
 def test_chi_matches_orient_under_permutation(seed):

@@ -15,6 +15,7 @@ from holesat.geometry import Point, PointSet, canonicalize, chirotope, orient
 from holesat.holes import (
     count_tuples,
     disjoint_tuples,
+    enumerate_gons,
     enumerate_holes,
     find_disjoint_tuple,
     first_tuple,
@@ -28,7 +29,7 @@ from holesat.holes import (
     strictly_inside_hull,
 )
 
-from conftest import random_point_set
+from conftest import random_point_set, random_signotope
 
 
 # --- independent oracles -------------------------------------------------
@@ -183,6 +184,26 @@ def test_enumerate_holes_agrees_with_direct_check(seed):
         }
         got = set(enumerate_holes(s, k))
         assert got == expected
+
+
+@given(
+    st.integers(0, 10**6), st.integers(min_value=6, max_value=12), st.booleans(),
+    st.permutations(["n", "n+1", 2, 3, 4, 5, 6]),
+)
+@settings(max_examples=30, deadline=None)
+def test_one_walk_enumeration_matches_brute_force_in_any_order(seed, n, signotope, order):
+    # one walk fills every size up to the largest asked; smaller sizes
+    # asked later, or again, must still equal a per-size brute force
+    rng = random.Random(seed)
+    table = random_signotope(n, rng) if signotope else random_point_set(n, rng)
+    hole = abstract.is_hole if signotope else is_hole
+    for k in [{"n": n, "n+1": n + 1}.get(k, k) for k in order] * 2:
+        got = enumerate_holes(table, k)
+        assert got == [x for x in itertools.combinations(range(n), k) if hole(table, x)]
+        got.append(None)  # the caller's list is its own
+    for k in range(3, 7):
+        got = enumerate_gons(table, k)
+        assert got == [x for x in itertools.combinations(range(n), k) if is_gon(table, x)]
 
 
 @given(st.integers(0, 10**6))

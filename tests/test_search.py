@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import itertools
 import multiprocessing
 import random
@@ -156,6 +157,30 @@ def test_local_search_is_deterministic():
     assert (a is None) == (b is None)
     if a is not None:
         assert [(p.x, p.y) for p in a.points] == [(p.x, p.y) for p in b.points]
+
+
+# sha256 of the comma-joined objective values of a whole restart, the
+# witness re-count included: a change to any count or to the walk shows
+@pytest.mark.parametrize("n, obj, seed, budget, digest, found", [
+    (12, SearchObjective("two-disjoint-holes", (4, 5)), 0, 100,
+     "09687d4d8cae54ce0f10ea51a7d033824f3a7b71af1754e10719c58187906cb3", False),
+    (12, SearchObjective("two-disjoint-holes", (4, 5)), 1, 100,
+     "7286d8f0f8e13e62be81a7bf4f1c801975d267cfe39ecb92e8a6c02f77fe4d5c", False),
+    (8, SearchObjective("forbid-gon", (5,)), 0, 20000,
+     "a2cdbbb967884da17b6aca10275e8ab124ca3a6d02ff2cfe13e37671ee0ed649", True),
+], ids=["h45-seed0", "h45-seed1", "gon5-n8"])
+def test_local_search_trajectory_is_pinned(monkeypatch, n, obj, seed, budget, digest, found):
+    values = []
+    real = search.objective_count
+
+    def recorded(s, o):
+        values.append(real(s, o))
+        return values[-1]
+
+    monkeypatch.setattr(search, "objective_count", recorded)
+    result = local_search(n, obj, seed=seed, budget=budget)
+    assert (result is not None) == found
+    assert hashlib.sha256(",".join(map(str, values)).encode()).hexdigest() == digest
 
 
 def test_local_search_finds_gon_free_set():
