@@ -147,15 +147,18 @@ class HoleProblem:
 class VarRegistry:
     """Deterministic bijection between variable tags and DIMACS ids.
 
-    ``ids[name][tail]`` is the id of the tag ``(name, *tail)``. ``lit[a][b][c]``
-    is the signed O literal asserting that (a, b, c) is positively oriented,
-    for every ordered triple of distinct indices, and 0 where indices repeat.
+    ``ids[name][tail]`` is the id of the tag ``(name, *tail)``; :meth:`items`
+    reads the tags in id order from the ``(name, tails)`` blocks of :meth:`_add`.
+    ``lit[a][b][c]`` is the signed O literal asserting that (a, b, c) is
+    positively oriented, for every ordered triple of distinct indices, and 0
+    where indices repeat.
     """
 
     def __init__(self, problem: HoleProblem):
         self.problem = problem
         self.ids: dict[str, dict[tuple, int]] = {}
-        self._tags: list[tuple] = []
+        self._blocks: list[tuple[str, list[tuple]]] = []
+        self._count = 0
         self.family_counts: dict[str, int] = {}
         n = problem.n
         triples = list(itertools.combinations(range(n), 3))
@@ -189,16 +192,17 @@ class VarRegistry:
     def _add(self, name: str, tails: list[tuple], family: str = "") -> range:
         """The ids of new tags (name, *tail), one per tail in order, counted as ``family``
         (by default ``name``)."""
-        first = len(self._tags) + 1
+        first = self._count + 1
         self.ids.setdefault(name, {}).update(zip(tails, itertools.count(first)))
-        self._tags += [(name, *t) for t in tails]
+        self._blocks.append((name, tails))
+        self._count += len(tails)
         if tails:
             family = family or name
             self.family_counts[family] = self.family_counts.get(family, 0) + len(tails)
-        return range(first, len(self._tags) + 1)
+        return range(first, self._count + 1)
 
     def __len__(self) -> int:
-        return len(self._tags)
+        return self._count
 
     def var(self, *tag) -> int:
         return self.ids[tag[0]][tag[1:]]
@@ -219,7 +223,8 @@ class VarRegistry:
         return self.ids["H"][(k, *x)]
 
     def items(self) -> Iterator[tuple[int, tuple]]:
-        return enumerate(self._tags, start=1)
+        """(id, (name, *tail)) for every tag, in id order."""
+        return enumerate(((name, *t) for name, tails in self._blocks for t in tails), start=1)
 
 
 class CnfInstance:
@@ -544,39 +549,39 @@ def build_instance(problem: HoleProblem) -> CnfInstance:
 
 
 def assignment_from_chirotope(sig, problem: HoleProblem) -> dict[int, bool]:
-    """Full variable assignment induced by a canonical signotope.
+    """Full variable assignment induced by a canonical signotope, in id order.
 
-    Every variable gets the meaning the module docstring gives its tag,
-    evaluated on the signotope by the orientation-only predicates of
-    :mod:`holesat.abstract`, never by the clause generators: the result is
-    an independent reference for the clauses. L/R(k, a, b) holds iff some
-    k-hole of the mode's subset schema lies strictly on that side of a->b,
-    apart from the labels the schema skips: the default schema takes the
-    holes through the side's anchor (a for L, b for R) and not through the
-    other endpoint, ``relaxed_lr`` any hole avoiding the other endpoint,
-    and interior-disjoint mode any hole, skipping both endpoints. The result
-    satisfies the orientation and definition groups outright, and the
-    disjointness group exactly when the signotope has no forbidden pair.
-    Used by tests and by the benchmark's replayed models.
+    Every variable gets the meaning the module docstring gives its tag, read
+    family by family from ``reg.ids[name]`` off the signotope's tables and
+    the orientation-only predicates of :mod:`holesat.abstract`, never from
+    the clause generators: the result is an independent reference for the
+    clauses. L/R(k, a, b) holds iff some k-hole of the mode's subset schema
+    lies strictly on that side of a->b, apart from the labels the schema
+    skips: the default schema takes the holes through the side's anchor (a
+    for L, b for R) and not through the other endpoint, ``relaxed_lr`` any
+    hole avoiding the other endpoint, and interior-disjoint mode any hole,
+    skipping both endpoints. The result satisfies the orientation and
+    definition groups outright, and the disjointness group exactly when the
+    signotope has no forbidden pair. Used by tests and by the benchmark's
+    replayed models.
     """
     if sig.n != problem.n:
         raise ValueError(f"signotope has n={sig.n}, problem n={problem.n}")
-    n, left, chi = problem.n, sig.left, sig.chi
+    n, left = problem.n, sig.left
     reg = VarRegistry(problem)
     # the k-subsets the H, L/R and C families count (gons in forbid-gon mode)
     holes = {k: set(enumerate_from_table(sig, k, SIZE_KIND[problem.mode]))
              for k in set(problem.sizes)}
-    masks = {k: [sum(1 << i for i in x) for x in xs] for k, xs in holes.items()}
     interior = problem.mode == "two-interior-disjoint-holes"
     through_anchor = not (interior or problem.relaxed_lr)
+    # per size and anchor, the masks of the holes the schema may use there
+    masks = {k: [sum(1 << i for i in x) for x in xs] for k, xs in holes.items()}
+    pools = {k: [[m for m in ms if not through_anchor or m >> p & 1] for p in range(n)]
+             for k, ms in masks.items()}
 
-    def side(k: int, fam: str, a: int, b: int) -> bool:
-        anchor, other = (a, b) if fam == "L" else (b, a)
-        allowed = left[anchor][other] | 1 << anchor
-        if interior:
-            allowed |= 1 << other
-        need = 1 << anchor if through_anchor else 0
-        return any(h & need == need and not h & ~allowed for h in masks[k])
+    def side(k: int, anchor: int, other: int) -> bool:
+        outside = ~(left[anchor][other] | 1 << anchor | (1 << other if interior else 0))
+        return any(not m & outside for m in pools[k][anchor])
 
     if problem.mode == "count-holes":
         k = problem.sizes[0]
@@ -584,26 +589,20 @@ def assignment_from_chirotope(sig, problem: HoleProblem) -> dict[int, bool]:
         running = list(itertools.accumulate(
             (x in holes[k] for x in itertools.combinations(range(n), k)), initial=0
         ))
-    val: dict[int, bool] = {}
-    for ident, tag in reg.items():
-        kind = tag[0]
-        if kind == "O":
-            val[ident] = chi(*tag[1:]) > 0
-        elif kind == "E":
-            _, p, q, r, s = tag
-            val[ident] = chi(p, q, r) == chi(p, q, s)
-        elif kind == "G4":
-            val[ident] = is_gon(sig, tag[1:])
-        elif kind == "I":
-            val[ident] = in_triangle(sig, *tag[1:])
-        elif kind == "H3":
-            val[ident] = tag[1:] in sig.three_holes
-        elif kind == "H":
-            val[ident] = tag[2:] in holes[tag[1]]
-        elif kind in ("L", "R"):
-            val[ident] = side(tag[1], kind, tag[2], tag[3])
-        else:  # C i j: at least j of the first i hole variables hold
-            val[ident] = running[tag[1]] >= tag[2]
+    holds = {
+        "O": lambda a, b, c: left[a][b] >> c & 1 == 1,
+        "E": lambda p, q, r, s: left[p][q] >> r & 1 == left[p][q] >> s & 1,
+        "G4": lambda *x: is_gon(sig, x),
+        "I": functools.partial(in_triangle, sig),
+        "H3": lambda *t: t in sig.three_holes,
+        "H": lambda k, *x: x in holes[k],
+        "L": side,
+        "R": lambda k, a, b: side(k, b, a),
+        "C": lambda i, j: running[i] >= j,  # at least j of the first i hole variables hold
+    }
+    val = dict.fromkeys(range(1, len(reg) + 1), False)  # in id order, which L and R interleave
+    for name, tags in reg.ids.items():
+        val.update((v, holds[name](*tail)) for tail, v in tags.items())
     return val
 
 

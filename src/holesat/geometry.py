@@ -1,8 +1,9 @@
 """Exact planar geometry primitives: orientations, point sets, chirotopes.
 
-Everything here is computed with arbitrary-precision integers (or
-`fractions.Fraction` after projective normalization); no floating point
-enters any predicate. Both orientation maps, a :class:`PointSet` and a
+Everything here is computed with arbitrary-precision integers; no floating
+point enters any predicate, and sets with `fractions.Fraction` coordinates
+(as projective normalization makes) are oriented on integer homogeneous
+coordinates. Both orientation maps, a :class:`PointSet` and a
 :class:`Signotope`, fill the same tables on construction, through one
 routine: the bitmasks ``left[a][b]`` (the indices strictly left of a->b),
 the 3-holes ``three_holes`` and their rows ``hole_ext``. One ``chi`` reads
@@ -62,6 +63,12 @@ def orient(p: Point, q: Point, r: Point) -> int:
     right, 0 iff the three points are collinear.
     """
     return _sign((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
+
+
+def _orient_lifted(p: tuple, q: tuple, r: tuple) -> int:
+    """:func:`orient` of lifted points: a homogeneous determinant, its columns scaled by w > 0."""
+    (pw, px, py), (qw, qx, qy), (rw, rx, ry) = p, q, r
+    return _sign(pw * (qx * ry - rx * qy) - qw * (px * ry - rx * py) + rw * (px * qy - qx * py))
 
 
 def _x_increasing(points: Sequence[Point]) -> bool:
@@ -138,8 +145,10 @@ class PointSet(OrientationTable):
     """An ordered list of points in general position (no three collinear).
 
     General position is checked on construction, over all triples, before
-    the tables of :class:`OrientationTable` are filled. :meth:`moved` makes
-    the set with one point replaced and orients only the triples through it.
+    the tables of :class:`OrientationTable` are filled; a set with a Fraction
+    coordinate is oriented on integer homogeneous coordinates (:func:`_orient_lifted`).
+    :meth:`moved` makes the set with one point replaced and orients only the
+    triples through it.
     """
 
     __slots__ = ("points", "n", "left", "three_holes", "hole_ext", "memo")
@@ -170,10 +179,14 @@ class PointSet(OrientationTable):
         self.points = pts
         # a plain slot, not a property: hot predicates read it per call
         self.n = len(pts)
-        ccw = []
+        ccw, sign_of, at = [], orient, pts
+        if any(isinstance(v, Fraction) for p in pts for v in p):
+            # integer homogeneous coordinates (w, x*w, y*w), w > 0 the lcm of p's denominators
+            lifts = ((math.lcm(p.x.denominator, p.y.denominator), p) for p in pts)
+            sign_of, at = _orient_lifted, [(w, int(p.x * w), int(p.y * w)) for w, p in lifts]
         for t in triples:
             a, b, c = t
-            if (sign := orient(pts[a], pts[b], pts[c])) == ZERO:
+            if (sign := sign_of(at[a], at[b], at[c])) == ZERO:
                 raise GeneralPositionError(f"points {t} are collinear")
             ccw.append(t if sign == POSITIVE else (b, a, c))
         self._fill(ccw, left)
@@ -287,7 +300,8 @@ def canonicalize(s: PointSet) -> PointSet:
     order = canonical_order(s)
     relabeled = PointSet(s.points[i] for i in order)
     result = relabeled if _x_increasing(relabeled.points) else project_normalize(relabeled)
-    assert result.is_canonical()
+    if not result.is_canonical():
+        raise AssertionError("canonicalize produced a non-canonical labeling")
     _assert_same_order_type(s, result, order)
     return result
 
@@ -355,7 +369,8 @@ def project_normalize(s: PointSet) -> PointSet:
     h = max(p.y for p in rest) * (xs[-1] - x0) // gap + 1
     result = PointSet([Point(Fraction(x0), Fraction(h))] + rest)
     _assert_same_order_type(s, result, range(n))
-    assert _x_increasing(result.points)
+    if not _x_increasing(result.points):
+        raise AssertionError("project_normalize left x-coordinates not increasing")
     return result
 
 

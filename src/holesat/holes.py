@@ -44,12 +44,11 @@ def _members(s: PointSet, x: Iterable[int]) -> tuple[tuple[int, ...], int]:
 
 
 def in_triangle(s: PointSet, i: int, a: int, b: int, c: int) -> bool:
-    """True iff point (label) i lies strictly inside triangle (a, b, c)."""
-    return (
-        s.chi(a, b, i) == s.chi(a, b, c)
-        and s.chi(b, c, i) == s.chi(b, c, a)
-        and s.chi(c, a, i) == s.chi(c, a, b)
-    )
+    """True iff point (label) i lies strictly inside triangle (a, b, c): on the
+    side of each edge that holds the opposite vertex, read from three ``left`` rows."""
+    _members(s, (i, a, b, c))  # ValueError on a repeated index, IndexError out of range
+    ab, bc, ca = s.left[a][b], s.left[b][c], s.left[c][a]
+    return not ((ab >> i ^ ab >> c) | (bc >> i ^ bc >> a) | (ca >> i ^ ca >> b)) & 1
 
 
 def is_gon(s: PointSet, x: Iterable[int]) -> bool:

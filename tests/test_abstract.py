@@ -229,6 +229,22 @@ def test_bad_members_raise_the_same_errors_everywhere(
                 run(too_few)
 
 
+@pytest.mark.parametrize("on_sig", [False, True], ids=["PointSet", "Signotope"])
+def test_in_triangle_rejects_bad_indices(on_sig):
+    # in_triangle reads its three left rows unchecked, so it checks indices first
+    n = 8
+    s, sig = _canonical(3, n)
+    table = sig if on_sig else s
+    for repeated in ((1, 1, 2, 3), (2, 1, 2, 3), (3, 1, 2, 3), (4, 1, 1, 3), (4, 2, 3, 2)):
+        with pytest.raises(ValueError, match="duplicate"):
+            abstract.in_triangle(table, *repeated)
+    for bad in (n, -1):
+        with pytest.raises(IndexError, match="out of range"):
+            abstract.in_triangle(table, bad, 1, 2, 3)
+        with pytest.raises(IndexError, match="out of range"):
+            abstract.in_triangle(table, 4, 1, 2, bad)
+
+
 @given(st.integers(0, 10**6), st.integers(min_value=6, max_value=11))
 @settings(max_examples=30, deadline=None)
 def test_member_order_does_not_matter(seed, n):

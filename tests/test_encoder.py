@@ -9,6 +9,7 @@ geometric truth.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holesat.constructions import witness
 from holesat.encoder import (
     DISJOINT_MODES,
     CnfInstance,
@@ -364,6 +366,16 @@ def test_registry_roundtrip(tmp_path):
         assert loaded[var] == (name, *rest)
 
 
+@pytest.mark.parametrize("orient_vars", ["compact", "explicit"])
+@pytest.mark.parametrize("p", PROBLEMS, ids=lambda p: p.key())
+def test_registry_items_read_the_ids(p, orient_vars):
+    reg = VarRegistry(dataclasses.replace(p, orient_vars=orient_vars))
+    from_ids = sorted((v, (name, *tail)) for name, tags in reg.ids.items()
+                      for tail, v in tags.items())
+    assert list(reg.items()) == from_ids
+    assert [v for v, _ in from_ids] == list(range(1, len(reg) + 1))
+
+
 # Digests of write_dimacs / write_registry output, fixed when the encoder
 # built each clause through per-call literal lookups; emission may change
 # how it builds clauses, never what it writes.
@@ -514,6 +526,21 @@ def test_h55_full_benchmark_instance_pinned(tmp_path):
         "7768d0c6a2fd8a7a8d9f4b670d8088900d1eac91c0604a314de1cde875d3a8d0",
         "523e9f48b146f2dcacade8ca9d1ca40858ee51356899d6827f4363d6b5d9233a",
     )
+
+
+# sha256 of the reference assignments of the paper's witnesses, fixed when
+# each variable was evaluated by its own chi calls
+@pytest.mark.parametrize("name, p, digest", [
+    ("fig2-n16", HoleProblem(16, "two-disjoint-holes", (5, 5), hints=True),
+     "30526fdd236a3d05f7270e7cd991773df2c20eb60f0e640f77c5639c67379785"),
+    ("fig6-n14", HoleProblem(14, "two-interior-disjoint-holes", (5, 5)),
+     "bbef748dc3242ae9d6adc9d3decb3831e77b9127e046dd72be1f844d9da781ff"),
+], ids=["fig2-n16", "fig6-n14"])
+def test_witness_assignment_pinned(name, p, digest):
+    val = assignment_from_chirotope(chirotope(canonicalize(witness(name))), p)
+    assert list(val) == list(range(1, len(val) + 1))  # in id order
+    text = " ".join(str(v if val[v] else -v) for v in sorted(val))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # --- clauses on demand ------------------------------------------------------

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holesat import geometry
 from holesat.constructions import witness
 from holesat.geometry import (
     NEGATIVE,
@@ -103,6 +108,71 @@ def test_moved_set_equals_a_fresh_construction(seed, n):
     ext = s.hole_ext
     for a, b, c in itertools.combinations(range(n), 3):
         assert ((a, b, c) in s.three_holes) == bool(ext[a][b] >> c & 1)
+
+
+# negative numerators, and denominators that share factors, so that lifts meet
+# lcms below the product and Fractions that reduce on construction
+fractions = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 6, 9, 12, -8]))
+mixed = st.one_of(st.integers(-40, 40), fractions)
+
+
+@given(st.sampled_from([fractions, mixed]).flatmap(
+    lambda c: st.lists(st.tuples(c, c), min_size=3, max_size=7)))
+@settings(max_examples=300, deadline=None)
+def test_rational_sets_are_oriented_exactly(pts):
+    # the reference: orient on the Fraction points, Fraction arithmetic throughout
+    points = [Point(*p) for p in pts]
+    degenerate = len(set(points)) < len(points) or any(
+        orient(*t) == 0 for t in itertools.combinations(points, 3))
+    try:
+        s = PointSet(pts)
+    except GeneralPositionError:
+        assert degenerate
+        return
+    assert not degenerate
+    for t in itertools.permutations(range(len(pts)), 3):
+        assert s.chi(*t) == orient(*(points[i] for i in t))
+
+
+def test_rational_degeneracies_raise():
+    third = Fraction(1, 3)
+    with pytest.raises(GeneralPositionError, match="collinear"):
+        PointSet([(0, 0), (third, third), (2 * third, 2 * third)])
+    with pytest.raises(GeneralPositionError, match="collinear"):  # int and Fraction mixed
+        PointSet([(1, Fraction(1, 2)), (Fraction(-3, 2), Fraction(-3, 4)), (5, 0), (2, 1)])
+    with pytest.raises(GeneralPositionError, match="duplicate"):
+        PointSet([(Fraction(1, 2), 0), (3, 1), (Fraction(2, 4), 0)])
+    with pytest.raises(GeneralPositionError, match="duplicate"):
+        PointSet([(Fraction(4, 2), 7), (3, 1), (2, Fraction(-14, -2))])
+
+
+@given(st.integers(0, 10**6), st.integers(min_value=4, max_value=9))
+@settings(max_examples=30, deadline=None)
+def test_moved_rational_set_equals_a_fresh_construction(seed, n):
+    # moves onto rational points, onto a midpoint of two others (collinear),
+    # onto an equal-valued copy of another point, or onto a float
+    rng = random.Random(seed)
+    d, e = rng.choice([2, 3, 6]), rng.choice([1, 4, 6])  # an affine map keeps general position
+    s = PointSet([(Fraction(p.x, d), Fraction(p.y, e)) for p in random_point_set(n, rng, span=30)])
+    raised = set()
+    for step in range(20):
+        i = rng.randrange(n)
+        a, b = rng.sample([p for j, p in enumerate(s.points) if j != i], 2)
+        point = [
+            (Fraction(rng.randint(-90, 90), rng.choice([2, 3, 4])), rng.randint(-30, 30)),
+            (Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2)),
+            (Fraction(2 * a.x, 2), Fraction(-4 * a.y, -4)),
+            (0.5, a.y),
+        ][step % 4]
+        pts = list(s.points)
+        pts[i] = point
+        got = _tables(lambda: s.moved(i, point))
+        assert got == _tables(lambda: PointSet(pts))
+        if got[0] in (TypeError, GeneralPositionError):
+            raised.add(got[0])
+        else:
+            s = s.moved(i, point)
+    assert raised == {TypeError, GeneralPositionError}
 
 
 @given(st.integers(0, 10**6))
@@ -254,6 +324,49 @@ def test_canonicalize_tiny_sets():
     assert canonicalize(PointSet([(3, 4)])).points == (Point(3, 4),)
     two = canonicalize(PointSet([(2, 5), (2, 1)]))
     assert two[0].x < two[1].x
+
+
+# sha256 of the canonical points of the paper's witnesses, taken when sets
+# with Fraction coordinates were oriented by Fraction arithmetic
+@pytest.mark.parametrize("name, digest", [
+    ("fig2-n16", "ef47472025c4d0931d378492c177c97f8b6b826cd254303b93d86a8073c6a440"),
+    ("fig6-n14", "5bd1278331b28d2647ab05b1202a5963939425aaa72bf5120dbeb32b071ad953"),
+])
+def test_witness_canonical_points_pinned(name, digest):
+    text = " ".join(f"{p.x} {p.y}" for p in canonicalize(witness(name)).points)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+CHECKS_UNDER_O = """
+import sys
+from holesat import geometry
+from holesat.constructions import witness
+assert False  # stripped: the run has asserts off
+s = witness("fig2-n16")
+around = geometry.PointSet(s.points[i] for i in geometry.canonical_order(s))
+geometry.PointSet.is_canonical = lambda self: False
+try:
+    geometry.canonicalize(s)
+except AssertionError as exc:
+    print("canonicalize:", exc)
+geometry._x_increasing = lambda points: False
+try:
+    geometry.project_normalize(around)
+except AssertionError as exc:
+    print("project_normalize:", exc)
+"""
+
+
+def test_canonical_form_checks_hold_under_optimize():
+    # python -O strips assert statements; the checks on a result must still raise
+    src = Path(geometry.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O], capture_output=True,
+                          text=True, timeout=60, env={"PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "canonicalize: canonicalize produced a non-canonical labeling",
+        "project_normalize: project_normalize left x-coordinates not increasing",
+    ]
 
 
 def test_point_file_roundtrip(tmp_path):
