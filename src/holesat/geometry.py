@@ -1,14 +1,15 @@
 """Exact planar geometry primitives: orientations, point sets, chirotopes.
 
 Everything here is computed with arbitrary-precision integers; no floating
-point enters any predicate, and sets with `fractions.Fraction` coordinates
-(as projective normalization makes) are oriented on integer homogeneous
-coordinates. Both orientation maps, a :class:`PointSet` and a
-:class:`Signotope`, fill the same tables on construction, through one
-routine: the bitmasks ``left[a][b]`` (the indices strictly left of a->b),
-the 3-holes ``three_holes`` and their rows ``hole_ext``. One ``chi`` reads
-``left`` for both; only hole and gon lists are kept lazily, in ``memo``.
-``PointSet.moved`` re-orients only the triples through the moved point.
+point enters any predicate, and a point set is oriented on integer
+homogeneous coordinates, so `fractions.Fraction` coordinates (as projective
+normalization makes) cost no Fraction arithmetic. Both orientation maps, a
+:class:`PointSet` and a :class:`Signotope`, fill the same tables on
+construction, through one routine: the bitmasks ``left[a][b]`` (the indices
+strictly left of a->b), the 3-holes ``three_holes`` and their rows
+``hole_ext``. One ``chi`` reads ``left`` for both; only hole and gon lists
+are kept lazily, in ``memo``. ``PointSet.moved`` re-orients only the
+triples through the moved point.
 
 Conventions used throughout the package:
 
@@ -145,10 +146,10 @@ class PointSet(OrientationTable):
     """An ordered list of points in general position (no three collinear).
 
     General position is checked on construction, over all triples, before
-    the tables of :class:`OrientationTable` are filled; a set with a Fraction
-    coordinate is oriented on integer homogeneous coordinates (:func:`_orient_lifted`).
-    :meth:`moved` makes the set with one point replaced and orients only the
-    triples through it.
+    the tables of :class:`OrientationTable` are filled, on integer
+    homogeneous coordinates (:func:`_orient_lifted`) whether the coordinates
+    are ints or Fractions. :meth:`moved` makes the set with one point
+    replaced and orients only the triples through it.
     """
 
     __slots__ = ("points", "n", "left", "three_holes", "hole_ext", "memo")
@@ -179,14 +180,12 @@ class PointSet(OrientationTable):
         self.points = pts
         # a plain slot, not a property: hot predicates read it per call
         self.n = len(pts)
-        ccw, sign_of, at = [], orient, pts
-        if any(isinstance(v, Fraction) for p in pts for v in p):
-            # integer homogeneous coordinates (w, x*w, y*w), w > 0 the lcm of p's denominators
-            lifts = ((math.lcm(p.x.denominator, p.y.denominator), p) for p in pts)
-            sign_of, at = _orient_lifted, [(w, int(p.x * w), int(p.y * w)) for w, p in lifts]
+        # integer homogeneous coordinates (w, x*w, y*w), w > 0 the lcm of p's denominators
+        lifts = ((math.lcm(p.x.denominator, p.y.denominator), p) for p in pts)
+        ccw, at = [], [(w, int(p.x * w), int(p.y * w)) for w, p in lifts]
         for t in triples:
             a, b, c = t
-            if (sign := sign_of(at[a], at[b], at[c])) == ZERO:
+            if (sign := _orient_lifted(at[a], at[b], at[c])) == ZERO:
                 raise GeneralPositionError(f"points {t} are collinear")
             ccw.append(t if sign == POSITIVE else (b, a, c))
         self._fill(ccw, left)
