@@ -45,27 +45,24 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from operator import add, neg
-from typing import Iterable, Iterator, Literal, Sequence, get_args
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .abstract import enumerate_from_table, in_triangle, is_gon
 
-Mode = Literal[
-    "two-disjoint-holes",
-    "two-interior-disjoint-holes",
-    "forbid-hole",
-    "forbid-gon",
-    "count-holes",
-]
-
-MODES: tuple[str, ...] = get_args(Mode)
-# the kind of pairwise disjointness each disjoint-hole mode asks for
-DISJOINT_FLAVOR = {
-    "two-disjoint-holes": "disjoint",
-    "two-interior-disjoint-holes": "interior-disjoint",
+# the rules of each mode: what its sizes count ("hole" or "gon"), the disjointness it asks
+# of a pair of holes (None: none), its least size and how many sizes it takes
+MODE_RULES = {
+    "two-disjoint-holes": ("hole", "disjoint", 2, 2),
+    "two-interior-disjoint-holes": ("hole", "interior-disjoint", 3, 2),
+    "forbid-hole": ("hole", None, 3, 1),
+    "forbid-gon": ("gon", None, 4, 1),
+    "count-holes": ("hole", None, 3, 1),
 }
+MAX_SIZE = 6  # the largest size the encoder takes, in every mode
+MODES = tuple(MODE_RULES)
+SIZE_KIND = {mode: kind for mode, (kind, *_) in MODE_RULES.items()}
+DISJOINT_FLAVOR = {mode: flavor for mode, (_, flavor, *_) in MODE_RULES.items() if flavor}
 DISJOINT_MODES = tuple(DISJOINT_FLAVOR)
-# what each mode's sizes count: k-gons in forbid-gon mode, k-holes in every other
-SIZE_KIND = {mode: "gon" if mode == "forbid-gon" else "hole" for mode in MODES}
 Text = list[tuple[str, Iterable[str]]]  # (label, DIMACS pieces) per group
 PIECE = 256  # subsets per text piece of the orientation, definition and forbid groups
 
@@ -79,7 +76,7 @@ class HoleProblem:
     """
 
     n: int
-    mode: Mode
+    mode: str
     sizes: tuple[int, ...]
     threshold: int = 0
     orient_vars: Literal["compact", "explicit"] = "compact"
@@ -94,17 +91,11 @@ class HoleProblem:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.orient_vars not in ("compact", "explicit"):
             raise ValueError(f"unknown orient_vars {self.orient_vars!r}")
-        lo, hi, arity = {
-            "two-disjoint-holes": (2, 6, 2),
-            "two-interior-disjoint-holes": (3, 6, 2),
-            "forbid-hole": (3, 6, 1),
-            "forbid-gon": (4, 6, 1),
-            "count-holes": (3, 6, 1),
-        }[self.mode]
+        _, _, lo, arity = MODE_RULES[self.mode]
         if len(self.sizes) != arity:
             raise ValueError(f"{self.mode} takes {arity} size(s), got {self.sizes}")
-        if any(not lo <= k <= hi for k in self.sizes):
-            raise ValueError(f"sizes {self.sizes} outside [{lo},{hi}] for {self.mode}")
+        if any(not lo <= k <= MAX_SIZE for k in self.sizes):
+            raise ValueError(f"sizes {self.sizes} outside [{lo},{MAX_SIZE}] for {self.mode}")
         if self.mode == "count-holes":
             if self.threshold < 1:
                 raise ValueError("count-holes needs threshold >= 1")
@@ -124,7 +115,7 @@ class HoleProblem:
     def key(self) -> str:
         """Stable identifier, used for file names and instance comments."""
         parts = [self.mode, "k" + "-".join(map(str, self.sizes)), f"n{self.n}"]
-        if self.mode == "count-holes":
+        if self.threshold:
             parts.append(f"t{self.threshold}")
         parts.append(self.orient_vars)
         for flag, name in (
@@ -140,7 +131,7 @@ class HoleProblem:
     @property
     def hole_sizes(self) -> tuple[int, ...]:
         """Distinct hole sizes needing an H-variable family (k >= 4)."""
-        low = 5 if self.mode == "forbid-gon" else 4
+        low = 5 if SIZE_KIND[self.mode] == "gon" else 4
         return tuple(k for k in sorted(set(self.sizes)) if k >= low)
 
 
@@ -176,7 +167,7 @@ class VarRegistry:
         self.lit: list[list[list[int]]] = lit
         self._add("E", [t for a, b, c, d in quads for t in ((a, b, c, d), (c, d, a, b))])
         self._add("G4", quads)
-        if problem.mode != "forbid-gon":
+        if SIZE_KIND[problem.mode] == "hole":
             self._add("I", [t for a, b, c, d in quads for t in ((b, a, c, d), (c, a, b, d))])
             self._add("H3", triples)
         for k in problem.hole_sizes:
@@ -185,7 +176,7 @@ class VarRegistry:
             for k, name in itertools.product(sorted(set(problem.sizes)), "LR"):
                 pairs = itertools.permutations(range(n), 2)
                 self._add(name, [(k, a, b) for a, b in pairs], f"{name}{k}")
-        if problem.mode == "count-holes" and problem.threshold >= 2:
+        if problem.threshold >= 2:
             m = math.comb(n, problem.sizes[0])
             self._add("C", list(itertools.product(range(1, m), range(1, problem.threshold))))
 
@@ -218,7 +209,7 @@ class VarRegistry:
         """Variable standing for 'x is a k-hole' (a k-gon in forbid-gon mode), k >= 3."""
         if k == 3:
             return self.ids["H3"][tuple(x)]
-        if k == 4 and self.problem.mode == "forbid-gon":
+        if k == 4 and SIZE_KIND[self.problem.mode] == "gon":
             return self.ids["G4"][tuple(x)]
         return self.ids["H"][(k, *x)]
 
@@ -431,7 +422,7 @@ def emit_disjointness(problem: HoleProblem, reg: VarRegistry) -> Text:
     file, read back at (b, a); explicit mode's twins name other O variables.
     """
     n = problem.n
-    interior = problem.mode == "two-interior-disjoint-holes"
+    interior = DISJOINT_FLAVOR[problem.mode] == "interior-disjoint"
     through = not (interior or problem.relaxed_lr)  # the default schema
     twins = problem.orient_vars == "compact"
     pairs = list(itertools.permutations(range(n), 2))
@@ -541,10 +532,8 @@ def build_instance(problem: HoleProblem) -> CnfInstance:
         emitters.append(emit_disjointness)
         if problem.hints:
             emitters.append(emit_hints)
-    elif problem.mode in ("forbid-hole", "forbid-gon"):
-        emitters.append(emit_forbid)
     else:
-        emitters.append(emit_cardinality)
+        emitters.append(emit_cardinality if problem.threshold else emit_forbid)
     return CnfInstance(problem, VarRegistry(problem), emitters)
 
 
@@ -572,7 +561,7 @@ def assignment_from_chirotope(sig, problem: HoleProblem) -> dict[int, bool]:
     # the k-subsets the H, L/R and C families count (gons in forbid-gon mode)
     holes = {k: set(enumerate_from_table(sig, k, SIZE_KIND[problem.mode]))
              for k in set(problem.sizes)}
-    interior = problem.mode == "two-interior-disjoint-holes"
+    interior = DISJOINT_FLAVOR.get(problem.mode) == "interior-disjoint"
     through_anchor = not (interior or problem.relaxed_lr)
     # per size and anchor, the masks of the holes the schema may use there
     masks = {k: [sum(1 << i for i in x) for x in xs] for k, xs in holes.items()}
@@ -583,7 +572,7 @@ def assignment_from_chirotope(sig, problem: HoleProblem) -> dict[int, bool]:
         outside = ~(left[anchor][other] | 1 << anchor | (1 << other if interior else 0))
         return any(not m & outside for m in pools[k][anchor])
 
-    if problem.mode == "count-holes":
+    if problem.threshold:
         k = problem.sizes[0]
         # running[i]: holes among the first i k-subsets, lexicographically
         running = list(itertools.accumulate(

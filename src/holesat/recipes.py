@@ -32,7 +32,7 @@ class RecipeStep:
     def label(self) -> str:
         p = self.problem
         label = f"{p.mode} ({'/'.join(map(str, p.sizes))}) n={p.n}"
-        return f"{label} t={p.threshold}" if p.mode == "count-holes" else label
+        return f"{label} t={p.threshold}" if p.threshold else label
 
 
 def passed(report: SolveReport, expect: str | None) -> bool:

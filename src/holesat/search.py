@@ -20,7 +20,7 @@ import signal
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
-from .encoder import DISJOINT_FLAVOR, DISJOINT_MODES, SIZE_KIND
+from .encoder import DISJOINT_FLAVOR, DISJOINT_MODES, MODE_RULES, SIZE_KIND
 from .geometry import GeneralPositionError, Point, PointSet
 from .holes import (
     count_tuples,
@@ -60,14 +60,13 @@ class SearchObjective:
         object.__setattr__(self, "sizes", tuple(self.sizes))
         if self.mode not in OBJECTIVE_MODES:
             raise ValueError(f"unknown objective mode {self.mode!r}")
-        if self.mode not in DISJOINT_FLAVOR:
-            if len(self.sizes) != 1:
-                raise ValueError(f"{self.mode} takes a single size")
-        elif len(self.sizes) < 2:
+        _, _, least, arity = MODE_RULES[self.mode]  # arity 2: two sizes or more
+        if arity == 1 and len(self.sizes) != 1:
+            raise ValueError(f"{self.mode} takes a single size")
+        if len(self.sizes) < arity:
             raise ValueError(f"{self.mode} needs at least two sizes")
-        minimum = 2 if self.mode == "two-disjoint-holes" else 3
-        if any(k < minimum for k in self.sizes):
-            raise ValueError(f"sizes {self.sizes} below minimum {minimum}")
+        if any(k < least for k in self.sizes):
+            raise ValueError(f"sizes {self.sizes} below minimum {least}")
 
     def describe(self) -> str:
         if self.mode not in DISJOINT_FLAVOR:

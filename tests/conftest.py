@@ -28,6 +28,16 @@ requires_checker = pytest.mark.skipif(not HAVE_CHECKER, reason="no proof checker
 
 RUN_LONG = os.environ.get("HOLESAT_RUN_LONG") == "1"
 
+# each mode's least size and how many sizes encode takes (search: two or more in
+# the disjoint modes); the most encode takes is 6 in every mode
+MODE_SIZES = {
+    "two-disjoint-holes": (2, 2),
+    "two-interior-disjoint-holes": (3, 2),
+    "forbid-hole": (3, 1),
+    "forbid-gon": (4, 1),
+    "count-holes": (3, 1),
+}
+
 
 def pytest_collection_modifyitems(config, items):
     if RUN_LONG:

@@ -384,6 +384,17 @@ def test_search_negative_box_exits_two(monkeypatch, capsys):
     assert out.out == "" and out.err == "error: box must be >= 1, got -5\n"
 
 
+def test_search_gon_size_three_exits_two(monkeypatch, capsys):
+    # every 3-subset is a 3-gon, so the annealer takes the encoder's least gon size, 4
+    started = []
+    monkeypatch.setattr(search, "local_search", lambda *args, **kw: started.append(args))
+    code = run(["search", "--n", "6", "--mode", "forbid-gon", "--k", "3", "--seeds", "0",
+                "--workers", "1", "--budget", "300"])
+    assert code == cli.ERROR and started == []
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: sizes (3,) below minimum 4\n"
+
+
 def test_parallel_search_finds_witness(tmp_path):
     # several workers, so the first success terminates the pool; a hang
     # fails the test at the subprocess timeout instead of stalling the run

@@ -16,6 +16,7 @@ import itertools
 import math
 import os
 import random
+import re
 import sys
 import tempfile
 import tracemalloc
@@ -28,6 +29,7 @@ from hypothesis import strategies as st
 from holesat.constructions import witness
 from holesat.encoder import (
     DISJOINT_MODES,
+    MODES,
     CnfInstance,
     HoleProblem,
     VarRegistry,
@@ -51,7 +53,7 @@ from holesat.holes import (
     strictly_inside_hull,
 )
 
-from conftest import random_point_set
+from conftest import MODE_SIZES, random_point_set
 
 C = math.comb
 
@@ -82,6 +84,18 @@ def test_problem_validation():
         HoleProblem(n=10, mode="forbid-hole", sizes=(5,), relaxed_lr=True)
     with pytest.raises(ValueError, match="n="):
         HoleProblem(n=4, mode="forbid-hole", sizes=(5,))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_size_range_pinned_at_both_ends(mode):
+    least, arity = MODE_SIZES[mode]
+    sizes = lambda k: (least,) * (arity - 1) + (k,)  # the last size varies
+    threshold = int(mode == "count-holes")
+    for k in (least, 6):
+        assert HoleProblem(n=8, mode=mode, sizes=sizes(k), threshold=threshold).sizes == sizes(k)
+    for k in (least - 1, 7):
+        with pytest.raises(ValueError, match=re.escape(f"outside [{least},6] for {mode}")):
+            HoleProblem(n=8, mode=mode, sizes=sizes(k), threshold=threshold)
 
 
 def test_hints_exclude_directional_defs():

@@ -23,13 +23,14 @@ from holesat.holes import (
     is_gon,
 )
 from holesat.search import (
+    OBJECTIVE_MODES,
     SearchObjective,
     local_search,
     objective_count,
     search_witness,
 )
 
-from conftest import random_point_set
+from conftest import MODE_SIZES, random_point_set
 
 
 # --- objective validation -------------------------------------------------
@@ -47,6 +48,16 @@ def test_objective_validation():
         SearchObjective("forbid-hole", (2,))
     with pytest.raises(ValueError, match="below minimum"):
         SearchObjective("two-interior-disjoint-holes", (2, 4))
+    with pytest.raises(ValueError, match="below minimum 4"):
+        SearchObjective("forbid-gon", (3,))  # every 3-subset is a 3-gon
+
+
+@pytest.mark.parametrize("mode", OBJECTIVE_MODES)
+def test_objective_least_size_is_the_encoders(mode):
+    least, arity = MODE_SIZES[mode]
+    assert SearchObjective(mode, (least,) * arity).sizes == (least,) * arity
+    with pytest.raises(ValueError, match=f"below minimum {least}$"):
+        SearchObjective(mode, (least,) * (arity - 1) + (least - 1,))
 
 
 def test_objective_describe():
