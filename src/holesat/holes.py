@@ -1,31 +1,30 @@
 """Detection and enumeration of k-gons, k-holes, and disjoint hole tuples.
 
 Predicates read ``s.n`` and the tables that point sets and signotopes
-alike fill on construction: ``s.chi`` one sign at a time, the bitmasks
-``s.left`` (the hull and disjointness deciders), or the 3-hole rows
-``s.hole_ext`` (hole enumeration: one walk per set finds every size up to
-the largest asked, kept in ``s.memo``). Nothing here assumes a canonical
-labeling. A *k-gon* is a subset in convex position; a *k-hole* is a k-gon
-whose hull contains no other point of the set. A 2-subset is always a
-(degenerate) hole under general position. Enumerations and tuple searches
-return holes and gons as sorted index tuples. Predicates take members in
-any order; :func:`_members` checks them and builds the mask they read.
+alike fill on construction: the bitmasks ``s.left`` (gon, triangle and
+disjointness deciders) or the 3-hole rows ``s.hole_ext`` (hole enumeration:
+one walk per set finds every size up to the largest asked, kept in
+``s.memo``). Nothing here assumes a canonical labeling; the test suite's
+references orient the points themselves. A *k-gon* is a subset in
+convex position; a *k-hole* is a k-gon whose hull contains no other point.
+A 2-subset is always a (degenerate) hole under general position. Holes and
+gons come out as sorted index tuples. Predicates take members in any
+order; :func:`_members` checks them and builds the mask they read.
 
 The orientation-only predicates, the 4-gon table, the hole and gon
 enumerations and the tuple search (one generator, :func:`disjoint_tuples`,
 with the front ends :func:`first_tuple` and :func:`count_tuples`) also
 serve the Signotope oracle of :mod:`holesat.abstract`, which passes the
-generator its own deciders. The hull and disjointness code here is never
+generator its own deciders. The disjointness deciders here are never
 shared with it, so the two oracles decide disjointness independently.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .geometry import POSITIVE, PointSet
+from .geometry import PointSet
 
 DisjointMode = Literal["disjoint", "interior-disjoint"]
 
@@ -57,61 +56,6 @@ def is_gon(s: PointSet, x: Iterable[int]) -> bool:
     if len(xs) < 3:
         raise ValueError("a gon needs at least 3 points")
     return not _hull_interior(s.left, xs) & mask
-
-
-def hull_order(s: PointSet, x: Iterable[int]) -> list[int]:
-    """Vertices of conv(x) in counterclockwise order.
-
-    Members of x strictly inside the hull are dropped, so the result works
-    for arbitrary subsets, not only gons.
-    """
-    xs, _ = _members(s, x)
-    inside = _hull_interior(s.left, xs)
-    vertices = [i for i in xs if not inside >> i & 1]
-    if not vertices:
-        return []
-    anchor = min(vertices, key=lambda i: s.points[i])
-    rest = [i for i in vertices if i != anchor]
-    rest.sort(
-        key=functools.cmp_to_key(lambda i, j: -s.chi(anchor, i, j))
-    )
-    return [anchor] + rest
-
-
-def strictly_inside_hull(s: PointSet, hull_ccw: Sequence[int], i: int) -> bool:
-    """True iff point i lies strictly inside the CCW-ordered convex polygon."""
-    if len(hull_ccw) < 3 or i in hull_ccw:
-        return False
-    m = len(hull_ccw)
-    return all(
-        s.chi(hull_ccw[j], hull_ccw[(j + 1) % m], i) == POSITIVE for j in range(m)
-    )
-
-
-def is_hole(s: PointSet, x: Iterable[int]) -> bool:
-    """True iff x is a gon and conv(x) contains no other point of s.
-
-    For |x| = 2 the condition is vacuous under general position.
-    """
-    xs, mask = _members(s, x)
-    if len(xs) < 2:
-        raise ValueError("a hole needs at least 2 points")
-    if len(xs) == 2:
-        return True
-    if len(xs) > 3 and not is_gon(s, xs):
-        return False
-    hull = hull_order(s, xs)
-    xlo = min(s.points[i].x for i in xs)
-    xhi = max(s.points[i].x for i in xs)
-    for i in range(len(s)):
-        if mask >> i & 1:
-            continue
-        p = s.points[i]
-        if p.x < xlo or p.x > xhi:
-            continue
-        if strictly_inside_hull(s, hull, i):
-            return False
-    return True
 
 
 def four_gon_table(s: PointSet) -> frozenset[tuple[int, int, int, int]]:
@@ -264,11 +208,6 @@ def _hull_edges(left, xs: Sequence[int], members: int) -> list[tuple[int, int]]:
         for v in xs
         if u != v and members & ~left[u][v] == 1 << u | 1 << v
     ]
-
-
-def hull_vertices(s: PointSet, x: Iterable[int] | None = None) -> list[int]:
-    """Sorted indices of the extremal points of x (default: the whole set)."""
-    return sorted(hull_order(s, range(len(s)) if x is None else x))
 
 
 def find_disjoint_tuple(

@@ -1,4 +1,5 @@
-"""Shared fixtures: deterministic random point sets and signotopes, solver availability."""
+"""Shared fixtures: deterministic random point sets and signotopes, the coordinate
+hole and gon oracles, solver availability."""
 
 from __future__ import annotations
 
@@ -63,6 +64,48 @@ def random_point_set(n: int, rng: random.Random, span: int = 1000) -> PointSet:
             continue
         points.append(cand)
     return PointSet(points)
+
+
+# the coordinate references for holes and gons: orient of the points
+# themselves, none of the tables the code under test reads
+
+def oracle_in_triangle(s: PointSet, i: int, tri) -> bool:
+    a, b, c = (s.points[t] for t in tri)
+    p = s.points[i]
+    signs = {orient(a, b, p), orient(b, c, p), orient(c, a, p)}
+    return 0 not in signs and len(signs) == 1
+
+
+def monotone_chain(pts: list[Point]) -> list[Point]:
+    pts = sorted(set(pts))
+    if len(pts) <= 2:
+        return pts
+    def half(seq):
+        out: list[Point] = []
+        for p in seq:
+            while len(out) >= 2 and orient(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+    lower, upper = half(pts), half(reversed(pts))
+    return lower[:-1] + upper[:-1]
+
+
+def oracle_is_gon(s: PointSet, xs) -> bool:
+    pts = [s.points[i] for i in xs]
+    return len(monotone_chain(pts)) == len(pts)
+
+
+def oracle_is_hole(s: PointSet, xs) -> bool:
+    if not oracle_is_gon(s, xs):
+        return False
+    hull = monotone_chain([s.points[i] for i in xs])
+    outside = [s.points[i] for i in range(len(s)) if i not in set(xs)]
+    m = len(hull)
+    for p in outside:
+        if all(orient(hull[j], hull[(j + 1) % m], p) > 0 for j in range(m)):
+            return False
+    return True
 
 
 def random_signotope(n: int, rng: random.Random) -> Signotope:

@@ -19,7 +19,7 @@ from holesat import abstract
 from holesat import holes as geo
 from holesat.geometry import canonicalize, check_signotope, chirotope
 
-from conftest import random_point_set, random_signotope
+from conftest import oracle_is_hole, random_point_set, random_signotope
 
 
 def _canonical(seed: int, n: int):
@@ -45,7 +45,7 @@ def test_gons_and_holes_match_geometry(seed, n):
     for k in range(3, min(n, 6) + 1):
         for xs in itertools.combinations(range(n), k):
             assert abstract.is_gon(sig, xs) == geo.is_gon(s, xs)
-            assert abstract.is_hole(sig, xs) == geo.is_hole(s, xs)
+            assert abstract.is_hole(sig, xs) == oracle_is_hole(s, xs)
 
 
 @given(st.integers(0, 10**6))
@@ -109,7 +109,7 @@ def test_disjointness_predicates_match_geometry(seed, sizes):
     s, sig = _canonical(seed, n)
     k1, k2 = sizes
     for x1 in itertools.combinations(range(n), k1):
-        if not geo.is_hole(s, x1) and k1 > 2:
+        if not oracle_is_hole(s, x1) and k1 > 2:
             continue
         for x2 in itertools.combinations(range(n), k2):
             if set(x1) & set(x2):
@@ -187,14 +187,11 @@ def test_disjointness_deciders_stay_independent():
 
 
 # (predicate, reads the signotope, takes two sets, members too few for it,
-# its size error or None)
+# its size error)
 _PREDICATES = [
     (geo.is_gon, False, False, [0, 1], "a gon needs"),
-    (geo.hull_order, False, False, None, None),
-    (geo.is_hole, False, False, [0], "a hole needs"),
     (geo.hulls_disjoint, False, True, [], "nonempty"),
     (geo.hulls_interior_disjoint, False, True, [], "nonempty"),
-    (geo.hull_vertices, False, False, None, None),
     (abstract.is_hole, True, False, [0], "a hole needs"),
     (abstract.holes_disjoint, True, True, [], "nonempty"),
     (abstract.holes_interior_disjoint, True, True, [0, 1], "at least 3 points each"),
@@ -222,11 +219,21 @@ def test_bad_members_raise_the_same_errors_everywhere(
         for bad in (n, -1):
             with pytest.raises(IndexError, match="out of range"):
                 run([0, 2, bad])
-        if size_error is None:
-            assert run([]) == []
-        else:
-            with pytest.raises(ValueError, match=size_error):
-                run(too_few)
+        with pytest.raises(ValueError, match=size_error):
+            run(too_few)
+
+
+@pytest.mark.parametrize("sizes, mode, error", [
+    ((), "disjoint", "need at least one size"),
+    ((2, 5), "interior-disjoint", "sizes must be >= 3 in interior-disjoint mode"),
+    ((3, 3), "overlapping", "unknown mode 'overlapping'"),
+])
+@pytest.mark.parametrize("on_sig", [False, True], ids=["PointSet", "Signotope"])
+def test_tuple_search_rejects_bad_sizes_and_modes(on_sig, sizes, mode, error):
+    s, sig = _canonical(3, 8)
+    find = abstract.find_disjoint_tuple if on_sig else geo.find_disjoint_tuple
+    with pytest.raises(ValueError, match=error):
+        find(sig if on_sig else s, sizes, mode)
 
 
 @pytest.mark.parametrize("on_sig", [False, True], ids=["PointSet", "Signotope"])
@@ -262,10 +269,7 @@ def test_member_order_does_not_matter(seed, n):
         for name, got in (
             ("is_gon", [geo.is_gon(s, xs) for xs in orders(x)]),
             ("is_gon(sig)", [abstract.is_gon(sig, xs) for xs in orders(x)]),
-            ("holes.is_hole", [geo.is_hole(s, xs) for xs in orders(x)]),
             ("abstract.is_hole", [abstract.is_hole(sig, xs) for xs in orders(x)]),
-            ("hull_order", [geo.hull_order(s, xs) for xs in orders(x)]),
-            ("hull_vertices", [geo.hull_vertices(s, xs) for xs in orders(x)]),
         ):
             assert got.count(got[0]) == len(got), (name, x, got)
     deciders = (

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -21,7 +22,7 @@ from holesat.geometry import PointSet, canonicalize, chirotope, write_points
 from holesat.recipes import RECIPE_NAMES, recipe_steps
 from holesat.solver import DEFAULT_TIMEOUT, default_timeout
 
-from conftest import requires_solver
+from conftest import oracle_is_gon, requires_solver
 
 
 def run(argv):
@@ -77,6 +78,14 @@ def test_encode_rejects_bad_problem(capsys, tmp_path):
         "--hints", "-o", str(tmp_path / "x.cnf"),
     ])
     assert code == cli.ERROR  # window hints only exist for the disjoint tables
+
+
+def test_encode_needs_a_size_flag(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["encode", "--n", "6", "--mode", "forbid-hole"]) == cli.ERROR
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: one of --sizes or --k is required\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("threshold", ["2", "3"])
@@ -280,6 +289,18 @@ def test_verify_witness_outputs_are_pinned(tmp_path, capsys, name, flags, code, 
     assert capsys.readouterr().out == text
 
 
+@pytest.mark.parametrize("flags, error", [
+    ("--interior-disjoint-holes 2,5", "sizes must be >= 3 in interior-disjoint mode"),
+    ("--disjoint-holes 1,5", "sizes must be >= 2 in disjoint mode"),
+])
+def test_verify_witness_tuple_sizes_below_the_least_exit_two(tmp_path, capsys, flags, error):
+    path = tmp_path / "fig6.txt"
+    write_points(path, witness("fig6-n14"))
+    assert run(["verify-witness", str(path)] + flags.split()) == cli.ERROR
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {error}\n")
+
+
 def test_sizes_above_n_count_zero(tmp_path, capsys):
     path = tmp_path / "fig6.txt"
     write_points(path, witness("fig6-n14"))
@@ -340,6 +361,19 @@ def test_search_writes_witness(tmp_path, capsys):
     assert code == 0
     assert "seed" in capsys.readouterr().out
     assert run(["verify-witness", str(out), "--no-gon", "5"]) == 0
+
+
+def test_search_prints_witness_without_output_file(capsys):
+    code = run([
+        "search", "--n", "8", "--mode", "forbid-gon", "--k", "5",
+        "--seeds", "0-1", "--workers", "1",
+    ])
+    assert code == 0
+    head, *rows = capsys.readouterr().out.splitlines()
+    assert head.startswith("witness found: n=8 with zero 5-gons")
+    s = PointSet([tuple(map(int, row.split())) for row in rows])
+    assert len(s) == 8
+    assert not any(oracle_is_gon(s, x) for x in itertools.combinations(range(8), 5))
 
 
 def test_search_miss_exits_one(capsys):
@@ -403,7 +437,8 @@ def test_parallel_search_finds_witness(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "holesat.cli", "search", "--n", "6", "--mode", "forbid-hole",
          "--k", "5", "--seeds", "0-3", "--workers", "2", "-o", str(out)],
-        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
     assert run(["verify-witness", str(out), "--no-hole", "5"]) == 0
@@ -419,8 +454,8 @@ def test_interrupted_parallel_search_exits(tmp_path):
             [sys.executable, "-m", "holesat.cli", "search", "--n", "12", "--mode",
              "two-disjoint-holes", "--sizes", "4,5", "--seeds", "0-3", "--workers", "2",
              "--budget", "100000"],
-            stdout=subprocess.DEVNULL, stderr=err, env={"PYTHONPATH": str(src)},
-            start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=err,
+            env={**os.environ, "PYTHONPATH": str(src)}, start_new_session=True,
             # a shell that starts the tests in the background hands them SIGINT ignored,
             # which the child would inherit: give it the default a Ctrl-C meets
             preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
@@ -459,7 +494,7 @@ def test_search_with_a_dead_worker_exits_with_an_error(tmp_path):
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.Popen(
         [sys.executable, str(script)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True, env={"PYTHONPATH": str(src)}, start_new_session=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(src)}, start_new_session=True,
     )
     try:
         out, err = proc.communicate(timeout=60)
@@ -525,10 +560,23 @@ def test_solve_missing_solver_is_infrastructure_error(tmp_path, capsys):
     assert "no-such-binary" in capsys.readouterr().err
 
 
+def test_solver_not_on_path_fails_before_encoding(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "build_instance", built.append)
+    code = run([
+        "solve", "--n", "5", "--mode", "forbid-hole", "--k", "4", "--solver", "nosuchtool-xyz",
+    ])
+    assert code == cli.ERROR
+    assert built == []
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: solver binary 'nosuchtool-xyz' not found on PATH\n")
+
+
 @pytest.mark.parametrize("entry, named", [
     ({"path": "/bin/true", "flavour": "x"}, "flavour"),
     ({"path": "/bin/true", "dialect": "competition"}, "dialect"),
     ({"args": ["{cnf}"]}, "path"),
+    (5, "cannot interpret solver spec 5"),
 ])
 def test_solve_malformed_config_entry_is_infrastructure_error(
     tmp_path, monkeypatch, capsys, entry, named

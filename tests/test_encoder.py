@@ -44,16 +44,15 @@ from holesat.encoder import (
 from holesat.geometry import (
     NEGATIVE, POSITIVE, Point, PointSet, canonicalize, chirotope, orient,
 )
-from holesat.holes import (
-    enumerate_gons,
-    enumerate_holes,
-    find_disjoint_tuple,
-    hull_order,
-    is_gon,
-    strictly_inside_hull,
-)
+from holesat.holes import enumerate_holes, find_disjoint_tuple
 
-from conftest import MODE_SIZES, random_point_set
+from conftest import (
+    MODE_SIZES,
+    oracle_in_triangle,
+    oracle_is_gon,
+    oracle_is_hole,
+    random_point_set,
+)
 
 C = math.comb
 
@@ -84,6 +83,11 @@ def test_problem_validation():
         HoleProblem(n=10, mode="forbid-hole", sizes=(5,), relaxed_lr=True)
     with pytest.raises(ValueError, match="n="):
         HoleProblem(n=4, mode="forbid-hole", sizes=(5,))
+    with pytest.raises(ValueError, match="unknown orient_vars 'bogus'"):
+        HoleProblem(n=8, mode="forbid-hole", sizes=(5,), orient_vars="bogus")
+    sig = chirotope(canonicalize(random_point_set(7, random.Random(0))))
+    with pytest.raises(ValueError, match="signotope has n=7, problem n=8"):
+        assignment_from_chirotope(sig, HoleProblem(n=8, mode="forbid-hole", sizes=(5,)))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -701,7 +705,7 @@ def _semantic_case(seed: int, p: HoleProblem):
         semantic = {"forbid"}
     elif p.mode == "forbid-gon":
         k = p.sizes[0]
-        present = any(is_gon(s, xs) for xs in itertools.combinations(range(p.n), k))
+        present = any(oracle_is_gon(s, xs) for xs in itertools.combinations(range(p.n), k))
         semantic = {"forbid"}
     elif p.mode == "two-disjoint-holes":
         present = find_disjoint_tuple(s, p.sizes, "disjoint") is not None
@@ -805,9 +809,12 @@ def test_assignment_auxiliaries_match_coordinates(flags, seed):
     p = HoleProblem(n=n, **flags)
     s = canonicalize(random_point_set(n, random.Random(700 + seed)))
     val = assignment_from_chirotope(chirotope(s), p)
-    enumerate_family = enumerate_gons if p.mode == "forbid-gon" else enumerate_holes
-    found = {k: set(enumerate_family(s, k)) for k in set(p.sizes)}
-    three = s.three_holes
+    # every family from orient of the points, none from the tables under test
+    real = oracle_is_gon if p.mode == "forbid-gon" else oracle_is_hole
+    found = {
+        k: {x for x in itertools.combinations(range(n), k) if real(s, x)}
+        for k in set(p.sizes)
+    }
     schema = (
         "interior" if p.mode == "two-interior-disjoint-holes"
         else "relaxed" if p.relaxed_lr else "default"
@@ -822,12 +829,12 @@ def test_assignment_auxiliaries_match_coordinates(flags, seed):
             q, r, t, u = (s[i] for i in args)
             expected = orient(q, r, t) == orient(q, r, u)
         elif kind == "G4":
-            expected = is_gon(s, args)
+            expected = oracle_is_gon(s, args)
         elif kind == "I":
             i, a, b, c = args
-            expected = strictly_inside_hull(s, hull_order(s, (a, b, c)), i)
+            expected = oracle_in_triangle(s, i, (a, b, c))
         elif kind == "H3":
-            expected = args in three
+            expected = oracle_is_hole(s, args)
         elif kind == "H":
             expected = args[1:] in found[args[0]]
         elif kind in ("L", "R"):

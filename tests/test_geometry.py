@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import os
 import random
 import subprocess
 import sys
@@ -66,6 +67,8 @@ def test_pointset_rejects_degeneracies():
         PointSet([(0, 0), (1, 1), (2, 2)])
     with pytest.raises(TypeError):
         PointSet([(0.5, 1), (2, 3), (4, 0)])
+    with pytest.raises(TypeError, match="int or Fraction, got str"):
+        PointSet([("0", 1), (2, 3), (4, 0)])
 
 
 def _tables(build):
@@ -361,7 +364,8 @@ def test_canonical_form_checks_hold_under_optimize():
     # python -O strips assert statements; the checks on a result must still raise
     src = Path(geometry.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O], capture_output=True,
-                          text=True, timeout=60, env={"PYTHONPATH": str(src)})
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "canonicalize: canonicalize produced a non-canonical labeling",

@@ -19,59 +19,23 @@ from holesat.holes import (
     enumerate_holes,
     find_disjoint_tuple,
     first_tuple,
-    hull_order,
-    hull_vertices,
     hulls_disjoint,
     hulls_interior_disjoint,
     in_triangle,
     is_gon,
-    is_hole,
-    strictly_inside_hull,
 )
 
-from conftest import random_point_set, random_signotope
+from conftest import (
+    monotone_chain,
+    oracle_in_triangle,
+    oracle_is_gon,
+    oracle_is_hole,
+    random_point_set,
+    random_signotope,
+)
 
 
 # --- independent oracles -------------------------------------------------
-
-def oracle_in_triangle(s: PointSet, i: int, tri) -> bool:
-    a, b, c = (s.points[t] for t in tri)
-    p = s.points[i]
-    signs = {orient(a, b, p), orient(b, c, p), orient(c, a, p)}
-    return 0 not in signs and len(signs) == 1
-
-
-def monotone_chain(pts: list[Point]) -> list[Point]:
-    pts = sorted(set(pts))
-    if len(pts) <= 2:
-        return pts
-    def half(seq):
-        out: list[Point] = []
-        for p in seq:
-            while len(out) >= 2 and orient(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-    lower, upper = half(pts), half(reversed(pts))
-    return lower[:-1] + upper[:-1]
-
-
-def oracle_is_gon(s: PointSet, xs) -> bool:
-    pts = [s.points[i] for i in xs]
-    return len(monotone_chain(pts)) == len(pts)
-
-
-def oracle_is_hole(s: PointSet, xs) -> bool:
-    if not oracle_is_gon(s, xs):
-        return False
-    hull = monotone_chain([s.points[i] for i in xs])
-    outside = [s.points[i] for i in range(len(s)) if i not in set(xs)]
-    m = len(hull)
-    for p in outside:
-        if all(orient(hull[j], hull[(j + 1) % m], p) > 0 for j in range(m)):
-            return False
-    return True
-
 
 def _on_segment(a: Point, b: Point, p: Point) -> bool:
     return (
@@ -165,14 +129,6 @@ def test_is_gon_matches_hull_oracle(seed, k):
         assert is_gon(s, xs) == oracle_is_gon(s, xs)
 
 
-@given(st.integers(0, 10**6), st.integers(min_value=3, max_value=6))
-@settings(max_examples=30, deadline=None)
-def test_is_hole_matches_definition_oracle(seed, k):
-    s = random_point_set(8, random.Random(seed))
-    for xs in itertools.combinations(range(8), k):
-        assert is_hole(s, xs) == oracle_is_hole(s, xs)
-
-
 @given(st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
 def test_enumerate_holes_agrees_with_direct_check(seed):
@@ -180,7 +136,7 @@ def test_enumerate_holes_agrees_with_direct_check(seed):
     for k in (2, 3, 4, 5):
         expected = {
             xs for xs in itertools.combinations(range(9), k)
-            if k == 2 or is_hole(s, xs)
+            if k == 2 or oracle_is_hole(s, xs)
         }
         got = set(enumerate_holes(s, k))
         assert got == expected
@@ -196,7 +152,7 @@ def test_one_walk_enumeration_matches_brute_force_in_any_order(seed, n, signotop
     # asked later, or again, must still equal a per-size brute force
     rng = random.Random(seed)
     table = random_signotope(n, rng) if signotope else random_point_set(n, rng)
-    hole = abstract.is_hole if signotope else is_hole
+    hole = abstract.is_hole if signotope else oracle_is_hole
     for k in [{"n": n, "n+1": n + 1}.get(k, k) for k in order] * 2:
         got = enumerate_holes(table, k)
         assert got == [x for x in itertools.combinations(range(n), k) if hole(table, x)]
@@ -213,40 +169,6 @@ def test_three_hole_table_is_exact(seed):
     table = s.three_holes
     for tri in itertools.combinations(range(8), 3):
         assert (tri in table) == oracle_is_hole(s, tri)
-
-
-@given(st.integers(0, 10**6), st.integers(min_value=3, max_value=6))
-@settings(max_examples=30, deadline=None)
-def test_hull_order_is_ccw_permutation(seed, k):
-    s = random_point_set(9, random.Random(seed))
-    xs = tuple(sorted(random.Random(seed + 1).sample(range(9), k)))
-    order = hull_order(s, xs)
-    assert sorted(order) == sorted(hull_vertices(s, xs))
-    m = len(order)
-    if m >= 3:
-        for j in range(m):
-            assert (
-                orient(s.points[order[j]], s.points[order[(j + 1) % m]],
-                       s.points[order[(j + 2) % m]]) > 0
-            )
-
-
-@given(st.integers(0, 10**6))
-@settings(max_examples=30, deadline=None)
-def test_strictly_inside_hull_matches_oracle(seed):
-    rng = random.Random(seed)
-    s = random_point_set(8, rng)
-    xs = tuple(sorted(rng.sample(range(8), 5)))
-    hull = hull_order(s, xs)
-    loop = [s.points[i] for i in hull]
-    for i in range(8):
-        if i in xs:
-            continue
-        expected = all(
-            orient(loop[j], loop[(j + 1) % len(loop)], s.points[i]) > 0
-            for j in range(len(loop))
-        )
-        assert strictly_inside_hull(s, hull, i) == expected
 
 
 @given(st.integers(0, 10**6), st.sampled_from([(2, 2), (2, 4), (3, 3), (3, 4), (4, 4)]))
@@ -293,7 +215,7 @@ def test_find_disjoint_tuple_matches_brute_force(seed):
     for sizes, mode in (((3, 3), "disjoint"), ((3, 3), "interior-disjoint")):
         compatible = hulls_disjoint if mode == "disjoint" else hulls_interior_disjoint
         brute = any(
-            is_hole(s, x1) and is_hole(s, x2) and compatible(s, x1, x2)
+            oracle_is_hole(s, x1) and oracle_is_hole(s, x2) and compatible(s, x1, x2)
             for x1 in itertools.combinations(range(8), 3)
             for x2 in itertools.combinations(range(8), 3)
             if x1 < x2
@@ -302,7 +224,7 @@ def test_find_disjoint_tuple_matches_brute_force(seed):
         assert (found is not None) == brute
         if found is not None:
             h1, h2 = found
-            assert is_hole(s, h1) and is_hole(s, h2)
+            assert oracle_is_hole(s, h1) and oracle_is_hole(s, h2)
             assert compatible(s, h1, h2)
 
 
@@ -313,11 +235,6 @@ def test_two_hole_pair_semantics():
     assert found is not None
     tri = PointSet([(0, 0), (10, 0), (5, 8)])
     assert find_disjoint_tuple(tri, (2, 2), "disjoint") is None
-
-
-def test_hull_vertices_whole_set():
-    s = PointSet([(0, 0), (10, 0), (0, 10), (3, 3)])
-    assert sorted(hull_vertices(s)) == [0, 1, 2]
 
 
 # --- tuple search: vertex pre-filter and table bitmasks --------------------

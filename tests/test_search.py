@@ -179,7 +179,10 @@ def test_local_search_is_deterministic():
      "7286d8f0f8e13e62be81a7bf4f1c801975d267cfe39ecb92e8a6c02f77fe4d5c", False),
     (8, SearchObjective("forbid-gon", (5,)), 0, 20000,
      "a2cdbbb967884da17b6aca10275e8ab124ca3a6d02ff2cfe13e37671ee0ed649", True),
-], ids=["h45-seed0", "h45-seed1", "gon5-n8"])
+    # 2,000 proposals without a gain send the walk back to its best set, reheated
+    (10, SearchObjective("forbid-hole", (5,)), 0, 4000,
+     "b67b6289b679cb89e23e37f2af793c2b2a509abc3e55edb917c9692c4aa0980f", False),
+], ids=["h45-seed0", "h45-seed1", "gon5-n8", "hole5-n10-reheat"])
 def test_local_search_trajectory_is_pinned(monkeypatch, n, obj, seed, budget, digest, found):
     values = []
     real = search.objective_count

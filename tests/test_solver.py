@@ -16,7 +16,7 @@ import pytest
 from holesat.cli import main as cli_main
 from holesat.encoder import MODES, HoleProblem, assignment_from_chirotope, build_instance
 from holesat.geometry import PointSet, Signotope, canonicalize, chirotope
-from holesat.holes import enumerate_holes, find_disjoint_tuple, is_gon, is_hole
+from holesat.holes import enumerate_holes, find_disjoint_tuple
 from holesat.solver import (
     KNOWN_CHECKERS,
     KNOWN_SOLVERS,
@@ -38,7 +38,14 @@ from holesat.solver import (
     verify_model,
 )
 
-from conftest import HAVE_CHECKER, random_point_set, requires_checker, requires_solver
+from conftest import (
+    HAVE_CHECKER,
+    oracle_is_gon,
+    oracle_is_hole,
+    random_point_set,
+    requires_checker,
+    requires_solver,
+)
 
 
 # --- parsing --------------------------------------------------------------
@@ -432,7 +439,7 @@ def test_verify_model_rejects_forbidden_structure(mode, described):
 ])
 def test_verify_model_counterexample_is_a_real_structure(mode, k, threshold):
     # the coordinate predicates, one k-subset at a time, are the oracle
-    real = is_gon if mode == "forbid-gon" else is_hole
+    real = oracle_is_gon if mode == "forbid-gon" else oracle_is_hole
     rejected = 0
     for seed in range(40):
         s, sig = _canonical(seed, 7 + seed % 3)
