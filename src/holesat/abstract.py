@@ -6,14 +6,14 @@ set is known. A :class:`Signotope` carries the same orientation table as a
 point set, 3-hole table ``sig.three_holes`` included, so the predicates
 that only read orientations (``in_triangle``, ``is_gon``, the 4-gon table,
 hole and gon enumeration, the tuple search) are shared with
-:mod:`holesat.holes` and re-exported here. The deciders here read only
-``sig.chi``: ``is_hole`` checks the definition directly, and disjointness
-is decided through separator pairs instead of polygon intersection, which
-keeps the two modules independent oracles: of the coordinate side's own
-code only the member check ``_members`` is imported, no hull or
-disjointness code. Members come in any order; only :func:`is_hole` sorts
-them, for its label-range test. The test suite cross-checks the two on
-signotopes derived from actual point sets and on random signotopes.
+:mod:`holesat.holes` and re-exported here. The deciders here read
+``sig.left`` one orientation at a time: ``is_hole`` checks the definition
+directly, and disjointness is decided through separator pairs instead of
+polygon intersection, which keeps the two modules independent oracles: of
+the coordinate side's own code only the member check ``_members`` is
+imported, no hull or disjointness code. Members come in any order; only
+:func:`is_hole` sorts them, for its label-range test. The test suite
+cross-checks the two on signotopes derived from point sets and at random.
 
 Precondition throughout: ``sig`` satisfies the signotope axioms
 (``check_signotope(sig) == []``). Under the axioms a label contained in a
@@ -69,14 +69,14 @@ def is_hole(sig: Signotope, x: Iterable[int]) -> bool:
 def _separated(sig: Signotope, pairs, x1: Sequence[int], x2: Sequence[int]) -> bool:
     """True iff for some (a, b) in pairs the labels of x1 other than a and b
     lie strictly on one side of a->b and those of x2 strictly on the other."""
-    chi = sig.chi
     signed = [(x, 1) for x in x1] + [(y, -1) for y in x2]
     for a, b in pairs:
+        row = sig.left[a][b]  # bit x set iff (a, b, x) is positive
         side = 0  # taken from the first label tested
         for x, s in signed:
             if x == a or x == b:
                 continue
-            c = chi(a, b, x) * s
+            c = s if row >> x & 1 else -s
             if not side:
                 side = c
             elif c != side:

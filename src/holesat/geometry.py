@@ -7,9 +7,9 @@ normalization makes) cost no Fraction arithmetic. Both orientation maps, a
 :class:`PointSet` and a :class:`Signotope`, fill the same tables on
 construction, through one routine: the bitmasks ``left[a][b]`` (the indices
 strictly left of a->b), the 3-holes ``three_holes`` and their rows
-``hole_ext``. One ``chi`` reads ``left`` for both; only hole and gon lists
-are kept lazily, in ``memo``. ``PointSet.moved`` re-orients only the
-triples through the moved point.
+``hole_ext``. One ``chi`` reads ``left`` for both; hole and gon lists and
+counts are kept lazily, in ``memo``, which ``PointSet.moved`` (it orients
+only the triples through the moved point) shares while the order type holds.
 
 Conventions used throughout the package:
 
@@ -94,7 +94,7 @@ class OrientationTable:
     strictly left of the directed line a->b; ``three_holes`` holds the
     sorted triples whose triangle is empty, and ``hole_ext[a][b]``, for
     a < b, the bitmask of the c > b that make (a, b, c) one of them.
-    ``memo`` keeps what :func:`holesat.holes.enumerate_from_table` found.
+    ``memo`` keeps hole and gon lists and counts, all fixed by the order type.
     """
 
     __slots__ = ()
@@ -102,7 +102,7 @@ class OrientationTable:
     left: tuple[tuple[int, ...], ...]
     three_holes: frozenset[tuple[int, int, int]]
     hole_ext: tuple[tuple[int, ...], ...]
-    memo: dict[str, list[list[tuple[int, ...]]]]
+    memo: dict
 
     def _fill(self, ccw: Iterable[tuple[int, int, int]], left=None) -> None:
         """Set the tables from counterclockwise triples, added to ``left`` if given."""
@@ -148,8 +148,8 @@ class PointSet(OrientationTable):
     General position is checked on construction, over all triples, before
     the tables of :class:`OrientationTable` are filled, on integer
     homogeneous coordinates (:func:`_orient_lifted`) whether the coordinates
-    are ints or Fractions. :meth:`moved` makes the set with one point
-    replaced and orients only the triples through it.
+    are ints or Fractions. :meth:`moved` replaces one point, orients only the
+    triples through it, and keeps ``memo`` when ``left`` comes out unchanged.
     """
 
     __slots__ = ("points", "n", "left", "three_holes", "hole_ext", "memo")
@@ -171,6 +171,8 @@ class PointSet(OrientationTable):
         new = PointSet.__new__(PointSet)
         through = (t for t in itertools.combinations(range(n), 3) if i in t)
         new._place(self.points[:i] + (p,) + self.points[i + 1:], through, left)
+        if new.left == self.left:  # the same order type, so every memo entry holds
+            new.memo = self.memo
         return new
 
     def _place(self, pts: tuple[Point, ...], triples, left=None) -> None:

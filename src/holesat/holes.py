@@ -4,12 +4,12 @@ Predicates read ``s.n`` and the tables that point sets and signotopes
 alike fill on construction: the bitmasks ``s.left`` (gon, triangle and
 disjointness deciders) or the 3-hole rows ``s.hole_ext`` (hole enumeration:
 one walk per set finds every size up to the largest asked, kept in
-``s.memo``). Nothing here assumes a canonical labeling; the test suite's
-references orient the points themselves. A *k-gon* is a subset in
-convex position; a *k-hole* is a k-gon whose hull contains no other point.
-A 2-subset is always a (degenerate) hole under general position. Holes and
-gons come out as sorted index tuples. Predicates take members in any
-order; :func:`_members` checks them and builds the mask they read.
+``s.memo``, shared by a moved set that keeps the order type). Nothing here
+assumes a canonical labeling; the test suite's references orient the points
+themselves. A *k-gon* is a subset in convex position, a *k-hole* a k-gon
+whose hull holds no other point; in general position every 2-subset is a
+(degenerate) hole. Holes and gons are sorted index tuples; predicates take
+members in any order, which :func:`_members` checks and turns into a mask.
 
 The orientation-only predicates, the 4-gon table, the hole and gon
 enumerations and the tuple search (one generator, :func:`disjoint_tuples`,
@@ -279,18 +279,19 @@ def _compat_rows(s, ci, cj, prefilter: bool, decide) -> list[int]:
     When ``ci is cj``, only the holes after u count. With ``prefilter``
     (disjoint mode), a vertex-sharing pair never reaches the decider.
     """
-    # touching[p]: the holes of cj with vertex p
+    # touching[p]: the holes of cj with vertex p; apart[p]: all others
     touching = [0] * s.n
     if prefilter:
         for v, hv in enumerate(cj):
             for p in hv:
                 touching[p] |= 1 << v
+    apart = [~t for t in touching]
     everything = (1 << len(cj)) - 1
     out = []
     for u, hu in enumerate(ci):
         candidates = everything & -(2 << u) if ci is cj else everything
         for p in hu:
-            candidates &= ~touching[p]
+            candidates &= apart[p]
         row = 0
         while candidates:
             low = candidates & -candidates
@@ -305,7 +306,7 @@ def _tuple_dfs(classes, rows, chosen: list, pos: int, candidates: list[int]):
     # the search of disjoint_tuples from slot pos on; a module function,
     # not a closure, for the reason given at _grow. An equal-size row
     # holds only later holes, which keeps equal-size slots increasing.
-    if pos == len(classes) - 1:
+    if pos == len(classes) - 1:  # only a one-slot search starts here
         yield chosen, candidates[pos], classes[pos]
         return
     mask = candidates[pos]
@@ -320,5 +321,8 @@ def _tuple_dfs(classes, rows, chosen: list, pos: int, candidates: list[int]):
                 break
         else:
             chosen.append(classes[pos][u])
-            yield from _tuple_dfs(classes, rows, chosen, pos + 1, nxt)
+            if pos + 2 < len(classes):
+                yield from _tuple_dfs(classes, rows, chosen, pos + 1, nxt)
+            else:  # the last slot's candidates, without one more generator level
+                yield chosen, nxt[-1], classes[-1]
             chosen.pop()

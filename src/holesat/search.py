@@ -5,19 +5,18 @@ tuples of pairwise disjoint holes); a point set with objective zero is a
 witness for the corresponding lower bound. The annealer moves one point at
 a time (:meth:`PointSet.moved`, which re-orients only the triples through
 it) with a geometrically cooling step size, rejects any move that breaks
-general position, and is fully deterministic for a given seed. Returned
-witnesses are built and counted afresh, with exact arithmetic, before
-being handed back.
+general position, and is fully deterministic for a given seed. A move that
+keeps the order type keeps the count too (``memo``). Returned witnesses are
+built and counted afresh, with exact arithmetic, before being handed back.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import multiprocessing
 import random
 import signal
-from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures import Future, as_completed
 from dataclasses import dataclass
 
 from .encoder import DISJOINT_FLAVOR, DISJOINT_MODES, MODE_RULES, SIZE_KIND
@@ -76,13 +75,16 @@ class SearchObjective:
 
 
 def objective_count(s: PointSet, obj: SearchObjective) -> int:
-    """Exact number of forbidden structures in the point set."""
-    if obj.mode not in DISJOINT_FLAVOR:
-        return len(enumerate_from_table(s, obj.sizes[0], SIZE_KIND[obj.mode]))
-    return count_tuples(disjoint_tuples(
-        s, obj.sizes, DISJOINT_FLAVOR[obj.mode],
-        enumerate_holes, hulls_disjoint, hulls_interior_disjoint,
-    ))
+    """Exact number of forbidden structures in the point set, kept in ``s.memo``."""
+    if obj not in s.memo:
+        if obj.mode not in DISJOINT_FLAVOR:
+            s.memo[obj] = len(enumerate_from_table(s, obj.sizes[0], SIZE_KIND[obj.mode]))
+        else:
+            s.memo[obj] = count_tuples(disjoint_tuples(
+                s, obj.sizes, DISJOINT_FLAVOR[obj.mode],
+                enumerate_holes, hulls_disjoint, hulls_interior_disjoint,
+            ))
+    return s.memo[obj]
 
 
 def _random_general_position(
@@ -219,6 +221,8 @@ def search_witness(
     jobs = [(n, obj, seed, budget, box) for seed in seeds]
     pool = None
     if workers > 1 and len(jobs) > 1:
+        import multiprocessing  # loaded only when a pool starts
+        from concurrent.futures import ProcessPoolExecutor
         ctx = multiprocessing.get_context("spawn")  # a fork of a threaded caller can deadlock
         stop = ctx.Event()  # losers stop at their next proposal; a dead worker breaks the pool
         pool = ProcessPoolExecutor(min(workers, len(jobs)), ctx, _init_worker, (stop,))

@@ -29,7 +29,6 @@ import shutil
 import subprocess
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Mapping, Sequence
@@ -544,6 +543,7 @@ def run_batch(
 ) -> dict[str, SolveReport]:
     """Concurrent solves, merged by instance key; a solve that raises gives
     its key alone an UNKNOWN, ``not-run`` report that carries the error."""
+    from concurrent.futures import ThreadPoolExecutor  # loaded only when a batch runs
     cfg = solver or discover_solver()
     count = workers if workers is not None else default_workers()
     reports: dict[str, SolveReport] = {}

@@ -444,6 +444,34 @@ def test_parallel_search_finds_witness(tmp_path):
     assert run(["verify-witness", str(out), "--no-hole", "5"]) == 0
 
 
+LAZY_POOLS = """
+import sys
+import holesat.cli
+from holesat import search
+pools = ("multiprocessing", "concurrent.futures.process")
+assert not [m for m in pools if m in sys.modules]
+obj = search.SearchObjective("forbid-gon", (5,))
+found, seed = search.search_witness(8, obj, seeds=[0, 1], budget=20000, workers=2)
+assert all(m in sys.modules for m in pools)
+print(seed, [(p.x, p.y) for p in found.points])
+"""
+
+
+def test_process_pool_modules_load_only_when_a_pool_starts():
+    # a fresh interpreter, since this one has long loaded them; the child
+    # keeps the environment, PYTHONDONTWRITEBYTECODE included
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_POOLS], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    seed, coords = proc.stdout.split(" ", 1)
+    obj = search.SearchObjective("forbid-gon", (5,))
+    serial = search.local_search(8, obj, seed=int(seed), budget=20000)
+    assert coords.strip() == str([(p.x, p.y) for p in serial.points])
+
+
 def test_interrupted_parallel_search_exits(tmp_path):
     # Ctrl-C reaches every process in the group: the workers must leave the
     # shutdown to the parent, or the pool waits forever for their lost jobs

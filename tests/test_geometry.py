@@ -34,6 +34,7 @@ from holesat.geometry import (
     read_points,
     write_points,
 )
+from holesat.holes import enumerate_holes
 
 from conftest import random_point_set
 
@@ -176,6 +177,46 @@ def test_moved_rational_set_equals_a_fresh_construction(seed, n):
         else:
             s = s.moved(i, point)
     assert raised == {TypeError, GeneralPositionError}
+
+
+def _order_type(points):
+    # the reference: orient of the points themselves, no table
+    return [orient(*(points[i] for i in t)) for t in itertools.combinations(range(len(points)), 3)]
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 3)], ids=["int", "Fraction"])
+def test_moved_shares_memo_exactly_when_the_order_type_is_kept(scale):
+    # point 3 sits inside triangle 0, 1, 2: a step that stays inside keeps
+    # every orientation, a step across edge 1-2 flips (1, 2, 3) alone
+    s = PointSet([(x * scale, y * scale) for x, y in [(0, 0), (10, 0), (0, 10), (3, 3)]])
+    enumerate_holes(s, 3)  # something in the memo to share
+    kept = s.moved(3, (2 * scale, 4 * scale))
+    flipped = s.moved(3, (6 * scale, 6 * scale))
+    assert _order_type(kept.points) == _order_type(s.points)
+    flips = [u != v for u, v in zip(_order_type(s.points), _order_type(flipped.points))]
+    assert sum(flips) == 1
+    assert kept.memo is s.memo
+    assert flipped.memo is not s.memo and flipped.memo == {}
+    # a walk of small steps, each judged against a fresh construction
+    rng = random.Random(7)
+    s = PointSet([(p.x * scale, p.y * scale) for p in random_point_set(8, rng, span=20)])
+    shared = []
+    for _ in range(150):
+        i = rng.randrange(s.n)
+        old = s.points[i]
+        point = (old.x + rng.randint(-2, 2) * scale, old.y + rng.randint(-2, 2) * scale)
+        pts = list(s.points)
+        pts[i] = point
+        try:
+            fresh = PointSet(pts)
+        except GeneralPositionError:
+            continue
+        new = s.moved(i, point)
+        same = _order_type(fresh.points) == _order_type(s.points)
+        assert (new.memo is s.memo) == same == (fresh.left == s.left)
+        shared.append(same)
+        s = new
+    assert any(shared) and not all(shared)
 
 
 @given(st.integers(0, 10**6))

@@ -14,7 +14,7 @@ import pytest
 
 from holesat import search
 from holesat.constructions import generate_double_circle, witness
-from holesat.geometry import PointSet
+from holesat.geometry import GeneralPositionError, PointSet
 from holesat.holes import (
     enumerate_gons,
     enumerate_holes,
@@ -195,6 +195,41 @@ def test_local_search_trajectory_is_pinned(monkeypatch, n, obj, seed, budget, di
     result = local_search(n, obj, seed=seed, budget=budget)
     assert (result is not None) == found
     assert hashlib.sha256(",".join(map(str, values)).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mode", OBJECTIVE_MODES)
+def test_count_read_from_a_shared_memo_is_a_fresh_count(mode):
+    # a walk of small steps: some keep the order type and read the count
+    # from the memo they share, the rest count afresh; every count must be
+    # that of a fresh set, and the counts must change along the walk
+    least, arity = MODE_SIZES[mode]
+    obj = SearchObjective(mode, (least + 1,) * arity)
+    rng = random.Random(3)
+    s = random_point_set(9, rng, span=20)
+    counts, shared = [objective_count(s, obj)], []
+    for _ in range(120):
+        i = rng.randrange(s.n)
+        old = s.points[i]
+        try:
+            new = s.moved(i, (old.x + rng.randint(-3, 3), old.y + rng.randint(-3, 3)))
+        except GeneralPositionError:
+            continue
+        shared.append(new.memo is s.memo)
+        counts.append(objective_count(new, obj))
+        assert counts[-1] == objective_count(PointSet(new.points), obj)
+        s = new
+    assert any(shared) and not all(shared)
+    assert len(set(counts)) > 1
+
+
+def test_reverify_recounts_instead_of_reading_the_memo():
+    obj = SearchObjective("forbid-hole", (4,))
+    s = random_point_set(8, random.Random(0))
+    assert objective_count(s, obj) > 0
+    s.memo[obj] = 0  # a wrong count, as a stale memo would hold
+    assert objective_count(s, obj) == 0
+    with pytest.raises(AssertionError, match="re-verification failed"):
+        search._reverify(s, obj)
 
 
 def test_local_search_finds_gon_free_set():
