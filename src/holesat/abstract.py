@@ -3,9 +3,9 @@
 Every decision is made from triple orientations, so the predicates apply
 to satisfying assignments of the CNF encodings even when no realizing point
 set is known. A :class:`Signotope` carries the same orientation table as a
-point set, 3-hole table ``sig.three_holes`` included, so the predicates
-that only read orientations (``in_triangle``, ``is_gon``, the 4-gon table,
-hole and gon enumeration, the tuple search) are shared with
+point set, 3-hole rows ``sig.hole_ext`` included, so the predicates that
+only read orientations (``in_triangle``, ``is_gon``, hole and gon
+enumeration, 4-gons included, the tuple search) are shared with
 :mod:`holesat.holes` and re-exported here. The deciders here read
 ``sig.left`` one orientation at a time: ``is_hole`` checks the definition
 directly, and disjointness is decided through separator pairs instead of
@@ -28,8 +28,8 @@ import itertools
 from typing import Iterable, Sequence
 
 from .geometry import Signotope
-# orientation-only predicates shared with the coordinate oracle; the 4-gon
-# table and the enumerations are re-exported for callers of this module
+# orientation-only predicates shared with the coordinate oracle; the
+# enumerations are re-exported for callers of this module
 from .holes import (
     DisjointMode,
     _members,
@@ -38,7 +38,6 @@ from .holes import (
     enumerate_gons,
     enumerate_holes,
     first_tuple,
-    four_gon_table,
     in_triangle,
     is_gon,
 )

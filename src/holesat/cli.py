@@ -25,12 +25,13 @@ from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from . import __version__
-from .constructions import WITNESS_COORDS, generate_double_circle, generate_two_ring, witness
+from .constructions import DEFAULT_RADIUS, WITNESS_COORDS, witness
+from .constructions import generate_double_circle, generate_two_ring
 from .encoder import MODES, HoleProblem, build_instance
 from .geometry import GeneralPositionError, read_points, write_points
 from .holes import enumerate_from_table, enumerate_holes, find_disjoint_tuple
 from .recipes import RECIPE_NAMES, passed, run_recipe
-from .search import OBJECTIVE_MODES, SearchObjective, search_witness
+from .search import DEFAULT_BOX, OBJECTIVE_MODES, SearchObjective, search_witness
 from .solver import (
     MODEL_DECODING_FAILED,
     SolverError,
@@ -70,8 +71,6 @@ def _seeds_arg(text: str) -> list[int]:
             raise ValueError
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected seeds like '0-7' or '1,5,9', got {text!r}")
-    if not seeds:
-        raise argparse.ArgumentTypeError("empty seed list")
     return seeds
 
 
@@ -357,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="generate or emit a known point set")
     p.add_argument("name", choices=("double-circle", "two-ring") + tuple(sorted(WITNESS_COORDS)))
     p.add_argument("--n", type=int, help="size for the generators")
-    p.add_argument("--radius", type=int, default=10**6, help="outer radius for the generators")
+    p.add_argument("--radius", type=int, default=DEFAULT_RADIUS,
+                   help="outer radius for the generators")
     p.add_argument("-o", "--output", help="write a point file instead of stdout")
     p.set_defaults(func=cmd_construct)
 
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_seeds_arg, default=list(range(8)), metavar="SPEC",
                    help="restart seeds, e.g. '0-7' or '3,5'")
     p.add_argument("--budget", type=int, default=20000, help="proposals per restart")
-    p.add_argument("--box", type=int, default=10**6, help="coordinate bound")
+    p.add_argument("--box", type=int, default=DEFAULT_BOX, help="coordinate bound")
     p.add_argument("--workers", type=int, help="parallel restarts")
     p.add_argument("-o", "--output", help="write the witness point file here")
     p.set_defaults(func=cmd_search)

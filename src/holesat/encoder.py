@@ -583,7 +583,7 @@ def assignment_from_chirotope(sig, problem: HoleProblem) -> dict[int, bool]:
         "E": lambda p, q, r, s: left[p][q] >> r & 1 == left[p][q] >> s & 1,
         "G4": lambda *x: is_gon(sig, x),
         "I": functools.partial(in_triangle, sig),
-        "H3": lambda *t: t in sig.three_holes,
+        "H3": lambda a, b, c: sig.hole_ext[a][b] >> c & 1 == 1,
         "H": lambda k, *x: x in holes[k],
         "L": side,
         "R": lambda k, a, b: side(k, b, a),

@@ -6,10 +6,10 @@ homogeneous coordinates, so `fractions.Fraction` coordinates (as projective
 normalization makes) cost no Fraction arithmetic. Both orientation maps, a
 :class:`PointSet` and a :class:`Signotope`, fill the same tables on
 construction, through one routine: the bitmasks ``left[a][b]`` (the indices
-strictly left of a->b), the 3-holes ``three_holes`` and their rows
-``hole_ext``. One ``chi`` reads ``left`` for both; hole and gon lists and
-counts are kept lazily, in ``memo``, which ``PointSet.moved`` (it orients
-only the triples through the moved point) shares while the order type holds.
+strictly left of a->b) and the 3-hole rows ``hole_ext``, read off ``left``
+by :func:`open_triangle`, the one open-triangle test. One ``chi`` reads
+``left`` for both; hole and gon lists and counts are kept lazily, in
+``memo``, which ``PointSet.moved`` shares while the order type holds.
 
 Conventions used throughout the package:
 
@@ -72,6 +72,14 @@ def _orient_lifted(p: tuple, q: tuple, r: tuple) -> int:
     return _sign(pw * (qx * ry - rx * qy) - qw * (px * ry - rx * py) + rw * (px * qy - qx * py))
 
 
+def open_triangle(left, a: int, b: int, c: int) -> int:
+    """Bitmask of the points strictly inside triangle (a, b, c), either orientation:
+    the AND of the three half-planes that hold the opposite vertex."""
+    if not left[a][b] >> c & 1:
+        a, b = b, a  # (b, a, c) is ccw
+    return left[a][b] & left[b][c] & left[c][a]
+
+
 def _x_increasing(points: Sequence[Point]) -> bool:
     return all(p.x < q.x for p, q in zip(points, points[1:]))
 
@@ -89,18 +97,17 @@ class OrientationTable:
     """The orientation table shared by point sets and signotopes.
 
     Subclasses set ``n`` and call :meth:`_fill`, which sets ``left``,
-    ``three_holes``, ``hole_ext`` and an empty ``memo``. ``left[a][b]`` is
-    the bitmask of the indices c with (a, b, c) positively oriented, i.e.
-    strictly left of the directed line a->b; ``three_holes`` holds the
-    sorted triples whose triangle is empty, and ``hole_ext[a][b]``, for
-    a < b, the bitmask of the c > b that make (a, b, c) one of them.
+    ``hole_ext`` and an empty ``memo``. ``left[a][b]`` is the bitmask of
+    the indices c with (a, b, c) positively oriented, i.e. strictly left of
+    the directed line a->b; ``hole_ext[a][b]``, for a < b, is the bitmask
+    of the c > b whose triangle (a, b, c) is empty, the one 3-hole table
+    (:func:`holesat.holes.enumerate_holes` lists the 3-holes from it).
     ``memo`` keeps hole and gon lists and counts, all fixed by the order type.
     """
 
     __slots__ = ()
     n: int
     left: tuple[tuple[int, ...], ...]
-    three_holes: frozenset[tuple[int, int, int]]
     hole_ext: tuple[tuple[int, ...], ...]
     memo: dict
 
@@ -113,18 +120,11 @@ class OrientationTable:
             left[a][b] |= 1 << c
             left[b][c] |= 1 << a
             left[c][a] |= 1 << b
-        holes, ext = [], [[0] * n for _ in range(n)]
-        for t in itertools.combinations(range(n), 3):
-            a, b, c = t
-            if not left[a][b] >> c & 1:
-                a, b = b, a  # (b, a, c) is ccw
-            # the open triangle is the AND of the three half-planes that
-            # hold the opposite vertex
-            if not left[a][b] & left[b][c] & left[c][a]:
-                holes.append(t)
-                ext[t[0]][t[1]] |= 1 << c
+        ext = [[0] * n for _ in range(n)]
+        for a, b, c in itertools.combinations(range(n), 3):
+            if not open_triangle(left, a, b, c):
+                ext[a][b] |= 1 << c
         object.__setattr__(self, "left", tuple(map(tuple, left)))
-        object.__setattr__(self, "three_holes", frozenset(holes))
         object.__setattr__(self, "hole_ext", tuple(map(tuple, ext)))
         object.__setattr__(self, "memo", {})
 
@@ -152,7 +152,7 @@ class PointSet(OrientationTable):
     triples through it, and keeps ``memo`` when ``left`` comes out unchanged.
     """
 
-    __slots__ = ("points", "n", "left", "three_holes", "hole_ext", "memo")
+    __slots__ = ("points", "n", "left", "hole_ext", "memo")
 
     def __init__(self, points: Iterable[Sequence[Coord]]):
         pts = tuple(Point(_check_coord(p[0]), _check_coord(p[1])) for p in points)
@@ -219,7 +219,7 @@ class Signotope(OrientationTable):
     """A total orientation map on sorted index triples of ``0..n-1``.
 
     ``signs`` maps every sorted triple to +1 or -1; construction fills the
-    tables ``left`` and ``three_holes`` from it, and :meth:`chi` reads every
+    tables ``left`` and ``hole_ext`` from it, and :meth:`chi` reads every
     argument order from ``left``. Whether the map satisfies the monotone
     sign-change axioms is checked separately by :func:`check_signotope`.
     """
@@ -272,7 +272,7 @@ def canonical_order(s: PointSet) -> list[int]:
     """Relabeling that makes ``s`` canonical: output position i -> input index.
 
     Point 0 of the new order is the lexicographically smallest point; the rest
-    are sorted counterclockwise around it using ``orient`` as comparator (no
+    are sorted counterclockwise around it using ``s.chi`` as comparator (no
     trigonometry). The result always satisfies the angular invariant; whether
     x-coordinates also increase decides if a projective step is needed.
     """
@@ -282,7 +282,7 @@ def canonical_order(s: PointSet) -> list[int]:
 
     def around(i: int, j: int) -> int:
         # i before j iff j lies strictly left of the ray first->i.
-        return -orient(pts[first], pts[i], pts[j])
+        return -s.chi(first, i, j)
 
     rest.sort(key=functools.cmp_to_key(around))
     return [first] + rest

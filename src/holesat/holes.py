@@ -1,18 +1,18 @@
 """Detection and enumeration of k-gons, k-holes, and disjoint hole tuples.
 
-Predicates read ``s.n`` and the tables that point sets and signotopes
-alike fill on construction: the bitmasks ``s.left`` (gon, triangle and
-disjointness deciders) or the 3-hole rows ``s.hole_ext`` (hole enumeration:
-one walk per set finds every size up to the largest asked, kept in
-``s.memo``, shared by a moved set that keeps the order type). Nothing here
-assumes a canonical labeling; the test suite's references orient the points
-themselves. A *k-gon* is a subset in convex position, a *k-hole* a k-gon
-whose hull holds no other point; in general position every 2-subset is a
-(degenerate) hole. Holes and gons are sorted index tuples; predicates take
-members in any order, which :func:`_members` checks and turns into a mask.
+Predicates read ``s.n`` and the tables that point sets and signotopes alike
+fill on construction: the bitmasks ``s.left`` (gon, triangle and
+disjointness deciders; triangles by :func:`open_triangle`) or the 3-hole
+rows ``s.hole_ext`` (hole enumeration: one walk per set serves every size,
+kept in ``s.memo``, which a moved set of the same order type shares).
+Nothing here assumes a canonical labeling; the tests' references orient the
+points themselves. A *k-gon* is a subset in convex position, a *k-hole* a
+k-gon whose hull holds no other point; in general position every 2-subset is
+a (degenerate) hole. Holes and gons are sorted index tuples; predicates take
+members in any order, which :func:`_members` checks and masks.
 
-The orientation-only predicates, the 4-gon table, the hole and gon
-enumerations and the tuple search (one generator, :func:`disjoint_tuples`,
+The orientation-only predicates, the hole and gon enumerations (4-gons
+included: no separate table) and the tuple search (:func:`disjoint_tuples`,
 with the front ends :func:`first_tuple` and :func:`count_tuples`) also
 serve the Signotope oracle of :mod:`holesat.abstract`, which passes the
 generator its own deciders. The disjointness deciders here are never
@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .geometry import PointSet
+from .geometry import PointSet, open_triangle
 
 DisjointMode = Literal["disjoint", "interior-disjoint"]
 
@@ -44,10 +44,9 @@ def _members(s: PointSet, x: Iterable[int]) -> tuple[tuple[int, ...], int]:
 
 def in_triangle(s: PointSet, i: int, a: int, b: int, c: int) -> bool:
     """True iff point (label) i lies strictly inside triangle (a, b, c): on the
-    side of each edge that holds the opposite vertex, read from three ``left`` rows."""
+    side of each edge that holds the opposite vertex (:func:`open_triangle`)."""
     _members(s, (i, a, b, c))  # ValueError on a repeated index, IndexError out of range
-    ab, bc, ca = s.left[a][b], s.left[b][c], s.left[c][a]
-    return not ((ab >> i ^ ab >> c) | (bc >> i ^ bc >> a) | (ca >> i ^ ca >> b)) & 1
+    return open_triangle(s.left, a, b, c) >> i & 1 == 1
 
 
 def is_gon(s: PointSet, x: Iterable[int]) -> bool:
@@ -58,22 +57,15 @@ def is_gon(s: PointSet, x: Iterable[int]) -> bool:
     return not _hull_interior(s.left, xs) & mask
 
 
-def four_gon_table(s: PointSet) -> frozenset[tuple[int, int, int, int]]:
-    """All 4-subsets in convex position."""
-    return frozenset(
-        q for q in itertools.combinations(range(s.n), 4) if is_gon(s, q)
-    )
-
-
 def enumerate_from_table(s: PointSet, k: int, kind: str) -> list[tuple[int, ...]]:
     """All k-holes (kind "hole") or k-gons (kind "gon"), lexicographically.
 
     Every 2-subset is a hole and every 3-subset a gon. Above that, a subset
     is a hole iff every 3-subset is a 3-hole, and a gon iff every 4-subset
-    is a 4-gon, so one table (the 3-holes or the 4-gons) decides all larger
-    sizes. One walk finds every size up to k and keeps them in ``s.memo``,
-    so a smaller size asked later costs a copy. Sizes above n have none;
-    sizes below the least are an error.
+    is a 4-gon, so one table decides all larger sizes: ``s.hole_ext``, or
+    rows built from :func:`is_gon`. One walk finds every size up to k and
+    keeps them in ``s.memo``, so a smaller size asked later costs a copy.
+    Sizes above n have none; sizes below the least are an error.
     """
     least = 2 if kind == "hole" else 3
     if k < least:
@@ -88,8 +80,9 @@ def enumerate_from_table(s: PointSet, k: int, kind: str) -> list[tuple[int, ...]
             ext = s.hole_ext
         else:
             ext = {u: [0] * s.n for u in itertools.combinations(range(s.n), 2)}
-            for a, b, c, d in four_gon_table(s):
-                ext[a, b][c] |= 1 << d
+            for a, b, c, d in itertools.combinations(range(s.n), 4):
+                if is_gon(s, (a, b, c, d)):
+                    ext[a, b][c] |= 1 << d
         found = s.memo[kind] = [[] for _ in range(k + 1)]
         _grow(found, ext, kind == "gon", (), (1 << s.n) - 1)
     return list(found[k])
@@ -157,14 +150,14 @@ def hulls_interior_disjoint(s: PointSet, x1: Iterable[int], x2: Iterable[int]) -
     exact open-polygon intersection: three or more shared vertices, a member
     of one set strictly inside the other hull, or a proper crossing of hull
     edges all witness overlapping interiors; under general position nothing
-    else can. Subsets with fewer than 3 points have empty planar interior.
+    else can. Each subset needs 3 points, the least interior hole size.
     """
     a1, m1 = _members(s, x1)
     a2, m2 = _members(s, x2)
     if not a1 or not a2:
         raise ValueError("subsets must be nonempty")
     if len(a1) < 3 or len(a2) < 3:
-        return True
+        raise ValueError("interior-disjointness needs at least 3 points each")
     if (m1 & m2).bit_count() >= 3:
         return False
     left = s.left
@@ -189,14 +182,11 @@ def _hull_interior(left, xs: Sequence[int]) -> int:
     """Bitmask of the points strictly inside conv(xs).
 
     Under general position that is the union of the open triangles of xs,
-    each the AND of three half-plane masks.
+    each an :func:`open_triangle` mask.
     """
     inside = 0
     for a, b, c in itertools.combinations(xs, 3):
-        if left[a][b] >> c & 1:
-            inside |= left[a][b] & left[b][c] & left[c][a]
-        else:
-            inside |= left[b][a] & left[c][b] & left[a][c]
+        inside |= open_triangle(left, a, b, c)
     return inside
 
 

@@ -53,11 +53,11 @@ def test_gons_and_holes_match_geometry(seed, n):
 def test_tables_and_enumeration_match_geometry(seed):
     n = 9
     s, sig = _canonical(seed, n)
-    assert sig.three_holes == s.three_holes
+    assert sig.hole_ext == s.hole_ext
     for k in (2, 3, 4, 5):
         assert abstract.enumerate_holes(sig, k) == geo.enumerate_holes(s, k)
     gons4 = {xs for xs in itertools.combinations(range(n), 4) if geo.is_gon(s, xs)}
-    assert abstract.four_gon_table(sig) == gons4
+    assert abstract.enumerate_gons(sig, 4) == sorted(gons4)
     assert abstract.enumerate_gons(sig, 5) == [
         xs for xs in itertools.combinations(range(n), 5) if geo.is_gon(s, xs)
     ]
@@ -80,7 +80,7 @@ def test_shared_table_on_random_signotopes(n):
             assert all(a < i < c for i in inside)
             if not inside:
                 empty.add((a, b, c))
-        assert sig.three_holes == empty
+        assert set(abstract.enumerate_holes(sig, 3)) == empty
         for k in (4, 5):
             assert abstract.enumerate_holes(sig, k) == [
                 xs for xs in itertools.combinations(range(n), k)
@@ -191,7 +191,7 @@ def test_disjointness_deciders_stay_independent():
 _PREDICATES = [
     (geo.is_gon, False, False, [0, 1], "a gon needs"),
     (geo.hulls_disjoint, False, True, [], "nonempty"),
-    (geo.hulls_interior_disjoint, False, True, [], "nonempty"),
+    (geo.hulls_interior_disjoint, False, True, [0, 1], "at least 3 points each"),
     (abstract.is_hole, True, False, [0], "a hole needs"),
     (abstract.holes_disjoint, True, True, [], "nonempty"),
     (abstract.holes_interior_disjoint, True, True, [0, 1], "at least 3 points each"),
@@ -234,6 +234,24 @@ def test_tuple_search_rejects_bad_sizes_and_modes(on_sig, sizes, mode, error):
     find = abstract.find_disjoint_tuple if on_sig else geo.find_disjoint_tuple
     with pytest.raises(ValueError, match=error):
         find(sig if on_sig else s, sizes, mode)
+
+
+@pytest.mark.parametrize("mode", ["disjoint", "interior-disjoint"])
+@pytest.mark.parametrize("on_sig", [False, True], ids=["PointSet", "Signotope"])
+def test_one_slot_tuple_search_gives_the_holes_of_its_size(on_sig, mode):
+    # one size: no pair is decided, and each k-hole is a tuple of its own
+    s, sig = _canonical(3, 9)
+    oracle, table = (abstract, sig) if on_sig else (geo, s)
+    deciders = (
+        (abstract.holes_disjoint, abstract.holes_interior_disjoint) if on_sig
+        else (geo.hulls_disjoint, geo.hulls_interior_disjoint)
+    )
+    for k in (3, 4, 5, 6):
+        holes = oracle.enumerate_holes(table, k)
+        search = lambda: geo.disjoint_tuples(table, (k,), mode, oracle.enumerate_holes, *deciders)
+        assert geo.first_tuple(search()) == (holes[:1] or None)
+        assert oracle.find_disjoint_tuple(table, (k,), mode) == (holes[:1] or None)
+        assert geo.count_tuples(search()) == len(holes)
 
 
 @pytest.mark.parametrize("on_sig", [False, True], ids=["PointSet", "Signotope"])

@@ -152,6 +152,20 @@ def test_hints_below_ten_points_rejected(tmp_path, capsys, command):
     assert "hints need n >= 10" in capsys.readouterr().err and not out.exists()
 
 
+@pytest.mark.parametrize("sizes, error", [
+    ("5,x", "expected comma-separated integers, got '5,x'"),
+    ("", "empty size list"),
+    (",", "empty size list"),
+])
+def test_bad_size_list_exits_two(tmp_path, capsys, sizes, error):
+    with pytest.raises(SystemExit) as exit_:
+        run(["encode", "--n", "6", "--mode", "forbid-hole", "--sizes", sizes,
+             "-o", str(tmp_path / "x.cnf")])
+    assert exit_.value.code == cli.ERROR
+    assert f"argument --sizes: {error}\n" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as err:
         run(["frobnicate"])
@@ -278,6 +292,16 @@ fail: no interior-disjoint 4/4 holes (witness (0, 1, 2, 3) (0, 3, 4, 5))
 result: fail
 """),
     ("fig4-n21", "", cli.PASS, "pass: general position (21 points)\nresult: pass\n"),
+    # one size: the one-slot tuple search, whose tuple is the first hole of that size
+    ("fig6-n14",
+     "--disjoint-holes 5 --no-disjoint-holes 6 --interior-disjoint-holes 3 "
+     "--no-interior-disjoint-holes 5", cli.FAIL, """\
+pass: contains disjoint 5 holes ((0, 5, 6, 7, 8))
+fail: no disjoint 6 holes (witness (2, 4, 7, 8, 9, 11))
+pass: contains interior-disjoint 3 holes ((0, 1, 2))
+fail: no interior-disjoint 5 holes (witness (0, 5, 6, 7, 8))
+result: fail
+"""),
 ]
 
 
@@ -544,6 +568,14 @@ def test_search_seed_spec_parsing():
         cli._seeds_arg("1,9-3")
     with pytest.raises(argparse.ArgumentTypeError):
         cli._seeds_arg("0-3,2")
+
+
+@pytest.mark.parametrize("spec", ["", ",", "-", "1-", "5-4"])
+def test_seed_spec_naming_no_seed_is_rejected(spec):
+    # every part parses to at least one seed or raises, so no list comes out empty
+    import argparse
+    with pytest.raises(argparse.ArgumentTypeError, match="expected seeds like"):
+        cli._seeds_arg(spec)
 
 
 # --- solve / recipe (need a real solver) ----------------------------------

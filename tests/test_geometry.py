@@ -77,7 +77,7 @@ def _tables(build):
         s = build()
     except (GeneralPositionError, TypeError) as exc:
         return type(exc), str(exc)
-    return s.points, s.left, s.three_holes, s.hole_ext
+    return s.points, s.left, s.hole_ext
 
 
 @given(st.integers(0, 10**6), st.integers(min_value=6, max_value=12))
@@ -109,9 +109,6 @@ def test_moved_set_equals_a_fresh_construction(seed, n):
     with pytest.raises(IndexError):
         s.moved(n, (0, 0))
     assert s.moved(-1, s.points[-1]).left == s.left
-    ext = s.hole_ext
-    for a, b, c in itertools.combinations(range(n), 3):
-        assert ((a, b, c) in s.three_holes) == bool(ext[a][b] >> c & 1)
 
 
 # negative numerators, and denominators that share factors, so that lifts meet

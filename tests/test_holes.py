@@ -166,9 +166,9 @@ def test_one_walk_enumeration_matches_brute_force_in_any_order(seed, n, signotop
 @settings(max_examples=25, deadline=None)
 def test_three_hole_table_is_exact(seed):
     s = random_point_set(8, random.Random(seed))
-    table = s.three_holes
-    for tri in itertools.combinations(range(8), 3):
-        assert (tri in table) == oracle_is_hole(s, tri)
+    ext = s.hole_ext
+    for a, b, c in itertools.combinations(range(8), 3):
+        assert (ext[a][b] >> c & 1 == 1) == oracle_is_hole(s, (a, b, c))
 
 
 @given(st.integers(0, 10**6), st.sampled_from([(2, 2), (2, 4), (3, 3), (3, 4), (4, 4)]))

@@ -232,6 +232,19 @@ def test_reverify_recounts_instead_of_reading_the_memo():
         search._reverify(s, obj)
 
 
+def test_local_search_rebuilds_a_start_set_that_already_scores_zero(monkeypatch):
+    # 3 points hold no two disjoint 2-holes, so the first random set is a witness
+    obj = SearchObjective("two-disjoint-holes", (2, 2))
+    checked = []
+    reverify = search._reverify
+    monkeypatch.setattr(search, "_reverify", lambda s, o: checked.append(s) or reverify(s, o))
+    found = local_search(3, obj, seed=0, budget=0)
+    assert len(checked) == 1 and checked[0].memo[obj] == 0
+    assert found == checked[0] and found is not checked[0]
+    assert found.memo is not checked[0].memo and found.memo[obj] == 0
+    assert objective_count(PointSet(found.points), obj) == 0
+
+
 def test_local_search_finds_gon_free_set():
     obj = SearchObjective("forbid-gon", (5,))
     found = local_search(8, obj, seed=0, budget=20000)
