@@ -154,8 +154,6 @@ def hulls_interior_disjoint(s: PointSet, x1: Iterable[int], x2: Iterable[int]) -
     """
     a1, m1 = _members(s, x1)
     a2, m2 = _members(s, x2)
-    if not a1 or not a2:
-        raise ValueError("subsets must be nonempty")
     if len(a1) < 3 or len(a2) < 3:
         raise ValueError("interior-disjointness needs at least 3 points each")
     if (m1 & m2).bit_count() >= 3:

@@ -186,8 +186,8 @@ def test_disjointness_deciders_stay_independent():
     assert not imported & (banned | {"*"})
 
 
-# (predicate, reads the signotope, takes two sets, members too few for it,
-# its size error)
+# (predicate, reads the signotope, takes two sets, members too few for it
+# besides none, its size error for both)
 _PREDICATES = [
     (geo.is_gon, False, False, [0, 1], "a gon needs"),
     (geo.hulls_disjoint, False, True, [], "nonempty"),
@@ -219,8 +219,9 @@ def test_bad_members_raise_the_same_errors_everywhere(
         for bad in (n, -1):
             with pytest.raises(IndexError, match="out of range"):
                 run([0, 2, bad])
-        with pytest.raises(ValueError, match=size_error):
-            run(too_few)
+        for few in ([], too_few):
+            with pytest.raises(ValueError, match=size_error):
+                run(few)
 
 
 @pytest.mark.parametrize("sizes, mode, error", [

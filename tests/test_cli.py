@@ -568,14 +568,10 @@ def test_search_seed_spec_parsing():
         cli._seeds_arg("1,9-3")
     with pytest.raises(argparse.ArgumentTypeError):
         cli._seeds_arg("0-3,2")
-
-
-@pytest.mark.parametrize("spec", ["", ",", "-", "1-", "5-4"])
-def test_seed_spec_naming_no_seed_is_rejected(spec):
     # every part parses to at least one seed or raises, so no list comes out empty
-    import argparse
-    with pytest.raises(argparse.ArgumentTypeError, match="expected seeds like"):
-        cli._seeds_arg(spec)
+    for spec in ("", ",", "-", "1-"):
+        with pytest.raises(argparse.ArgumentTypeError, match="expected seeds like"):
+            cli._seeds_arg(spec)
 
 
 # --- solve / recipe (need a real solver) ----------------------------------
