@@ -1,9 +1,9 @@
 """CNF encodings of k-hole avoidance problems over abstract point sets.
 
-A :class:`HoleProblem` fixes the point count, the structure to forbid, and
-encoding flags; :func:`build_instance` compiles it into a
-:class:`CnfInstance` with deterministic variable numbering (two builds of
-the same problem are byte-identical).
+A :class:`HoleProblem` fixes the point count, a mode of ``MODE_RULES`` (the
+mode table, re-exported from :mod:`holesat.holes`), sizes and flags, and
+:func:`build_instance` compiles it into a :class:`CnfInstance` with
+deterministic variable numbering: two builds of it are byte-identical.
 
 Variables, by registry tag:
 
@@ -48,21 +48,9 @@ from operator import add, neg
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .abstract import enumerate_from_table, in_triangle, is_gon
+from .holes import DISJOINT_FLAVOR, DISJOINT_MODES, MODE_RULES, MODES, SIZE_KIND
 
-# the rules of each mode: what its sizes count ("hole" or "gon"), the disjointness it asks
-# of a pair of holes (None: none), its least size and how many sizes it takes
-MODE_RULES = {
-    "two-disjoint-holes": ("hole", "disjoint", 2, 2),
-    "two-interior-disjoint-holes": ("hole", "interior-disjoint", 3, 2),
-    "forbid-hole": ("hole", None, 3, 1),
-    "forbid-gon": ("gon", None, 4, 1),
-    "count-holes": ("hole", None, 3, 1),
-}
 MAX_SIZE = 6  # the largest size the encoder takes, in every mode
-MODES = tuple(MODE_RULES)
-SIZE_KIND = {mode: kind for mode, (kind, *_) in MODE_RULES.items()}
-DISJOINT_FLAVOR = {mode: flavor for mode, (_, flavor, *_) in MODE_RULES.items() if flavor}
-DISJOINT_MODES = tuple(DISJOINT_FLAVOR)
 Text = list[tuple[str, Iterable[str]]]  # (label, DIMACS pieces) per group
 PIECE = 256  # subsets per text piece of the orientation, definition and forbid groups
 

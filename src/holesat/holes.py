@@ -11,12 +11,12 @@ k-gon whose hull holds no other point; in general position every 2-subset is
 a (degenerate) hole. Holes and gons are sorted index tuples; predicates take
 members in any order, which :func:`_members` checks and masks.
 
-The orientation-only predicates, the hole and gon enumerations (4-gons
-included: no separate table) and the tuple search (:func:`disjoint_tuples`,
-with the front ends :func:`first_tuple` and :func:`count_tuples`) also
-serve the Signotope oracle of :mod:`holesat.abstract`, which passes the
-generator its own deciders. The disjointness deciders here are never
-shared with it, so the two oracles decide disjointness independently.
+The orientation-only predicates, the hole and gon enumerations and the
+tuple search (:func:`disjoint_tuples`, read by :func:`first_tuple` and
+:func:`count_tuples`) serve :mod:`holesat.abstract` too, with its own
+disjointness deciders. ``MODE_RULES``, read by every front end, gives per
+mode what its sizes count ("hole" or "gon"), the disjointness it asks of
+two holes (None: none), its least size and how many sizes it takes.
 """
 
 from __future__ import annotations
@@ -27,6 +27,17 @@ from typing import Iterable, Iterator, Literal, Sequence
 from .geometry import PointSet, open_triangle
 
 DisjointMode = Literal["disjoint", "interior-disjoint"]
+MODE_RULES = {
+    "two-disjoint-holes": ("hole", "disjoint", 2, 2),
+    "two-interior-disjoint-holes": ("hole", "interior-disjoint", 3, 2),
+    "forbid-hole": ("hole", None, 3, 1),
+    "forbid-gon": ("gon", None, 4, 1),
+    "count-holes": ("hole", None, 3, 1),
+}
+MODES = tuple(MODE_RULES)
+SIZE_KIND = {mode: kind for mode, (kind, *_) in MODE_RULES.items()}
+DISJOINT_FLAVOR = {mode: flavor for mode, (_, flavor, *_) in MODE_RULES.items() if flavor}
+DISJOINT_MODES = tuple(DISJOINT_FLAVOR)
 
 
 def _members(s: PointSet, x: Iterable[int]) -> tuple[tuple[int, ...], int]:
@@ -65,8 +76,10 @@ def enumerate_from_table(s: PointSet, k: int, kind: str) -> list[tuple[int, ...]
     is a 4-gon, so one table decides all larger sizes: ``s.hole_ext``, or
     rows built from :func:`is_gon`. One walk finds every size up to k and
     keeps them in ``s.memo``, so a smaller size asked later costs a copy.
-    Sizes above n have none; sizes below the least are an error.
+    Sizes above n have none; sizes below the least and other kinds are errors.
     """
+    if kind not in SIZE_KIND.values():
+        raise ValueError(f"unknown kind {kind!r}")
     least = 2 if kind == "hole" else 3
     if k < least:
         raise ValueError(f"{kind} size {k} is below {least}")
@@ -231,23 +244,23 @@ def disjoint_tuples(
     """Depth-first search for pairwise compatible holes, stopped one slot early.
 
     The oracle's own hole enumeration and disjointness deciders are
-    arguments, so each oracle decides with its own predicates. Each size
-    class is enumerated once, largest first, so one walk finds them all
-    (:func:`enumerate_from_table`), and compatibility is decided once per
+    arguments. ``MODE_RULES`` gives the flavor's least size and number of
+    sizes (two or more). Each size class is enumerated once, largest first,
+    so one walk finds them all, and compatibility is decided once per
     ordered size pair of two slots, as bitmask rows (:func:`_compat_rows`).
     Yields, in search order, the holes chosen for all slots but the last
     (a list reused between yields), the nonzero bitmask of the last slot's
     candidates, and that slot's hole list. Equal-size slots take
     increasing positions, so each set of holes is found once.
     """
-    if not sizes:
-        raise ValueError("need at least one size")
-    minimum = 3 if mode == "interior-disjoint" else 2
-    if any(k < minimum for k in sizes):
-        raise ValueError(f"sizes must be >= {minimum} in {mode} mode")
     decide = {"disjoint": disjoint, "interior-disjoint": interior_disjoint}.get(mode)
     if decide is None:
         raise ValueError(f"unknown mode {mode!r}")
+    _, _, least, arity = next(rules for rules in MODE_RULES.values() if rules[1] == mode)
+    if len(sizes) < arity:  # arity 2: two sizes or more
+        raise ValueError(f"{mode} mode needs at least two sizes")
+    if any(k < least for k in sizes):
+        raise ValueError(f"sizes must be >= {least} in {mode} mode")
     by_size = {k: enumerate_holes(s, k) for k in sorted(set(sizes), reverse=True)}
     classes = [by_size[k] for k in sizes]
     if not all(classes):
@@ -294,9 +307,6 @@ def _tuple_dfs(classes, rows, chosen: list, pos: int, candidates: list[int]):
     # the search of disjoint_tuples from slot pos on; a module function,
     # not a closure, for the reason given at _grow. An equal-size row
     # holds only later holes, which keeps equal-size slots increasing.
-    if pos == len(classes) - 1:  # only a one-slot search starts here
-        yield chosen, candidates[pos], classes[pos]
-        return
     mask = candidates[pos]
     while mask:
         low = mask & -mask

@@ -225,9 +225,12 @@ def test_bad_members_raise_the_same_errors_everywhere(
 
 
 @pytest.mark.parametrize("sizes, mode, error", [
-    ((), "disjoint", "need at least one size"),
+    ((), "disjoint", "disjoint mode needs at least two sizes"),
     ((2, 5), "interior-disjoint", "sizes must be >= 3 in interior-disjoint mode"),
     ((3, 3), "overlapping", "unknown mode 'overlapping'"),
+    # one size is no tuple
+    ((5,), "disjoint", "disjoint mode needs at least two sizes"),
+    ((5,), "interior-disjoint", "interior-disjoint mode needs at least two sizes"),
 ])
 @pytest.mark.parametrize("on_sig", [False, True], ids=["PointSet", "Signotope"])
 def test_tuple_search_rejects_bad_sizes_and_modes(on_sig, sizes, mode, error):
@@ -235,24 +238,6 @@ def test_tuple_search_rejects_bad_sizes_and_modes(on_sig, sizes, mode, error):
     find = abstract.find_disjoint_tuple if on_sig else geo.find_disjoint_tuple
     with pytest.raises(ValueError, match=error):
         find(sig if on_sig else s, sizes, mode)
-
-
-@pytest.mark.parametrize("mode", ["disjoint", "interior-disjoint"])
-@pytest.mark.parametrize("on_sig", [False, True], ids=["PointSet", "Signotope"])
-def test_one_slot_tuple_search_gives_the_holes_of_its_size(on_sig, mode):
-    # one size: no pair is decided, and each k-hole is a tuple of its own
-    s, sig = _canonical(3, 9)
-    oracle, table = (abstract, sig) if on_sig else (geo, s)
-    deciders = (
-        (abstract.holes_disjoint, abstract.holes_interior_disjoint) if on_sig
-        else (geo.hulls_disjoint, geo.hulls_interior_disjoint)
-    )
-    for k in (3, 4, 5, 6):
-        holes = oracle.enumerate_holes(table, k)
-        search = lambda: geo.disjoint_tuples(table, (k,), mode, oracle.enumerate_holes, *deciders)
-        assert geo.first_tuple(search()) == (holes[:1] or None)
-        assert oracle.find_disjoint_tuple(table, (k,), mode) == (holes[:1] or None)
-        assert geo.count_tuples(search()) == len(holes)
 
 
 @pytest.mark.parametrize("on_sig", [False, True], ids=["PointSet", "Signotope"])
@@ -269,6 +254,10 @@ def test_in_triangle_rejects_bad_indices(on_sig):
             abstract.in_triangle(table, bad, 1, 2, 3)
         with pytest.raises(IndexError, match="out of range"):
             abstract.in_triangle(table, 4, 1, 2, bad)
+    # so does the enumeration with its kind, before it builds or keeps any table
+    with pytest.raises(ValueError, match="unknown kind 'holes'"):
+        (abstract if on_sig else geo).enumerate_from_table(table, 4, "holes")
+    assert table.memo == {}
 
 
 @given(st.integers(0, 10**6), st.integers(min_value=6, max_value=11))

@@ -292,16 +292,6 @@ fail: no interior-disjoint 4/4 holes (witness (0, 1, 2, 3) (0, 3, 4, 5))
 result: fail
 """),
     ("fig4-n21", "", cli.PASS, "pass: general position (21 points)\nresult: pass\n"),
-    # one size: the one-slot tuple search, whose tuple is the first hole of that size
-    ("fig6-n14",
-     "--disjoint-holes 5 --no-disjoint-holes 6 --interior-disjoint-holes 3 "
-     "--no-interior-disjoint-holes 5", cli.FAIL, """\
-pass: contains disjoint 5 holes ((0, 5, 6, 7, 8))
-fail: no disjoint 6 holes (witness (2, 4, 7, 8, 9, 11))
-pass: contains interior-disjoint 3 holes ((0, 1, 2))
-fail: no interior-disjoint 5 holes (witness (0, 5, 6, 7, 8))
-result: fail
-"""),
 ]
 
 
@@ -316,6 +306,11 @@ def test_verify_witness_outputs_are_pinned(tmp_path, capsys, name, flags, code, 
 @pytest.mark.parametrize("flags, error", [
     ("--interior-disjoint-holes 2,5", "sizes must be >= 3 in interior-disjoint mode"),
     ("--disjoint-holes 1,5", "sizes must be >= 2 in disjoint mode"),
+    # one size is no tuple, under every flag that claims one
+    ("--disjoint-holes 5", "disjoint mode needs at least two sizes"),
+    ("--no-disjoint-holes 6", "disjoint mode needs at least two sizes"),
+    ("--interior-disjoint-holes 3", "interior-disjoint mode needs at least two sizes"),
+    ("--no-interior-disjoint-holes 5", "interior-disjoint mode needs at least two sizes"),
 ])
 def test_verify_witness_tuple_sizes_below_the_least_exit_two(tmp_path, capsys, flags, error):
     path = tmp_path / "fig6.txt"
