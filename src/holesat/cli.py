@@ -48,12 +48,9 @@ PASS, FAIL, ERROR = 0, 1, 2
 
 def _sizes_arg(text: str) -> tuple[int, ...]:
     try:
-        sizes = tuple(int(t) for t in text.replace(",", " ").split())
+        return tuple(int(t) for t in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not sizes:
-        raise argparse.ArgumentTypeError("empty size list")
-    return sizes
 
 
 def _seeds_arg(text: str) -> list[int]:

@@ -1,9 +1,9 @@
 """CNF encodings of k-hole avoidance problems over abstract point sets.
 
-A :class:`HoleProblem` fixes the point count, a mode of ``MODE_RULES`` (the
-mode table, re-exported from :mod:`holesat.holes`), sizes and flags, and
-:func:`build_instance` compiles it into a :class:`CnfInstance` with
-deterministic variable numbering: two builds of it are byte-identical.
+A :class:`HoleProblem` fixes the point count, a mode of ``MODE_RULES`` and
+sizes that ``check_sizes`` (both from :mod:`holesat.holes`) and the
+encoder's limits (two at most, none above ``MAX_SIZE``) allow, and flags.
+:func:`build_instance` compiles it; two builds of it are byte-identical.
 
 Variables, by registry tag:
 
@@ -48,7 +48,7 @@ from operator import add, neg
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .abstract import enumerate_from_table, in_triangle, is_gon
-from .holes import DISJOINT_FLAVOR, DISJOINT_MODES, MODE_RULES, MODES, SIZE_KIND
+from .holes import DISJOINT_FLAVOR, DISJOINT_MODES, MODE_RULES, MODES, SIZE_KIND, check_sizes
 
 MAX_SIZE = 6  # the largest size the encoder takes, in every mode
 Text = list[tuple[str, Iterable[str]]]  # (label, DIMACS pieces) per group
@@ -79,11 +79,11 @@ class HoleProblem:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.orient_vars not in ("compact", "explicit"):
             raise ValueError(f"unknown orient_vars {self.orient_vars!r}")
-        _, _, lo, arity = MODE_RULES[self.mode]
-        if len(self.sizes) != arity:
-            raise ValueError(f"{self.mode} takes {arity} size(s), got {self.sizes}")
-        if any(not lo <= k <= MAX_SIZE for k in self.sizes):
-            raise ValueError(f"sizes {self.sizes} outside [{lo},{MAX_SIZE}] for {self.mode}")
+        check_sizes(self.mode, self.sizes)
+        if len(self.sizes) > 2:  # the disjoint modes: exactly two
+            raise ValueError(f"the encoder takes two sizes in {self.mode}, got {self.sizes}")
+        if max(self.sizes) > MAX_SIZE:
+            raise ValueError(f"the encoder takes no size above {MAX_SIZE}, got {self.sizes}")
         if self.mode == "count-holes":
             if self.threshold < 1:
                 raise ValueError("count-holes needs threshold >= 1")

@@ -14,9 +14,9 @@ members in any order, which :func:`_members` checks and masks.
 The orientation-only predicates, the hole and gon enumerations and the
 tuple search (:func:`disjoint_tuples`, read by :func:`first_tuple` and
 :func:`count_tuples`) serve :mod:`holesat.abstract` too, with its own
-disjointness deciders. ``MODE_RULES``, read by every front end, gives per
-mode what its sizes count ("hole" or "gon"), the disjointness it asks of
-two holes (None: none), its least size and how many sizes it takes.
+disjointness deciders. ``MODE_RULES`` gives per mode what its sizes count
+("hole" or "gon"), the disjointness of two holes (None: none), its least
+size and how many sizes it takes, which :func:`check_sizes` enforces.
 """
 
 from __future__ import annotations
@@ -38,6 +38,16 @@ MODES = tuple(MODE_RULES)
 SIZE_KIND = {mode: kind for mode, (kind, *_) in MODE_RULES.items()}
 DISJOINT_FLAVOR = {mode: flavor for mode, (_, flavor, *_) in MODE_RULES.items() if flavor}
 DISJOINT_MODES = tuple(DISJOINT_FLAVOR)
+
+
+def check_sizes(mode: str, sizes: Sequence[int]) -> None:
+    """Raise ValueError unless ``mode`` takes ``sizes``, as ``MODE_RULES`` says."""
+    _, _, least, arity = MODE_RULES[mode]
+    count = "one size" if arity == 1 else "two or more sizes"
+    if len(sizes) < arity or (arity == 1 and len(sizes) > 1):
+        raise ValueError(f"{mode} takes {count}, got {tuple(sizes)}")
+    if min(sizes) < least:
+        raise ValueError(f"{mode} takes no size below {least}, got {tuple(sizes)}")
 
 
 def _members(s: PointSet, x: Iterable[int]) -> tuple[tuple[int, ...], int]:
@@ -244,8 +254,8 @@ def disjoint_tuples(
     """Depth-first search for pairwise compatible holes, stopped one slot early.
 
     The oracle's own hole enumeration and disjointness deciders are
-    arguments. ``MODE_RULES`` gives the flavor's least size and number of
-    sizes (two or more). Each size class is enumerated once, largest first,
+    arguments; :func:`check_sizes` checks the sizes for the flavor's mode
+    (two or more). Each size class is enumerated once, largest first,
     so one walk finds them all, and compatibility is decided once per
     ordered size pair of two slots, as bitmask rows (:func:`_compat_rows`).
     Yields, in search order, the holes chosen for all slots but the last
@@ -256,11 +266,7 @@ def disjoint_tuples(
     decide = {"disjoint": disjoint, "interior-disjoint": interior_disjoint}.get(mode)
     if decide is None:
         raise ValueError(f"unknown mode {mode!r}")
-    _, _, least, arity = next(rules for rules in MODE_RULES.values() if rules[1] == mode)
-    if len(sizes) < arity:  # arity 2: two sizes or more
-        raise ValueError(f"{mode} mode needs at least two sizes")
-    if any(k < least for k in sizes):
-        raise ValueError(f"sizes must be >= {least} in {mode} mode")
+    check_sizes(next(m for m, flavor in DISJOINT_FLAVOR.items() if flavor == mode), sizes)
     by_size = {k: enumerate_holes(s, k) for k in sorted(set(sizes), reverse=True)}
     classes = [by_size[k] for k in sizes]
     if not all(classes):

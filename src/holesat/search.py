@@ -1,13 +1,13 @@
 """Simulated annealing over integer point sets to find lower-bound witnesses.
 
 A :class:`SearchObjective` counts forbidden structures (k-holes, k-gons,
-tuples of pairwise disjoint holes); a point set with objective zero is a
-witness for the corresponding lower bound. The annealer moves one point at
-a time (:meth:`PointSet.moved`, which re-orients only the triples through
-it) with a geometrically cooling step size, rejects any move that breaks
-general position, and is fully deterministic for a given seed. A move that
-keeps the order type keeps the count too (``memo``). Returned witnesses are
-built and counted afresh, with exact arithmetic, before being handed back.
+tuples of pairwise disjoint holes; :func:`holes.check_sizes` checks the
+sizes); a set with objective zero witnesses the corresponding lower bound.
+The annealer moves one point at a time (:meth:`PointSet.moved`, which
+re-orients only the triples through it) with a geometrically cooling step
+size, rejects any move that breaks general position, and is deterministic
+for a given seed. A move that keeps the order type keeps the count too
+(``memo``). A returned witness is built and counted afresh, exactly.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ import signal
 from concurrent.futures import Future, as_completed
 from dataclasses import dataclass
 
-from .encoder import DISJOINT_FLAVOR, DISJOINT_MODES, MODE_RULES, SIZE_KIND
+from .encoder import DISJOINT_FLAVOR, DISJOINT_MODES, SIZE_KIND
 from .geometry import GeneralPositionError, Point, PointSet
 from .holes import (
+    check_sizes,
     count_tuples,
     disjoint_tuples,
     enumerate_from_table,
@@ -59,13 +60,7 @@ class SearchObjective:
         object.__setattr__(self, "sizes", tuple(self.sizes))
         if self.mode not in OBJECTIVE_MODES:
             raise ValueError(f"unknown objective mode {self.mode!r}")
-        _, _, least, arity = MODE_RULES[self.mode]  # arity 2: two sizes or more
-        if arity == 1 and len(self.sizes) != 1:
-            raise ValueError(f"{self.mode} takes a single size")
-        if len(self.sizes) < arity:
-            raise ValueError(f"{self.mode} needs at least two sizes")
-        if any(k < least for k in self.sizes):
-            raise ValueError(f"sizes {self.sizes} below minimum {least}")
+        check_sizes(self.mode, self.sizes)
 
     def describe(self) -> str:
         if self.mode not in DISJOINT_FLAVOR:

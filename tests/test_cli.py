@@ -19,6 +19,7 @@ from holesat import cli, recipes, search
 from holesat.constructions import witness
 from holesat.encoder import HoleProblem, assignment_from_chirotope
 from holesat.geometry import PointSet, canonicalize, chirotope, write_points
+from holesat.holes import DISJOINT_FLAVOR
 from holesat.recipes import RECIPE_NAMES, recipe_steps
 from holesat.solver import DEFAULT_TIMEOUT, default_timeout
 
@@ -154,8 +155,12 @@ def test_hints_below_ten_points_rejected(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("sizes, error", [
     ("5,x", "expected comma-separated integers, got '5,x'"),
-    ("", "empty size list"),
-    (",", "empty size list"),
+    ("", "expected comma-separated integers, got ''"),
+    (",", "expected comma-separated integers, got ','"),
+    # an empty field is no size
+    ("5,,5", "expected comma-separated integers, got '5,,5'"),
+    ("5,", "expected comma-separated integers, got '5,'"),
+    (",5", "expected comma-separated integers, got ',5'"),
 ])
 def test_bad_size_list_exits_two(tmp_path, capsys, sizes, error):
     with pytest.raises(SystemExit) as exit_:
@@ -304,20 +309,38 @@ def test_verify_witness_outputs_are_pinned(tmp_path, capsys, name, flags, code, 
 
 
 @pytest.mark.parametrize("flags, error", [
-    ("--interior-disjoint-holes 2,5", "sizes must be >= 3 in interior-disjoint mode"),
-    ("--disjoint-holes 1,5", "sizes must be >= 2 in disjoint mode"),
+    ("--interior-disjoint-holes 2,5",
+     "two-interior-disjoint-holes takes no size below 3, got (2, 5)"),
+    ("--disjoint-holes 1,5", "two-disjoint-holes takes no size below 2, got (1, 5)"),
     # one size is no tuple, under every flag that claims one
-    ("--disjoint-holes 5", "disjoint mode needs at least two sizes"),
-    ("--no-disjoint-holes 6", "disjoint mode needs at least two sizes"),
-    ("--interior-disjoint-holes 3", "interior-disjoint mode needs at least two sizes"),
-    ("--no-interior-disjoint-holes 5", "interior-disjoint mode needs at least two sizes"),
+    ("--disjoint-holes 5", "two-disjoint-holes takes two or more sizes, got (5,)"),
+    ("--no-disjoint-holes 6", "two-disjoint-holes takes two or more sizes, got (6,)"),
+    ("--interior-disjoint-holes 3",
+     "two-interior-disjoint-holes takes two or more sizes, got (3,)"),
+    ("--no-interior-disjoint-holes 5",
+     "two-interior-disjoint-holes takes two or more sizes, got (5,)"),
 ])
-def test_verify_witness_tuple_sizes_below_the_least_exit_two(tmp_path, capsys, flags, error):
+def test_verify_witness_tuple_sizes_below_the_least_exit_two(
+    tmp_path, monkeypatch, capsys, flags, error
+):
+    # one fault, one error line: search and encode refuse the same sizes in
+    # the flag's mode with the same line, before any work starts
+    claim, sizes = flags.split()
+    flavor = claim.removeprefix("--").removeprefix("no-").removesuffix("-holes")
+    mode = next(m for m, f in DISJOINT_FLAVOR.items() if f == flavor)
     path = tmp_path / "fig6.txt"
     write_points(path, witness("fig6-n14"))
-    assert run(["verify-witness", str(path)] + flags.split()) == cli.ERROR
-    out = capsys.readouterr()
-    assert (out.out, out.err) == ("", f"error: {error}\n")
+    started = []
+    monkeypatch.setattr(search, "local_search", lambda *args, **kw: started.append(args))
+    for argv in (
+        ["verify-witness", str(path), claim, sizes],
+        ["search", "--n", "8", "--mode", mode, "--sizes", sizes, "--seeds", "0", "--workers", "1"],
+        ["encode", "--n", "8", "--mode", mode, "--sizes", sizes, "-o", str(tmp_path / "x.cnf")],
+    ):
+        assert run(argv) == cli.ERROR, argv
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {error}\n"), argv
+    assert started == [] and os.listdir(tmp_path) == ["fig6.txt"]
 
 
 def test_sizes_above_n_count_zero(tmp_path, capsys):
@@ -445,7 +468,7 @@ def test_search_gon_size_three_exits_two(monkeypatch, capsys):
                 "--workers", "1", "--budget", "300"])
     assert code == cli.ERROR and started == []
     out = capsys.readouterr()
-    assert out.out == "" and out.err == "error: sizes (3,) below minimum 4\n"
+    assert out.out == "" and out.err == "error: forbid-gon takes no size below 4, got (3,)\n"
 
 
 def test_parallel_search_finds_witness(tmp_path):

@@ -97,8 +97,11 @@ def test_size_range_pinned_at_both_ends(mode):
     threshold = int(mode == "count-holes")
     for k in (least, 6):
         assert HoleProblem(n=8, mode=mode, sizes=sizes(k), threshold=threshold).sizes == sizes(k)
-    for k in (least - 1, 7):
-        with pytest.raises(ValueError, match=re.escape(f"outside [{least},6] for {mode}")):
+    for k, error in [
+        (least - 1, f"{mode} takes no size below {least}, got {sizes(least - 1)}"),
+        (7, f"the encoder takes no size above 6, got {sizes(7)}"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(error)):
             HoleProblem(n=8, mode=mode, sizes=sizes(k), threshold=threshold)
 
 

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import multiprocessing
 import random
+import re
 import signal
 import threading
 
@@ -40,24 +41,27 @@ def test_objective_validation():
     SearchObjective("two-disjoint-holes", (2, 4, 4))
     with pytest.raises(ValueError, match="unknown objective mode"):
         SearchObjective("no-such-mode", (5,))
-    with pytest.raises(ValueError, match="single size"):
-        SearchObjective("forbid-gon", (5, 5))
-    with pytest.raises(ValueError, match="at least two sizes"):
-        SearchObjective("two-disjoint-holes", (5,))
-    with pytest.raises(ValueError, match="below minimum"):
-        SearchObjective("forbid-hole", (2,))
-    with pytest.raises(ValueError, match="below minimum"):
-        SearchObjective("two-interior-disjoint-holes", (2, 4))
-    with pytest.raises(ValueError, match="below minimum 4"):
-        SearchObjective("forbid-gon", (3,))  # every 3-subset is a 3-gon
+    for mode, sizes, error in [
+        ("forbid-gon", (5, 5), "forbid-gon takes one size, got (5, 5)"),
+        ("two-disjoint-holes", (5,), "two-disjoint-holes takes two or more sizes, got (5,)"),
+        ("forbid-hole", (2,), "forbid-hole takes no size below 3, got (2,)"),
+        ("two-interior-disjoint-holes", (2, 4),
+         "two-interior-disjoint-holes takes no size below 3, got (2, 4)"),
+        # every 3-subset is a 3-gon
+        ("forbid-gon", (3,), "forbid-gon takes no size below 4, got (3,)"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(error)):
+            SearchObjective(mode, sizes)
 
 
 @pytest.mark.parametrize("mode", OBJECTIVE_MODES)
 def test_objective_least_size_is_the_encoders(mode):
     least, arity = MODE_SIZES[mode]
     assert SearchObjective(mode, (least,) * arity).sizes == (least,) * arity
-    with pytest.raises(ValueError, match=f"below minimum {least}$"):
-        SearchObjective(mode, (least,) * (arity - 1) + (least - 1,))
+    bad = (least,) * (arity - 1) + (least - 1,)
+    error = f"{mode} takes no size below {least}, got {bad}"
+    with pytest.raises(ValueError, match=re.escape(error) + "$"):
+        SearchObjective(mode, bad)
 
 
 def test_objective_describe():
