@@ -36,10 +36,8 @@ from .solver import (
     MODEL_DECODING_FAILED,
     SolverError,
     default_workers,
-    discover_checker,
-    discover_solver,
-    find_checker,
     resolve_timeout,
+    resolve_tools,
     solve_instance,
 )
 
@@ -149,15 +147,10 @@ def cmd_encode(args) -> int:
 
 def cmd_solve(args) -> int:
     problem = _problem_from_args(args)
-    solver = discover_solver(args.solver)
-    # naming a checker asks for a checked proof, as --check does, and a
-    # named checker must resolve; with a bare --proof any checker will do
-    wanted = args.check or args.checker
-    want_proof = bool(args.proof or wanted)
-    if want_proof:
-        solver.require_proof()
-    find = discover_checker if wanted else find_checker
-    checker = find(args.checker) if want_proof else None
+    # naming a checker asks for a checked proof, as --check does
+    checked = args.check or args.checker is not None
+    want_proof = bool(args.proof) or checked
+    solver, checker = resolve_tools(args.solver, args.checker, want_proof, checked)
     timeout = resolve_timeout(args.timeout)
     inst = build_instance(problem)
     # a temporary directory unless --workdir names one to keep
@@ -232,10 +225,10 @@ def cmd_construct(args) -> int:
         if args.n is None:
             raise ValueError(f"{args.name} needs --n")
         maker = generate_double_circle if args.name == "double-circle" else generate_two_ring
-        s = maker(args.n, radius=args.radius)
+        s = maker(args.n, radius=DEFAULT_RADIUS if args.radius is None else args.radius)
     else:
-        if args.n is not None:
-            raise ValueError(f"{args.name} has a fixed size; drop --n")
+        if args.n is not None or args.radius is not None:
+            raise ValueError(f"{args.name} is a bundled witness; it takes no --n or --radius")
         s = witness(args.name)
     if args.output:
         write_points(args.output, s, header=f"{args.name} n={len(s)}")
@@ -270,10 +263,12 @@ def cmd_search(args) -> int:
 
 
 def cmd_recipe(args) -> int:
+    if args.no_proof and args.checker is not None:
+        raise ValueError("--checker checks proofs, which --no-proof turns off; drop one")
     results = run_recipe(
         args.name,
-        solver=discover_solver(args.solver),
-        checker=discover_checker(args.checker) if args.checker else None,
+        solver=args.solver,
+        checker=args.checker,
         timeout=args.timeout,
         workers=args.workers,
         workdir=args.workdir,
@@ -353,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="generate or emit a known point set")
     p.add_argument("name", choices=("double-circle", "two-ring") + tuple(sorted(WITNESS_COORDS)))
     p.add_argument("--n", type=int, help="size for the generators")
-    p.add_argument("--radius", type=int, default=DEFAULT_RADIUS,
-                   help="outer radius for the generators")
+    p.add_argument("--radius", type=int, help=f"generator outer radius (default {DEFAULT_RADIUS})")
     p.add_argument("-o", "--output", help="write a point file instead of stdout")
     p.set_defaults(func=cmd_construct)
 

@@ -82,6 +82,8 @@ def generate_two_ring(n: int, radius: int = DEFAULT_RADIUS) -> PointSet:
 
 def _rounded(name: str, n: int, radius: int, place, valid) -> PointSet:
     """The first placement in general position that passes ``valid``, doubling the radius."""
+    if radius < 1:
+        raise ValueError(f"{name} needs a radius of at least 1, got {radius}")
     for attempt in range(_MAX_ATTEMPTS):
         try:
             s = PointSet(place(radius << attempt))

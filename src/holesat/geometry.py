@@ -378,7 +378,7 @@ def project_normalize(s: PointSet) -> PointSet:
 def read_points(path: str) -> PointSet:
     """Read the point-set file format: one ``x y`` integer pair per line.
 
-    Lines starting with ``#`` are comments; blank lines are ignored.
+    Lines starting with ``#`` are comments; blank lines are ignored; a point is required.
     """
     points = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -391,6 +391,8 @@ def read_points(path: str) -> PointSet:
             except ValueError as exc:  # not two fields, or not integers
                 raise ValueError(f"{path}:{lineno}: expected two integers, got {line!r}") from exc
             points.append((x, y))
+    if not points:
+        raise ValueError(f"{path}: no points (only blank or '#' lines)")
     return PointSet(points)
 
 

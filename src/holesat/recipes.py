@@ -16,9 +16,8 @@ from .solver import (
     SolveReport,
     SolverConfig,
     default_workers,
-    discover_solver,
-    find_checker,
     resolve_timeout,
+    resolve_tools,
     run_batch,
 )
 
@@ -90,8 +89,8 @@ def recipe_steps(name: str) -> list[RecipeStep]:
 
 def run_recipe(
     name: str,
-    solver: SolverConfig | None = None,
-    checker: CheckerConfig | None = None,
+    solver: SolverConfig | str | None = None,
+    checker: CheckerConfig | str | None = None,
     timeout: float | None = None,
     workers: int | None = None,
     workdir=None,
@@ -99,15 +98,12 @@ def run_recipe(
 ) -> list[tuple[RecipeStep, SolveReport]]:
     """(step, report) pairs, in step order.
 
-    The solver (and its proof template, when a proof is wanted), checker,
-    timeout and worker count are resolved before any instance is built, so
-    a configuration error costs no encoding.
+    The tools (:func:`~holesat.solver.resolve_tools`), timeout and worker
+    count are resolved before any instance is built, so a configuration
+    error costs no encoding.
     """
     steps = recipe_steps(name)
-    solver = solver or discover_solver()
-    if want_proof:
-        solver.require_proof()
-        checker = checker or find_checker()
+    solver, checker = resolve_tools(solver, checker, want_proof)
     timeout = resolve_timeout(timeout)
     workers = workers if workers is not None else default_workers()
     instances = [build_instance(s.problem) for s in steps]

@@ -195,12 +195,22 @@ def discover_checker(spec=None) -> CheckerConfig:
     return _discover(spec, "checker", KNOWN_CHECKERS, CheckerConfig, "proof checker")
 
 
-def find_checker(spec=None) -> CheckerConfig | None:
-    """A checker named anywhere (it must resolve), else one on PATH, else None."""
-    try:
-        return discover_checker(spec)
-    except ToolNotFound:
-        return None
+def resolve_tools(solver=None, checker=None, want_proof=False, checked=False):
+    """(solver, checker or None) for a solve: the one rule for which tools prove it.
+
+    A config passes straight through. A proof needs the solver's proof template
+    and a checker: a named one, or any one when ``checked``, must resolve; else
+    one found by :func:`discover_checker`, or None, which leaves UNSAT ``skipped``.
+    """
+    solver = discover_solver(solver)
+    if want_proof:
+        solver.require_proof()
+        try:
+            return solver, discover_checker(checker)
+        except ToolNotFound:
+            if checked:
+                raise
+    return solver, None
 
 
 def _setting(key: str, default, cast):
@@ -485,22 +495,18 @@ def solve_instance(
     """Write, solve, and verify one instance end to end.
 
     SAT models are decoded and checked semantically (verification field
-    ``passed``/``failed``; a model that does not decode fails). When a
-    proof is wanted and no checker is passed, :func:`find_checker` picks
-    one before the solve; only when it finds none does an UNSAT verdict
-    stay ``skipped``. Without
+    ``passed``/``failed``; a model that does not decode fails). The tools
+    come from :func:`resolve_tools` before the solve. Without
     ``workdir`` the files go to a temporary directory that is removed
     before returning, and the report names no certificate.
     """
-    cfg = solver or discover_solver()
     if workdir is None:
         # files live only as long as the call; the certificate goes with them
         with tempfile.TemporaryDirectory(prefix="holesat-") as own:
-            report = solve_instance(instance, cfg, checker, timeout, own, want_proof)
+            report = solve_instance(instance, solver, checker, timeout, own, want_proof)
         report.certificate_path = None
         return report
-    if want_proof and checker is None:
-        checker = find_checker()
+    solver, checker = resolve_tools(solver, checker, want_proof)
     base = Path(workdir)
     base.mkdir(parents=True, exist_ok=True)
     key = instance.problem.key()
@@ -508,7 +514,7 @@ def solve_instance(
     instance.write_dimacs(cnf)
     instance.write_registry(base / f"{key}.reg")
     proof = base / f"{key}.drat" if want_proof else None
-    report = run_solver(cnf, cfg, timeout=timeout, proof_path=proof)
+    report = run_solver(cnf, solver, timeout=timeout, proof_path=proof)
     report.instance = key
     if report.verdict == "SAT" and report.model is not None:
         try:
@@ -524,7 +530,7 @@ def solve_instance(
                 f"model verification failed: {result.description}"
                 f" {result.counterexample}"
             )
-    elif report.verdict == "UNSAT" and want_proof and checker is not None:
+    elif report.verdict == "UNSAT" and checker is not None:
         ok, detail = run_proof_check(cnf, proof, checker, timeout=timeout)
         report.verification = "passed" if ok else "failed"
         if not ok:

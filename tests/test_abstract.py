@@ -232,6 +232,9 @@ def test_bad_members_raise_the_same_errors_everywhere(
     # one size is no tuple
     ((5,), "disjoint", "two-disjoint-holes takes two or more sizes, got (5,)"),
     ((5,), "interior-disjoint", "two-interior-disjoint-holes takes two or more sizes, got (5,)"),
+], ids=[
+    "disjoint-no-sizes", "interior-disjoint-2,5", "overlapping-3,3", "disjoint-5",
+    "interior-disjoint-5",
 ])
 @pytest.mark.parametrize("on_sig", [False, True], ids=["PointSet", "Signotope"])
 def test_tuple_search_rejects_bad_sizes_and_modes(on_sig, sizes, mode, error):

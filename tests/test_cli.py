@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from holesat import cli, recipes, search
-from holesat.constructions import witness
+from holesat.constructions import DEFAULT_RADIUS, witness
 from holesat.encoder import HoleProblem, assignment_from_chirotope
 from holesat.geometry import PointSet, canonicalize, chirotope, write_points
 from holesat.holes import DISJOINT_FLAVOR
@@ -161,7 +161,7 @@ def test_hints_below_ten_points_rejected(tmp_path, capsys, command):
     ("5,,5", "expected comma-separated integers, got '5,,5'"),
     ("5,", "expected comma-separated integers, got '5,'"),
     (",5", "expected comma-separated integers, got ',5'"),
-])
+], ids=["5,x", "empty", ",", "5,,5", "5,", ",5"])
 def test_bad_size_list_exits_two(tmp_path, capsys, sizes, error):
     with pytest.raises(SystemExit) as exit_:
         run(["encode", "--n", "6", "--mode", "forbid-hole", "--sizes", sizes,
@@ -226,6 +226,19 @@ def test_verify_witness_garbage_file_is_infrastructure_error(tmp_path, capsys):
         path.write_text(text)
         assert run(["verify-witness", str(path), "--hole", "3"]) == cli.ERROR
     assert run(["verify-witness", str(tmp_path / "absent.txt"), "--hole", "3"]) == cli.ERROR
+
+
+@pytest.mark.parametrize("text", ["", "\n# only a comment\n\n"], ids=["empty", "comment-only"])
+@pytest.mark.parametrize("command", [
+    ["verify-witness", "--no-disjoint-holes", "5,5"], ["count-holes", "--k", "5"],
+], ids=["verify-witness", "count-holes"])
+def test_point_file_without_points_exits_two(tmp_path, capsys, command, text):
+    # a file with no point would pass every --no-... claim
+    path = tmp_path / "blank.txt"
+    path.write_text(text)
+    assert run([command[0], str(path), *command[1:]]) == cli.ERROR
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {path}: no points (only blank or '#' lines)\n"
 
 
 def test_verify_witness_canonical_check(tmp_path, capsys):
@@ -319,6 +332,9 @@ def test_verify_witness_outputs_are_pinned(tmp_path, capsys, name, flags, code, 
      "two-interior-disjoint-holes takes two or more sizes, got (3,)"),
     ("--no-interior-disjoint-holes 5",
      "two-interior-disjoint-holes takes two or more sizes, got (5,)"),
+], ids=[
+    "--interior-disjoint-holes 2,5", "--disjoint-holes 1,5", "--disjoint-holes 5",
+    "--no-disjoint-holes 6", "--interior-disjoint-holes 3", "--no-interior-disjoint-holes 5",
 ])
 def test_verify_witness_tuple_sizes_below_the_least_exit_two(
     tmp_path, monkeypatch, capsys, flags, error
@@ -382,6 +398,20 @@ def test_construct_size_validation(capsys):
     assert run(["construct", "double-circle", "--n", "7"]) == cli.ERROR
     assert run(["construct", "two-ring"]) == cli.ERROR          # --n required
     assert run(["construct", "fig4-n21", "--n", "20"]) == cli.ERROR  # fixed size
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["fig2-n16", "--radius", "5"], "fig2-n16 is a bundled witness"),
+    (["fig2-n16", "--radius", str(DEFAULT_RADIUS)], "fig2-n16 is a bundled witness"),
+    (["double-circle", "--n", "8", "--radius", "-5"], "radius of at least 1, got -5"),
+    (["two-ring", "--n", "10", "--radius", "0"], "radius of at least 1, got 0"),
+], ids=["witness-radius", "witness-default-radius", "negative-radius", "zero-radius"])
+def test_construct_radius_rules_exit_two(capsys, argv, named):
+    # a witness has fixed coordinates, and a generator's radius is at least 1
+    assert run(["construct", *argv]) == cli.ERROR
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith("error: ") and named in out.err
 
 
 @pytest.mark.parametrize("name, n", [("two-ring", "100"), ("double-circle", "400")])
@@ -825,6 +855,21 @@ def test_solve_proof_without_any_checker_is_skipped(tmp_path, monkeypatch, capsy
     out = capsys.readouterr().out
     assert "verdict: UNSAT" in out and "verification: skipped" in out
     assert proof.read_text() == "0\n"
+
+
+@pytest.mark.parametrize("solver", [[], ["--solver", "gone"]], ids=["stub-solver", "no-solver"])
+def test_recipe_checker_without_proof_exits_two_before_any_lookup(
+    stub_bin, monkeypatch, capsys, solver
+):
+    # the checker resolves; with a solver that does not, the flags are still refused first
+    built = []
+    monkeypatch.setattr(recipes, "build_instance", built.append)
+    argv = ["recipe", "count-16", "--no-proof", "--checker", "confirming", *solver]
+    assert run(argv) == cli.ERROR
+    assert built == []
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith("error: ") and "--no-proof" in out.err
 
 
 def test_recipe_count_16_steps():

@@ -427,6 +427,13 @@ def test_read_points_rejects_garbage(tmp_path):
         read_points(path)
 
 
+def test_read_points_rejects_a_file_without_points(tmp_path):
+    path = tmp_path / "blank.txt"
+    path.write_text("# header\n\n   \n")
+    with pytest.raises(ValueError, match="no points"):
+        read_points(path)
+
+
 def test_write_points_requires_integers(tmp_path):
     s = PointSet([(Fraction(1, 2), 0), (2, 3), (4, 1)])
     with pytest.raises(ValueError, match="integer"):
