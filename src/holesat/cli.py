@@ -35,9 +35,9 @@ from .search import DEFAULT_BOX, OBJECTIVE_MODES, SearchObjective, search_witnes
 from .solver import (
     MODEL_DECODING_FAILED,
     SolverError,
-    default_workers,
     resolve_timeout,
     resolve_tools,
+    resolve_workers,
     solve_instance,
 )
 
@@ -126,6 +126,13 @@ def _exit_code(judged) -> int:
     return PASS if all(passed(report, expect) for report, expect in judged) else FAIL
 
 
+def _check_output_dirs(args, *flags) -> None:
+    """Refuse, before any work, an output path whose directory does not exist."""
+    for flag in flags:
+        if (path := getattr(args, flag)) and not Path(path).parent.is_dir():
+            raise ValueError(f"--{flag} {path}: no directory {Path(path).parent}")
+
+
 def cmd_encode(args) -> int:
     problem = _problem_from_args(args)
     out = Path(args.output or f"{problem.key()}.cnf")
@@ -147,6 +154,7 @@ def cmd_encode(args) -> int:
 
 def cmd_solve(args) -> int:
     problem = _problem_from_args(args)
+    _check_output_dirs(args, "proof", "summary")
     # naming a checker asks for a checked proof, as --check does
     checked = args.check or args.checker is not None
     want_proof = bool(args.proof) or checked
@@ -241,7 +249,7 @@ def cmd_construct(args) -> int:
 
 def cmd_search(args) -> int:
     obj = SearchObjective(args.mode, _sizes_from_args(args))
-    workers = args.workers if args.workers is not None else default_workers()
+    workers = resolve_workers(args.workers)
     result = search_witness(
         args.n, obj, seeds=args.seeds, budget=args.budget, box=args.box, workers=workers
     )
@@ -265,6 +273,7 @@ def cmd_search(args) -> int:
 def cmd_recipe(args) -> int:
     if args.no_proof and args.checker is not None:
         raise ValueError("--checker checks proofs, which --no-proof turns off; drop one")
+    _check_output_dirs(args, "report")
     results = run_recipe(
         args.name,
         solver=args.solver,

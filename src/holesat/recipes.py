@@ -10,16 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .encoder import HoleProblem, build_instance
-from .solver import (
-    CheckerConfig,
-    SolveReport,
-    SolverConfig,
-    default_workers,
-    resolve_timeout,
-    resolve_tools,
-    run_batch,
-)
+from .encoder import HoleProblem
+from .solver import SolveReport, run_batch
 
 
 @dataclass(frozen=True)
@@ -88,24 +80,10 @@ def recipe_steps(name: str) -> list[RecipeStep]:
 
 
 def run_recipe(
-    name: str,
-    solver: SolverConfig | str | None = None,
-    checker: CheckerConfig | str | None = None,
-    timeout: float | None = None,
-    workers: int | None = None,
-    workdir=None,
-    want_proof: bool = True,
+    name: str, *, want_proof: bool = True, **settings
 ) -> list[tuple[RecipeStep, SolveReport]]:
-    """(step, report) pairs, in step order.
-
-    The tools (:func:`~holesat.solver.resolve_tools`), timeout and worker
-    count are resolved before any instance is built, so a configuration
-    error costs no encoding.
-    """
+    """(step, report) pairs, in step order: the steps' problems through one
+    :func:`~holesat.solver.run_batch`, which takes ``settings`` as keywords."""
     steps = recipe_steps(name)
-    solver, checker = resolve_tools(solver, checker, want_proof)
-    timeout = resolve_timeout(timeout)
-    workers = workers if workers is not None else default_workers()
-    instances = [build_instance(s.problem) for s in steps]
-    reports = run_batch(instances, solver, checker, timeout, workers, workdir, want_proof)
+    reports = run_batch([s.problem for s in steps], want_proof=want_proof, **settings)
     return [(step, reports[step.problem.key()]) for step in steps]

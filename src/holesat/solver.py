@@ -35,6 +35,7 @@ from typing import Literal, Mapping, Sequence
 
 from . import abstract
 from .encoder import DISJOINT_FLAVOR, SIZE_KIND, CnfInstance, HoleProblem, VarRegistry
+from .encoder import build_instance
 from .geometry import Signotope, check_signotope
 
 DEFAULT_TIMEOUT = 600.0
@@ -198,15 +199,16 @@ def discover_checker(spec=None) -> CheckerConfig:
 def resolve_tools(solver=None, checker=None, want_proof=False, checked=False):
     """(solver, checker or None) for a solve: the one rule for which tools prove it.
 
-    A config passes straight through. A proof needs the solver's proof template
-    and a checker: a named one, or any one when ``checked``, must resolve; else
-    one found by :func:`discover_checker`, or None, which leaves UNSAT ``skipped``.
+    A solver config comes resolved with its checker (None: none). A proof needs the
+    solver's proof template and a checker: a named one, or any one when ``checked``,
+    must resolve; else one :func:`discover_checker` finds, or None (UNSAT ``skipped``).
     """
+    find = checker is not None or checked or not isinstance(solver, SolverConfig)
     solver = discover_solver(solver)
     if want_proof:
         solver.require_proof()
         try:
-            return solver, discover_checker(checker)
+            return solver, discover_checker(checker) if find else None
         except ToolNotFound:
             if checked:
                 raise
@@ -244,6 +246,14 @@ def resolve_timeout(timeout: float | None = None) -> float:
 
 def default_workers() -> int:
     return _setting("workers", DEFAULT_WORKERS, int)
+
+
+def resolve_workers(workers: int | None = None) -> int:
+    """``workers``, else :func:`default_workers`; at least 1."""
+    count = default_workers() if workers is None else workers
+    if count < 1:
+        raise SolverError(f"workers must be at least 1, got {count!r}")
+    return count
 
 
 @dataclass
@@ -495,8 +505,8 @@ def solve_instance(
     """Write, solve, and verify one instance end to end.
 
     SAT models are decoded and checked semantically (verification field
-    ``passed``/``failed``; a model that does not decode fails). The tools
-    come from :func:`resolve_tools` before the solve. Without
+    ``passed``/``failed``; a model that does not decode fails). The tools come
+    from :func:`resolve_tools`, which looks nothing up for a solver config. Without
     ``workdir`` the files go to a temporary directory that is removed
     before returning, and the report names no certificate.
     """
@@ -539,24 +549,26 @@ def solve_instance(
 
 
 def run_batch(
-    instances: Sequence[CnfInstance],
-    solver: SolverConfig | None = None,
-    checker: CheckerConfig | None = None,
+    problems: Sequence[HoleProblem],
+    solver: SolverConfig | str | None = None,
+    checker: CheckerConfig | str | None = None,
     timeout: float | None = None,
     workers: int | None = None,
     workdir=None,
     want_proof: bool = False,
 ) -> dict[str, SolveReport]:
-    """Concurrent solves, merged by instance key; a solve that raises gives
+    """Concurrent solves, merged by problem key, with the tools, timeout and worker
+    count resolved once before any instance is built; a solve that raises gives
     its key alone an UNKNOWN, ``not-run`` report that carries the error."""
     from concurrent.futures import ThreadPoolExecutor  # loaded only when a batch runs
-    cfg = solver or discover_solver()
-    count = workers if workers is not None else default_workers()
+    solver, checker = resolve_tools(solver, checker, want_proof)
+    timeout, workers = resolve_timeout(timeout), resolve_workers(workers)
+    instances = [build_instance(p) for p in problems]
     reports: dict[str, SolveReport] = {}
-    with ThreadPoolExecutor(max_workers=max(1, count)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {
             instance.problem.key(): pool.submit(
-                solve_instance, instance, cfg, checker, timeout, workdir, want_proof
+                solve_instance, instance, solver, checker, timeout, workdir, want_proof
             )
             for instance in instances
         }
@@ -565,7 +577,7 @@ def run_batch(
                 reports[key] = fut.result()
             except (SolverError, OSError) as exc:
                 reports[key] = SolveReport(
-                    verdict="UNKNOWN", solver=cfg.identity(), verification="not-run",
+                    verdict="UNKNOWN", solver=solver.identity(), verification="not-run",
                     detail=str(exc), instance=key,
                 )
     return reports

@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from holesat import cli, recipes, search
+from holesat import cli, search
+from holesat import solver as harness
 from holesat.constructions import DEFAULT_RADIUS, witness
 from holesat.encoder import HoleProblem, assignment_from_chirotope
 from holesat.geometry import PointSet, canonicalize, chirotope, write_points
@@ -863,7 +865,7 @@ def test_recipe_checker_without_proof_exits_two_before_any_lookup(
 ):
     # the checker resolves; with a solver that does not, the flags are still refused first
     built = []
-    monkeypatch.setattr(recipes, "build_instance", built.append)
+    monkeypatch.setattr(harness, "build_instance", built.append)
     argv = ["recipe", "count-16", "--no-proof", "--checker", "confirming", *solver]
     assert run(argv) == cli.ERROR
     assert built == []
@@ -1053,7 +1055,7 @@ def test_recipe_resolves_tools_before_encoding(
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     built = []
-    monkeypatch.setattr(recipes, "build_instance", built.append)
+    monkeypatch.setattr(harness, "build_instance", built.append)
     assert run(["recipe", "interior-55", "--workdir", str(tmp_path / "w")]) == cli.ERROR
     assert built == []
     out = capsys.readouterr()
@@ -1068,7 +1070,7 @@ def test_solver_without_proof_template_fails_before_encoding(
     stub_bin, monkeypatch, capsys, argv
 ):
     built = []
-    monkeypatch.setattr(recipes, "build_instance", built.append)
+    monkeypatch.setattr(harness, "build_instance", built.append)
     monkeypatch.setattr(cli, "build_instance", built.append)
     assert run(argv) == cli.ERROR
     assert built == []
@@ -1123,10 +1125,77 @@ def test_timeout_must_be_finite_and_positive(
     for key, setting in env.items():
         monkeypatch.setenv(key, setting)
     built = []
-    monkeypatch.setattr(recipes, "build_instance", built.append)
+    monkeypatch.setattr(harness, "build_instance", built.append)
     monkeypatch.setattr(cli, "build_instance", built.append)
     assert run(argv) == cli.ERROR
     assert built == []
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: timeout must be a finite number of seconds > 0, got {value}\n"
+
+
+def test_recipe_looks_its_tools_up_once(tmp_path, monkeypatch):
+    # 18 steps, no checker to be found: the lookups of one resolution, not one per step
+    _unsat_stub_config(tmp_path, monkeypatch)
+    calls = {"which": 0, "config": 0}
+
+    def counted(key, real):
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(shutil, "which", counted("which", shutil.which))
+    monkeypatch.setattr(harness, "load_config", counted("config", harness.load_config))
+    argv = ["recipe", "h55-small-table", "--workers", "1", "--workdir", str(tmp_path / "w")]
+    assert run(argv) == cli.FAIL  # the stub answers UNSAT on the SAT steps too
+    assert calls["which"] <= 3 and calls["config"] <= 3
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (SOLVE_UNSAT + ["--proof", "missing/p.drat"], "--proof missing/p.drat"),
+    (SOLVE_UNSAT + ["--summary", "missing/s.json"], "--summary missing/s.json"),
+    (["recipe", "count-16", "--report", "missing/r.json"], "--report missing/r.json"),
+], ids=["solve-proof", "solve-summary", "recipe-report"])
+def test_output_path_in_a_missing_directory_exits_two_first(
+    tmp_path, monkeypatch, capsys, argv, flag
+):
+    # the solver does not resolve, so the path is checked before any tool lookup
+    monkeypatch.chdir(tmp_path)
+    built = []
+    monkeypatch.setattr(cli, "build_instance", built.append)
+    monkeypatch.setattr(harness, "build_instance", built.append)
+    assert run(argv + ["--solver", "gone"]) == cli.ERROR
+    assert built == []
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {flag}: no directory missing\n"
+
+
+RECIPE_COUNT = ["recipe", "count-16", "--solver", "/bin/true", "--no-proof"]
+
+
+@pytest.mark.parametrize("argv, env, config, value", [
+    (SEARCH_MISS + ["--workers", "0"], {}, None, "0"),
+    (SEARCH_MISS + ["--workers", "-3"], {}, None, "-3"),
+    (SEARCH_MISS, {"HOLESAT_WORKERS": "0"}, None, "0"),
+    (SEARCH_MISS, {}, {"workers": -1}, "-1"),
+    (RECIPE_COUNT + ["--workers", "0"], {}, None, "0"),
+    (RECIPE_COUNT, {"HOLESAT_WORKERS": "-2"}, None, "-2"),
+    (RECIPE_COUNT, {}, {"workers": 0}, "0"),
+], ids=["search-flag", "search-flag-negative", "search-env", "search-config",
+        "recipe-flag", "recipe-env", "recipe-config"])
+def test_workers_below_one_exit_two(tmp_path, monkeypatch, capsys, argv, env, config, value):
+    cfg = tmp_path / "holesat.json"
+    if config:
+        cfg.write_text(json.dumps(config))
+    monkeypatch.setenv("HOLESAT_CONFIG", str(cfg))
+    monkeypatch.delenv("HOLESAT_WORKERS", raising=False)
+    for key, setting in env.items():
+        monkeypatch.setenv(key, setting)
+    started = []
+    monkeypatch.setattr(cli, "search_witness", lambda *a, **k: started.append(a))
+    monkeypatch.setattr(harness, "build_instance", started.append)
+    assert run(argv) == cli.ERROR
+    assert started == []
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: workers must be at least 1, got {value}\n"

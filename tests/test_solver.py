@@ -7,12 +7,14 @@ import itertools
 import json
 import os
 import random
+import shutil
 import stat
 import tempfile
 import tracemalloc
 
 import pytest
 
+from holesat import solver as harness
 from holesat.cli import main as cli_main
 from holesat.encoder import MODES, HoleProblem, assignment_from_chirotope, build_instance
 from holesat.geometry import PointSet, Signotope, canonicalize, chirotope
@@ -31,6 +33,7 @@ from holesat.solver import (
     load_config,
     normalize_certificate,
     parse_solver_output,
+    resolve_tools,
     run_batch,
     run_proof_check,
     run_solver,
@@ -133,6 +136,41 @@ def test_config_defaults(tmp_path, monkeypatch):
     assert default_timeout() == 12.5
     monkeypatch.setenv("HOLESAT_WORKERS", "3")
     assert default_workers() == 3
+
+
+def test_resolved_solver_comes_with_its_checker(monkeypatch):
+    def lookup(*args):
+        raise AssertionError("looked up")
+
+    monkeypatch.setattr(shutil, "which", lookup)
+    monkeypatch.setattr(harness, "load_config", lookup)
+    monkeypatch.delenv("HOLESAT_CHECKER", raising=False)
+    solver = SolverConfig(path="/bin/true", proof_args=("{proof}",))
+    checker = CheckerConfig(path="/bin/true")
+    assert resolve_tools(solver, None, want_proof=True) == (solver, None)
+    assert resolve_tools(solver, checker, want_proof=True) == (solver, checker)
+    # a checker named, or asked for, is still looked up
+    for named, checked in (("rate", False), (None, True)):
+        with pytest.raises(AssertionError, match="looked up"):
+            resolve_tools(solver, named, want_proof=True, checked=checked)
+
+
+def test_run_batch_refuses_a_solver_without_proof_template_before_building(
+    tmp_path, monkeypatch
+):
+    cfg = tmp_path / "holesat.json"
+    cfg.write_text(json.dumps({"solver": {"path": "/bin/true", "name": "plain"}}))
+    monkeypatch.setenv("HOLESAT_CONFIG", str(cfg))
+    monkeypatch.delenv("HOLESAT_SOLVER", raising=False)
+    built = []
+    monkeypatch.setattr(harness, "build_instance", built.append)
+    problems = [
+        HoleProblem(n=5, mode="forbid-hole", sizes=(4,)),
+        HoleProblem(n=6, mode="forbid-gon", sizes=(4,)),
+    ]
+    with pytest.raises(SolverError, match="solver plain has no proof argument template"):
+        run_batch(problems, want_proof=True, workdir=tmp_path / "w")
+    assert built == []
 
 
 # --- error classification -------------------------------------------------
@@ -293,9 +331,7 @@ def test_run_batch_keeps_reports_when_one_solve_raises(tmp_path):
         HoleProblem(n=5, mode="forbid-hole", sizes=(4,)),
         HoleProblem(n=6, mode="forbid-gon", sizes=(4,)),
     ]
-    reports = run_batch(
-        [build_instance(p) for p in problems], solver=once, workers=1, workdir=tmp_path
-    )
+    reports = run_batch(problems, solver=once, workers=1, workdir=tmp_path)
     first, second = (reports[p.key()] for p in problems)
     assert first.verdict == "UNSAT"
     assert second.verdict == "UNKNOWN" and "failed to launch" in second.detail
@@ -315,27 +351,22 @@ def test_output_that_is_not_utf8_keeps_the_verdict(tmp_path, capsys):
         HoleProblem(n=6, mode="forbid-gon", sizes=(4,)),
     ]
     reports = run_batch(
-        [build_instance(p) for p in problems],
-        solver=SolverConfig(path=junk, name="junk"), workers=1, workdir=tmp_path,
+        problems, solver=SolverConfig(path=junk, name="junk"), workers=1, workdir=tmp_path,
     )
     assert [reports[p.key()].verdict for p in problems] == ["UNSAT", "UNSAT"]
 
 
-def test_run_batch_marks_a_raised_solve_not_run(tmp_path, monkeypatch):
-    # the malformed checker entry raises inside the solve, before any launch
-    cfg = tmp_path / "holesat.json"
-    cfg.write_text(json.dumps({"checker": {"path": 5}}))
-    monkeypatch.setenv("HOLESAT_CONFIG", str(cfg))
-    monkeypatch.delenv("HOLESAT_CHECKER", raising=False)
+def test_run_batch_marks_a_raised_solve_not_run(tmp_path):
+    # a workdir that is a regular file raises inside the solve, before any launch
     unsat = SolverConfig(
         path=_stub(tmp_path, "unsat", 'echo 0 > "$1"; echo s UNSATISFIABLE'),
         name="unsat", proof_args=("{proof}",),
     )
+    workdir = tmp_path / "w"
+    workdir.write_text("")
     p = HoleProblem(n=5, mode="forbid-hole", sizes=(4,))
-    [report] = run_batch(
-        [build_instance(p)], solver=unsat, workdir=tmp_path / "w", want_proof=True
-    ).values()
-    assert "'path' must be a non-empty string" in report.detail
+    [report] = run_batch([p], solver=unsat, workdir=workdir, want_proof=True).values()
+    assert str(workdir) in report.detail
     assert (report.verdict, report.verification) == ("UNKNOWN", "not-run")
     assert "verification: not-run" in report.to_text()
 
@@ -515,7 +546,7 @@ def test_run_batch_merges_reports(tmp_path):
         HoleProblem(n=5, mode="forbid-hole", sizes=(4,)),
         HoleProblem(n=6, mode="forbid-gon", sizes=(4,)),
     ]
-    reports = run_batch([build_instance(p) for p in problems], workdir=tmp_path, workers=2)
+    reports = run_batch(problems, workdir=tmp_path, workers=2)
     assert set(reports) == {p.key() for p in problems}
     assert all(r.verdict in ("SAT", "UNSAT") for r in reports.values())
 
@@ -537,7 +568,7 @@ def test_both_solver_families_agree(tmp_path):
         cfg = discover_solver(name)
         rep_sat = solve_instance(sat_p, cfg, workdir=tmp_path / name)
         rep_unsat = solve_instance(
-            unsat_p, cfg, workdir=tmp_path / name, want_proof=True
+            unsat_p, cfg, checker=discover_checker(), workdir=tmp_path / name, want_proof=True
         )
         assert rep_sat.verdict == "SAT" and rep_sat.verification == "passed"
         assert rep_unsat.verdict == "UNSAT"
