@@ -30,18 +30,18 @@ from .constructions import generate_double_circle, generate_two_ring
 from .encoder import MODES, HoleProblem, build_instance
 from .geometry import GeneralPositionError, read_points, write_points
 from .holes import enumerate_from_table, enumerate_holes, find_disjoint_tuple
-from .recipes import RECIPE_NAMES, passed, run_recipe
+from .recipes import RECIPE_NAMES, run_recipe
 from .search import DEFAULT_BOX, OBJECTIVE_MODES, SearchObjective, search_witness
 from .solver import (
-    MODEL_DECODING_FAILED,
+    ERROR,
+    FAIL,
+    PASS,
     SolverError,
     resolve_timeout,
     resolve_tools,
     resolve_workers,
     solve_instance,
 )
-
-PASS, FAIL, ERROR = 0, 1, 2
 
 
 def _sizes_arg(text: str) -> tuple[int, ...]:
@@ -114,31 +114,25 @@ def _problem_from_args(args) -> HoleProblem:
     return HoleProblem(sizes=_sizes_from_args(args), **{f: getattr(args, f) for f in fields})
 
 
-def _infrastructure_trouble(report) -> bool:
-    """No verdict, or a SAT model that does not decode: malformed output."""
-    return report.verdict == "UNKNOWN" or report.detail.startswith(MODEL_DECODING_FAILED)
-
-
-def _exit_code(judged) -> int:
-    """ERROR on any infrastructure trouble, else FAIL unless every pair passed."""
-    if any(_infrastructure_trouble(report) for report, _ in judged):
-        return ERROR
-    return PASS if all(passed(report, expect) for report, expect in judged) else FAIL
-
-
 def _check_output_dirs(args, *flags) -> None:
-    """Refuse, before any work, an output path whose directory does not exist."""
-    for flag in flags:
-        if (path := getattr(args, flag)) and not Path(path).parent.is_dir():
-            raise ValueError(f"--{flag} {path}: no directory {Path(path).parent}")
+    """Refuse, before any work, an output path whose directory does not exist, that
+    is a directory, or that an earlier one of ``flags`` names too."""
+    named = {}
+    for flag in [f for f in flags if getattr(args, f)]:
+        path = Path(getattr(args, flag))
+        if not path.parent.is_dir():
+            raise ValueError(f"--{flag} {path}: no directory {path.parent}")
+        if path.is_dir():
+            raise ValueError(f"--{flag} {path}: is a directory")
+        if (first := named.setdefault(path.resolve(), flag)) != flag:
+            raise ValueError(f"--{flag} {path}: the same file as --{first}")
 
 
 def cmd_encode(args) -> int:
     problem = _problem_from_args(args)
-    out = Path(args.output or f"{problem.key()}.cnf")
-    reg = Path(args.registry) if args.registry else out.with_suffix(".vars")
-    if out.resolve() == reg.resolve():
-        raise ValueError(f"the CNF and the registry would both be written to {out}")
+    out = args.output = Path(args.output or f"{problem.key()}.cnf")
+    reg = args.registry = Path(args.registry) if args.registry else out.with_suffix(".vars")
+    _check_output_dirs(args, "output", "registry")
     inst = build_instance(problem)
     inst.write_dimacs(out)
     inst.write_registry(reg)
@@ -176,7 +170,7 @@ def cmd_solve(args) -> int:
     if args.summary:
         report.write_summary(args.summary)
     expect = args.expect.upper() if args.expect else None
-    code = _exit_code([(report, expect)])
+    code = report.judge(expect)
     if code == ERROR:
         print(f"error: {report.detail}", file=sys.stderr)
     elif code == FAIL and report.verification != "failed":
@@ -229,6 +223,7 @@ def cmd_count_holes(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    _check_output_dirs(args, "output")
     if args.name in ("double-circle", "two-ring"):
         if args.n is None:
             raise ValueError(f"{args.name} needs --n")
@@ -248,6 +243,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_search(args) -> int:
+    _check_output_dirs(args, "output")
     obj = SearchObjective(args.mode, _sizes_from_args(args))
     workers = resolve_workers(args.workers)
     result = search_witness(
@@ -283,14 +279,12 @@ def cmd_recipe(args) -> int:
         workdir=args.workdir,
         want_proof=not args.no_proof,
     )
-    rows = []
-    for step, report in results:
-        ok = passed(report, step.expect)
-        rows.append(dict(
-            label=step.label, expect=step.expect, verdict=report.verdict,
-            verification=report.verification, wall_time=report.wall_time,
-            passed=ok, detail="" if ok else report.detail,
-        ))
+    codes = [report.judge(step.expect) for step, report in results]
+    rows = [dict(
+        label=step.label, expect=step.expect, verdict=report.verdict,
+        verification=report.verification, wall_time=report.wall_time,
+        passed=judged == PASS, detail="" if judged == PASS else report.detail,
+    ) for (step, report), judged in zip(results, codes)]
     print(f"recipe {args.name}")
     for r in rows:
         detail = f" ({r['detail']})" if r["detail"] else ""
@@ -299,7 +293,7 @@ def cmd_recipe(args) -> int:
             f"[expected {r['expect']}, {r['wall_time']:.1f}s, "
             f"verification {r['verification']}]{detail}"
         )
-    code = _exit_code([(report, step.expect) for step, report in results])
+    code = max(codes)
     done = sum(r["passed"] for r in rows)
     print(f"result: {'pass' if code == PASS else 'FAIL'} ({done}/{len(rows)} steps)")
     if args.report:

@@ -2,8 +2,8 @@
 
 Each recipe is a list of (problem, expected verdict) steps; running one
 encodes every instance, dispatches the solves to the harness's worker
-pool, verifies models/certificates, and judges each report against its
-step's expectation with :func:`passed`. A recipe passes iff every step does.
+pool and verifies models/certificates. Each report is judged against its
+step's expectation by :meth:`~holesat.solver.SolveReport.judge`.
 """
 
 from __future__ import annotations
@@ -24,11 +24,6 @@ class RecipeStep:
         p = self.problem
         label = f"{p.mode} ({'/'.join(map(str, p.sizes))}) n={p.n}"
         return f"{label} t={p.threshold}" if p.threshold else label
-
-
-def passed(report: SolveReport, expect: str | None) -> bool:
-    """Verification did not fail and the verdict is ``expect`` (any, if None)."""
-    return report.verification != "failed" and expect in (None, report.verdict)
 
 
 # h(k1,k2) values with both sizes <= 5, excluding the long (5,5) target.

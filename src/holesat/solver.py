@@ -42,6 +42,8 @@ DEFAULT_TIMEOUT = 600.0
 DEFAULT_WORKERS = 4
 # detail prefix of a SAT report whose model does not decode (malformed output)
 MODEL_DECODING_FAILED = "model decoding failed"
+# the judgements of a report, by severity; the exit codes of the command line
+PASS, FAIL, ERROR = 0, 1, 2
 
 Verdict = Literal["SAT", "UNSAT", "UNKNOWN"]
 
@@ -280,6 +282,15 @@ class SolveReport:
             f"detail: {self.detail}" if self.detail else None,
         ]
         return "\n".join(l for l in lines if l is not None) + "\n"
+
+    def judge(self, expect: str | None = None) -> int:
+        """ERROR with no verdict or a model that does not decode (malformed output),
+        else PASS if verification did not fail and the verdict is ``expect`` (any,
+        if None), else FAIL."""
+        if self.verdict == "UNKNOWN" or self.detail.startswith(MODEL_DECODING_FAILED):
+            return ERROR
+        ok = self.verification != "failed" and expect in (None, self.verdict)
+        return PASS if ok else FAIL
 
     def write_summary(self, path) -> None:
         data = {

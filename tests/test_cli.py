@@ -1171,6 +1171,66 @@ def test_output_path_in_a_missing_directory_exits_two_first(
     assert out.out == "" and out.err == f"error: {flag}: no directory missing\n"
 
 
+SEARCH_W = ["search", "--n", "8", "--mode", "forbid-gon", "--k", "5", "--seeds", "0",
+            "--workers", "1"]
+ENCODE_6 = ["encode", "--n", "6", "--mode", "forbid-hole", "--k", "5"]
+SOLVE_GONE = SOLVE_UNSAT + ["--solver", "gone"]
+
+
+@pytest.mark.parametrize("argv, err", [
+    (SEARCH_W + ["-o", "missing/w.txt"], "--output missing/w.txt: no directory missing"),
+    (SEARCH_W + ["-o", "d"], "--output d: is a directory"),
+    (ENCODE_6 + ["-o", "missing/c.cnf"], "--output missing/c.cnf: no directory missing"),
+    (ENCODE_6 + ["--registry", "missing/c.vars"],
+     "--registry missing/c.vars: no directory missing"),
+    (ENCODE_6 + ["-o", "d"], "--output d: is a directory"),
+    (["construct", "fig2-n16", "-o", "missing/f.txt"],
+     "--output missing/f.txt: no directory missing"),
+    (["construct", "fig2-n16", "-o", "."], "--output .: is a directory"),
+    (SOLVE_GONE + ["--proof", "d"], "--proof d: is a directory"),
+    (SOLVE_GONE + ["--summary", "d"], "--summary d: is a directory"),
+    (["recipe", "count-16", "--solver", "gone", "--report", "d"], "--report d: is a directory"),
+    (SOLVE_GONE + ["--proof", "x.out", "--summary", "./x.out"],
+     "--summary x.out: the same file as --proof"),
+], ids=["search-o-missing-dir", "search-o-dir", "encode-o-missing-dir",
+        "encode-registry-missing-dir", "encode-o-dir", "construct-o-missing-dir",
+        "construct-o-dot", "solve-proof-dir", "solve-summary-dir", "recipe-report-dir",
+        "solve-proof-and-summary-one-file"])
+def test_refused_output_path_exits_two_before_any_work(
+    tmp_path, monkeypatch, capsys, argv, err
+):
+    # "gone" does not resolve, so solve and recipe check their paths before any tool lookup
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    started = []
+    for name in ("search_witness", "build_instance", "witness"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: started.append(a))
+    monkeypatch.setattr(harness, "build_instance", started.append)
+    assert run(argv) == cli.ERROR
+    assert started == []
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {err}\n"
+    assert os.listdir(tmp_path) == ["d"] and os.listdir(tmp_path / "d") == []
+
+
+def test_recipe_exits_with_its_worst_judgement(stub_bin, capsys):
+    # the t = 12 step crashes (ERROR) and the t = 11 step answers UNSAT (PASS); the
+    # stub reads the step off the CNF's header line with shell builtins (PATH holds stubs)
+    _bin(stub_bin, "crash12", 'read -r header < "$1"\ncase "$header" in *-t12-*)'
+         " echo boom >&2; exit 3;; esac\necho s UNSATISFIABLE")
+    argv = ["recipe", "count-16", "--workers", "1", "--no-proof", "--solver", "crash12"]
+    assert run(argv) == cli.ERROR
+    out = capsys.readouterr()
+    assert _masked(out.out, stub_bin).splitlines() == [
+        "recipe count-16",
+        "  FAIL: count-holes (5) n=16 t=12 -> UNKNOWN [expected SAT, Ts, verification skipped]"
+        " (solver crash (exit 3): boom)",
+        "  pass: count-holes (5) n=16 t=11 -> UNSAT [expected UNSAT, Ts, verification skipped]",
+        "result: FAIL (1/2 steps)",
+    ]
+    assert out.err == ""
+
+
 RECIPE_COUNT = ["recipe", "count-16", "--solver", "/bin/true", "--no-proof"]
 
 

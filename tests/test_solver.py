@@ -20,9 +20,14 @@ from holesat.encoder import MODES, HoleProblem, assignment_from_chirotope, build
 from holesat.geometry import PointSet, Signotope, canonicalize, chirotope
 from holesat.holes import enumerate_holes, find_disjoint_tuple
 from holesat.solver import (
+    ERROR,
+    FAIL,
     KNOWN_CHECKERS,
     KNOWN_SOLVERS,
+    MODEL_DECODING_FAILED,
+    PASS,
     CheckerConfig,
+    SolveReport,
     SolverConfig,
     SolverError,
     decode_model,
@@ -505,6 +510,33 @@ def test_report_serialization(tmp_path):
     rep.write_summary(out)
     data = json.loads(out.read_text())
     assert data["verdict"] == "SAT" and data["solver"] == "sat2"
+
+
+JUDGED = list(itertools.product(
+    ("SAT", "UNSAT", "UNKNOWN"),
+    ("passed", "failed", "skipped", "not-run"),
+    ("undecodable", "plain"),
+    (None, "SAT", "UNSAT"),
+))
+
+
+@pytest.mark.parametrize(
+    "verdict, verification, detail, expect", JUDGED,
+    ids=["-".join([v, ver, d, f"expect={e}"]) for v, ver, d, e in JUDGED],
+)
+def test_judge_every_report(verdict, verification, detail, expect):
+    # no verdict or an undecodable model is malformed output, whatever was expected
+    text = f"{MODEL_DECODING_FAILED}: x" if detail == "undecodable" else "timeout after 600s"
+    report = SolveReport(verdict=verdict, verification=verification, detail=text)
+    if verdict == "UNKNOWN" or detail == "undecodable":
+        want = ERROR
+    elif verification != "failed" and expect in (None, verdict):
+        want = PASS
+    else:
+        want = FAIL
+    assert report.judge(expect) == want
+    if expect is None:
+        assert report.judge() == want
 
 
 # --- real solvers ---------------------------------------------------------
